@@ -57,18 +57,16 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def json_dumps_stable(obj, indent: int = 0) -> str:
+def json_dumps_stable(obj) -> str:
     """JSON with sorted keys and 17-significant-digit floats (bit-stable)."""
-    pad = " " * indent
 
-    def render(o, depth: int) -> str:
-        sp = pad * 0  # compact; keep single-line values
+    def render(o) -> str:
         if isinstance(o, dict):
             items = sorted(o.items(), key=lambda kv: str(kv[0]))
-            inner = ",".join(f'"{k}":{render(v, depth + 1)}' for k, v in items)
+            inner = ",".join(f'"{k}":{render(v)}' for k, v in items)
             return "{" + inner + "}"
         if isinstance(o, (list, tuple)):
-            return "[" + ",".join(render(v, depth + 1) for v in o) + "]"
+            return "[" + ",".join(render(v) for v in o) + "]"
         if isinstance(o, bool) or isinstance(o, np.bool_):
             return "true" if o else "false"
         if isinstance(o, (int, np.integer)):
@@ -84,7 +82,7 @@ def json_dumps_stable(obj, indent: int = 0) -> str:
         s = s.replace("\\", "\\\\").replace('"', '\\"')
         return f'"{s}"'
 
-    return render(obj, 0) + "\n"
+    return render(obj) + "\n"
 
 
 def _csv_cell(v) -> str:

@@ -28,7 +28,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AbsorbingStateError, CapacityError, CocycleSpecError
+from .errors import (
+    AbsorbingStateError,
+    CapacityError,
+    CocycleSpecError,
+    SimulationInputError,
+)
 
 __all__ = [
     "GroupSpec",
@@ -315,11 +320,11 @@ def simulate(
     arguments reproduce the report exactly.
     """
     if max_jumps < 1:
-        raise ValueError("max_jumps must be >= 1")
+        raise SimulationInputError(f"max_jumps must be >= 1, got {max_jumps}")
     G = spec.group
     for g in init:
         if G.is_identity(g):
-            raise ValueError("initial state contains the identity")
+            raise SimulationInputError(f"initial state {init!r} contains the identity")
     # states recur across paths; memoized rates/moves keep long batches cheap
     rate_memo: dict = {}
     move_memo: dict = {}

@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import (
     CapacityError,
+    LevelRangeError,
     NonConvergenceWarning,
     SquareRootUnavailableError,
     check_doubled_axis,
@@ -117,16 +118,23 @@ def _rev_perm(ctx: FockContext) -> np.ndarray:
     return perm
 
 
+def _level_cap(ctx: FockContext, Q: int | None) -> int:
+    if Q is None:
+        return ctx.L
+    if not 0 <= Q <= ctx.L:
+        raise LevelRangeError(
+            f"level cap {Q} outside the truncation levels 0..{ctx.L}"
+        )
+    return Q
+
+
 def xi_multiplier(ctx: FockContext, Q: int | None = None) -> FockOperator:
     """Graded multiplier: q**n on level n for n <= Q, zero above Q.
 
     ``Q = None`` means the full truncation (Q = L).  At q = 0 this is the
     vacuum projection.
     """
-    if Q is None:
-        Q = ctx.L
-    if Q > ctx.L:
-        raise ValueError(f"level cap {Q} exceeds truncation level {ctx.L}")
+    Q = _level_cap(ctx, Q)
     diag = np.zeros(ctx.dim)
     for n in range(Q + 1):
         diag[ctx.level_slice(n)] = ctx.q**n
@@ -141,8 +149,7 @@ def xi_as_hs(ctx: FockContext, Q: int | None = None) -> HSElement:
     with a reversed second index (the star of a word operator is the operator
     of the reversed word).
     """
-    if Q is None:
-        Q = ctx.L
+    Q = _level_cap(ctx, Q)
     key = ("xi_hs", Q)
     cached = ctx._xi.get(key)
     if cached is not None:
@@ -191,47 +198,53 @@ def _weighted_stack(C: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return np.tensordot(C, stack, axes=(1, 0))
 
 
-def _batched_sum(stack: np.ndarray, P: np.ndarray) -> np.ndarray:
-    # sum_u stack[u] @ P[u], as one (d, d*d) x (d*d, d) matmul
+def _concat(stack: np.ndarray) -> np.ndarray:
+    # (u, i, k) -> (i, u*d + k): the left GEMM operand of _action_matvec;
+    # a free view when the stack already lives in this layout (_sym_stacks)
     d = stack.shape[1]
-    return (
-        stack.transpose(1, 0, 2).reshape(d, -1) @ P.reshape(-1, P.shape[2])
-    )
+    return stack.transpose(1, 0, 2).reshape(d, -1)
+
+
+def _action_matvec(A_cat: np.ndarray, W: np.ndarray):
+    """The map ``V -> sum_u A_u @ V @ W_u^T`` on (dim, dim) arrays, with
+    ``A_cat = _concat(A)``: one batched matmul plus one
+    (d, d*d) x (d*d, d) GEMM per application."""
+    Wt = W.transpose(0, 2, 1)
+    d = A_cat.shape[0]
+
+    def apply(V: np.ndarray) -> np.ndarray:
+        P = np.matmul(V[None, :, :], Wt).reshape(-1, d)
+        if np.iscomplexobj(P) and not np.iscomplexobj(A_cat):
+            # real stack, complex P: one real GEMM on the interleaved
+            # (re, im) columns instead of a complex copy of the stack
+            return (A_cat @ P.view(float)).view(complex)
+        return A_cat @ P
+
+    return apply
 
 
 def _action_apply(
-    A: np.ndarray, B: np.ndarray, C: np.ndarray, V: np.ndarray, adjoint: bool
+    A: np.ndarray, B: np.ndarray, C: np.ndarray, V: np.ndarray
 ) -> np.ndarray:
-    C = _real_if_possible(C)
-    if adjoint:
-        W = _weighted_stack(C.conj(), B.transpose(0, 2, 1))
-        P = np.matmul(V[None, :, :], W.transpose(0, 2, 1))
-        return _batched_sum(A.transpose(0, 2, 1), P)
-    W = _weighted_stack(C, B)
-    P = np.matmul(V[None, :, :], W.transpose(0, 2, 1))
-    return _batched_sum(A, P)
+    W = _weighted_stack(_real_if_possible(C), B)
+    return _action_matvec(_concat(A), W)(_real_if_possible(V))
 
 
-def lr_apply(T: HSElement, V: np.ndarray, adjoint: bool = False) -> np.ndarray:
+def lr_apply(T: HSElement, V: np.ndarray) -> np.ndarray:
     """Left action of T on a doubled-space vector in (dim, dim) matrix form.
 
     ``(a (x) b)`` sends ``x (x) y`` to ``ax (x) yb``; with V[i, j] the
     coefficient of (basis i) (x) (basis j) this is
-    ``sum_{u,v} C[u,v] . A_u @ V @ B_v^T``.  ``adjoint=True`` applies the
-    standard-coordinates conjugate transpose instead.
+    ``sum_{u,v} C[u,v] . A_u @ V @ B_v^T``.
     """
     ctx = T.ctx
-    return _action_apply(
-        left_wick_stack(ctx), right_wick_stack(ctx), T.coeffs, V, adjoint
-    )
+    return _action_apply(left_wick_stack(ctx), right_wick_stack(ctx), T.coeffs, V)
 
 
-def rl_apply(T: HSElement, V: np.ndarray, adjoint: bool = False) -> np.ndarray:
+def rl_apply(T: HSElement, V: np.ndarray) -> np.ndarray:
     """Right action of T: ``x (x) y -> xa (x) by``, i.e. R_u @ V @ L_v^T."""
     ctx = T.ctx
-    return _action_apply(
-        right_wick_stack(ctx), left_wick_stack(ctx), T.coeffs, V, adjoint
-    )
+    return _action_apply(right_wick_stack(ctx), left_wick_stack(ctx), T.coeffs, V)
 
 
 def hs_mult(T: HSElement, S: HSElement) -> HSElement:
@@ -278,19 +291,30 @@ def _sym_stacks(ctx: FockContext) -> tuple[np.ndarray, np.ndarray]:
     With ``S = G**(1/2)`` the sandwiched stacks ``S A_u S^-1``, ``S B_v S^-1``
     turn the doubled metric into the standard one, so operator norms become
     plain singular values; sandwiching once per context avoids any dim**2
-    square matrix products.
+    square matrix products.  Both come back indexed ``(u, i, k)``; the left
+    stack is stored in the ``_concat`` layout and returned as a view of it.
     """
     cached = ctx._stacks.get("sym")
-    if cached is not None:
-        return cached
-    m = metric(ctx)
-    Gh, Gih = m["Gh"], m["Gih"]
-    A = left_wick_stack(ctx)
-    B = right_wick_stack(ctx)
-    Ah = np.matmul(np.matmul(Gh[None, :, :], A), Gih[None, :, :])
-    Bh = np.matmul(np.matmul(Gh[None, :, :], B), Gih[None, :, :])
-    ctx._stacks["sym"] = (Ah, Bh)
-    return Ah, Bh
+    if cached is None:
+        m = metric(ctx)
+        Gh, Gih = m["Gh"][None, :, :], m["Gih"][None, :, :]
+        Ah = np.matmul(np.matmul(Gh, left_wick_stack(ctx)), Gih)
+        Bh = np.matmul(np.matmul(Gh, right_wick_stack(ctx)), Gih)
+        cached = ctx._stacks["sym"] = (_concat(Ah), Bh)
+    A_cat, Bh = cached
+    d = ctx.dim
+    return A_cat.reshape(d, d, d).transpose(1, 0, 2), Bh
+
+
+def _star(ctx: FockContext, C: np.ndarray) -> np.ndarray:
+    """Coefficients of the adjoint element: ``C*[u, v] = conj(C[rev u, rev v])``.
+
+    In metric-orthonormal coordinates the adjoint of a word operator is the
+    operator of the reversed word, so the forward action of ``C*`` is the
+    adjoint of the forward action of ``C``.
+    """
+    rev = _rev_perm(ctx)
+    return C[np.ix_(rev, rev)].conj()
 
 
 def _dense_sym_action(ctx: FockContext, C: np.ndarray, which: str = "left") -> np.ndarray:
@@ -305,86 +329,54 @@ def _dense_sym_action(ctx: FockContext, C: np.ndarray, which: str = "left") -> n
     return M.transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
-def _lanczos_top_sv(matvec, matvec_adj, d2: int, is_complex: bool) -> float:
-    """Deterministic largest singular value via ARPACK on the normal operator."""
+def _lanczos_top(matvec, d2: int, dtype, which: str) -> float:
+    """Extreme eigenvalue (ARPACK ``which``: "LM" or "LA") of a self-adjoint
+    operator, by deterministic Lanczos iteration from a fixed start vector."""
     from scipy.sparse.linalg import LinearOperator, eigsh
 
-    if d2 < 3:
-        # too small for Lanczos; brute-force the tiny matrix
-        basis = np.eye(d2, dtype=complex if is_complex else float)
-        M = np.stack([matvec(basis[:, i]) for i in range(d2)], axis=1)
-        return float(np.linalg.svd(M, compute_uv=False)[0])
-    dtype = complex if is_complex else float
-    B = LinearOperator(
-        (d2, d2), matvec=lambda v: matvec_adj(matvec(v)), dtype=dtype
-    )
+    op = LinearOperator((d2, d2), matvec=matvec, dtype=dtype)
     v0 = np.full(d2, 1.0 / math.sqrt(d2))
     vals = eigsh(
-        B, k=1, which="LA", v0=v0, ncv=min(d2, 48), tol=1e-11,
+        op, k=1, which=which, v0=v0, ncv=min(d2, 48), tol=1e-11,
         return_eigenvectors=False,
     )
-    return float(math.sqrt(max(float(vals[0]), 0.0)))
-
-
-def _lanczos_top_abs_eig(matvec, d2: int) -> float:
-    """Deterministic largest |eigenvalue| of a symmetric real operator."""
-    from scipy.sparse.linalg import LinearOperator, eigsh
-
-    if d2 < 3:
-        basis = np.eye(d2)
-        M = np.stack([matvec(basis[:, i]) for i in range(d2)], axis=1)
-        return float(np.abs(np.linalg.eigvalsh((M + M.T) / 2)).max())
-    B = LinearOperator((d2, d2), matvec=matvec, dtype=float)
-    v0 = np.full(d2, 1.0 / math.sqrt(d2))
-    vals = eigsh(
-        B, k=1, which="LM", v0=v0, ncv=min(d2, 48), tol=1e-11,
-        return_eigenvectors=False,
-    )
-    return float(abs(vals[0]))
+    return float(vals[0])
 
 
 def doubled_op_norm(T: HSElement, hermitian: bool = False) -> float:
     """Operator norm of the left action of T on the doubled space, in the
     deformed metric of the tensor-square trace.
 
-    Dense matrix matvecs below the dense cap, stack-based matvecs above it;
-    deterministic Lanczos iteration (fixed start vector) either way.  Pass
+    Matrix-free: the action is applied through the metric-orthonormal stacks
+    with the weighted right stack built once per call, and the adjoint action
+    is the forward action of the star element.  The top singular value comes
+    from deterministic Lanczos iteration on the normal operator.  Pass
     ``hermitian=True`` for elements known to be self-adjoint (polynomials in
-    the deformation operator): the symmetrized action is then real symmetric
-    and a single Lanczos run suffices.
+    the deformation operator): the largest |eigenvalue| of the symmetrized
+    action ``(M + M^T) / 2`` is then computed with one Lanczos run.
     """
     ctx = T.ctx
     d = ctx.dim
-    if not np.abs(T.coeffs).max():
+    C = _real_if_possible(T.coeffs)
+    if not np.abs(C).max():
         return 0.0
-    if d <= _DENSE_DOUBLED_DIM:
-        M = _dense_sym_action(ctx, T.coeffs)
-        if not np.abs(M).max():
-            return 0.0
-        if d * d <= 128:
-            return float(np.linalg.svd(M, compute_uv=False)[0])
-        if hermitian and not np.iscomplexobj(M):
-            S = (M + M.T) / 2
-            return _lanczos_top_abs_eig(lambda v: S @ v, d * d)
-        return _lanczos_top_sv(
-            lambda v: M @ v,
-            lambda v: M.conj().T @ v,
-            d * d,
-            np.iscomplexobj(M),
-        )
     Ah, Bh = _sym_stacks(ctx)
-    C = T.coeffs
+    A_cat = _concat(Ah)
 
-    def mv(v):
-        return _action_apply(Ah, Bh, C, v.reshape(d, d), adjoint=False).reshape(-1)
+    def action(coeffs):
+        apply = _action_matvec(A_cat, _weighted_stack(coeffs, Bh))
+        return lambda v: apply(v.reshape(d, d)).reshape(-1)
 
-    def mvadj(v):
-        return _action_apply(Ah, Bh, C, v.reshape(d, d), adjoint=True).reshape(-1)
-
-    is_complex = np.iscomplexobj(_real_if_possible(T.coeffs))
-    if hermitian and not is_complex:
-        return _lanczos_top_abs_eig(lambda v: 0.5 * (mv(v) + mvadj(v)), d * d)
-    return _lanczos_top_sv(mv, mvadj, d * d, is_complex)
+    if d * d <= 128:
+        fwd = action(C)
+        M = np.stack([fwd(e) for e in np.eye(d * d)], axis=1)
+        return float(np.linalg.svd(M, compute_uv=False)[0])
+    if hermitian and not np.iscomplexobj(C):
+        sym = action((C + _star(ctx, C)) / 2)
+        return abs(_lanczos_top(sym, d * d, float, "LM"))
+    fwd, adj = action(C), action(_star(ctx, C))
+    top = _lanczos_top(lambda v: adj(fwd(v)), d * d, C.dtype, "LA")
+    return math.sqrt(max(top, 0.0))
 
 
 def doubled_right_form(T: HSElement, X: np.ndarray, Y: np.ndarray) -> complex:

@@ -41,6 +41,10 @@ class DegenerateMetricError(QFockError, ArithmeticError):
     """A Gram block failed positive definiteness beyond tolerance."""
 
 
+class LevelRangeError(QFockError, ValueError):
+    """A level index outside the truncation 0..L."""
+
+
 class HomogeneityError(QFockError, ValueError):
     """A vector required to live on a single level does not."""
 
@@ -51,6 +55,11 @@ class AbsorbingStateError(QFockError, ValueError):
 
 class CocycleSpecError(QFockError, ValueError):
     """Malformed cocycle specification (bad schema or bad values)."""
+
+
+class SimulationInputError(QFockError, ValueError):
+    """A chain simulation cannot start: identity in the initial state or a
+    jump budget below one."""
 
 
 class SquareRootUnavailableError(QFockError, ArithmeticError):

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qfock
 from qfock.cli import json_dumps_stable, main
 
 
@@ -183,3 +188,25 @@ def test_cap_override_flag(capsys):
     )
     assert code == 2
     assert "cap" in err.lower()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["xi", "--trunc-q", "7", "--level", "3"],
+        ["xi", "--trunc-q", "-1", "--level", "3"],
+        ["cocycle-sim", "--spec", "z-splitting", "--init", "0"],
+        ["cocycle-sim", "--spec", "z-splitting", "--init", "3", "--max-jumps", "0"],
+    ],
+)
+def test_bad_input_exits_2_without_traceback(argv):
+    # a real process, so an uncaught exception shows as a traceback and exit 1
+    env = dict(os.environ)
+    src = str(Path(qfock.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qfock", *argv], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

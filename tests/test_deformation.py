@@ -235,19 +235,59 @@ def test_doubled_op_norm_of_unit():
     assert doubled_op_norm(unit_hs(ctx)) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_doubled_op_norm_matches_dense_svd():
-    ctx = make_context(2, 0.3, 3)
-    rng = np.random.default_rng(3)
-    cut = ctx.level_offset(2)
-    C = np.zeros((ctx.dim, ctx.dim))
-    C[:cut, :cut] = rng.standard_normal((cut, cut))
-    T = HSElement(ctx, C)
+def _dense_top(S: np.ndarray, hermitian: bool) -> float:
+    # oracle: largest singular value of a dense action matrix, or largest
+    # |eigenvalue| of its symmetric part; full decompositions while cheap,
+    # dense-matvec Lanczos to machine precision above that
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
+    n = S.shape[0]
+    H = (S + S.conj().T) / 2 if hermitian else None
+    if n <= 1000:
+        if hermitian:
+            return float(np.abs(np.linalg.eigvalsh(H)).max())
+        return float(np.linalg.svd(S, compute_uv=False)[0])
+    v0 = np.random.default_rng(0).standard_normal(n)
+    if hermitian:
+        top = eigsh(H, k=1, which="LM", v0=v0, return_eigenvectors=False)[0]
+        return float(abs(top))
+    # S^H w as conj(S^T conj(w)): no conjugated copy of S per matvec
+    normal = LinearOperator(
+        (n, n), matvec=lambda v: (S.T @ (S @ v).conj()).conj(), dtype=S.dtype
+    )
+    top = eigsh(normal, k=1, which="LA", v0=v0, return_eigenvectors=False)[0]
+    return math.sqrt(top)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "hermitian"])
+@pytest.mark.parametrize("N,q,L", [(2, 0.3, 3), (2, -0.3, 4), (3, 0.1, 3), (2, 0.1, 5)])
+def test_doubled_op_norm_matches_dense_svd(N, q, L, kind):
     from qfock.deformation import _dense_sym_action
 
-    S = _dense_sym_action(ctx, T.coeffs)
-    assert doubled_op_norm(T) == pytest.approx(
-        float(np.linalg.svd(S, compute_uv=False)[0]), rel=1e-9
-    )
+    ctx = make_context(N, q, L)
+    rng = np.random.default_rng(3)
+    cut = ctx.level_offset(3)
+    C = np.zeros((ctx.dim, ctx.dim), dtype=complex if kind == "complex" else float)
+    C[:cut, :cut] = rng.standard_normal((cut, cut))
+    if kind == "complex":
+        C[:cut, :cut] += 1j * rng.standard_normal((cut, cut))
+    T = HSElement(ctx, C)
+    hermitian = kind == "hermitian"
+    expected = _dense_top(_dense_sym_action(ctx, T.coeffs), hermitian)
+    assert doubled_op_norm(T, hermitian=hermitian) == pytest.approx(expected, rel=1e-9)
+
+
+def test_sym_stacks_star_is_reversed_word():
+    # the adjoint of a word operator is the operator of the reversed word; in
+    # metric-orthonormal coordinates that is a plain conjugate transpose
+    from qfock.deformation import _rev_perm, _sym_stacks
+
+    for N, q, L in [(2, -0.3, 3), (3, 0.1, 3), (2, 0.1, 5)]:
+        ctx = make_context(N, q, L)
+        rev = _rev_perm(ctx)
+        for S in _sym_stacks(ctx):
+            err = np.linalg.norm(S.conj().transpose(0, 2, 1) - S[rev], axis=(1, 2))
+            assert (err <= 1e-12 * np.linalg.norm(S, axis=(1, 2))).all()
 
 
 def test_lr_bound_one_sided_at_threshold():
