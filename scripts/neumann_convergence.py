@@ -1,14 +1,18 @@
 """Convergence experiment for the alternating-series inverse of the
 deformation operator: residual norms, conjugate-variable norms and the
-information estimate, term by term.
+information estimate, term by term, from one pass over the series.
 
 Usage: python scripts/neumann_convergence.py [q] [N] [L] [terms]
 """
 import sys
+from itertools import islice
+
+import numpy as np
 
 from qfock import make_context
-from qfock.deformation import xi_inverse_neumann
-from qfock.derivations import conjugate_variable
+from qfock import deformation as df
+from qfock.derivations import dq_star
+from qfock.fock import q_inner
 
 
 def main() -> None:
@@ -18,16 +22,14 @@ def main() -> None:
     terms = int(sys.argv[4]) if len(sys.argv) > 4 else 20
 
     ctx = make_context(N, q, L)
-    res = xi_inverse_neumann(ctx, terms)
-    series = {j: conjugate_variable(j, terms, ctx, series=True)[1] for j in range(1, N + 1)}
-
     header = ["n", "residual"] + [f"cv_norm_{j}" for j in range(1, N + 1)] + ["fisher"]
     print(",".join(header))
-    for n in range(1, terms + 1):
-        fisher = sum(series[j][n] ** 2 for j in range(1, N + 1))
-        cells = [str(n), f"{res.residuals[n - 1]:.6e}"]
-        cells += [f"{series[j][n]:.12f}" for j in range(1, N + 1)]
-        cells.append(f"{fisher:.12f}")
+    for n, _, U in islice(df.neumann_series(ctx, terms), 1, None):
+        vecs = [dq_star(df.HSElement(ctx, U), j, ctx) for j in range(1, N + 1)]
+        norms = [float(np.sqrt(q_inner(v, v, ctx).real)) for v in vecs]
+        cells = [str(n), f"{df.neumann_residual(ctx, U):.6e}"]
+        cells += [f"{x:.12f}" for x in norms]
+        cells.append(f"{sum(x**2 for x in norms):.12f}")
         print(",".join(cells))
 
 

@@ -13,6 +13,7 @@ import io
 import math
 import sys
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from . import cocycle as cc
 from . import deformation as df
 from . import derivations as dv
 from . import fock, operators
-from .errors import QFockError
+from .errors import LevelRangeError, QFockError
 
 __all__ = ["main", "RunConfig"]
 
@@ -339,21 +340,25 @@ def _suite_number(ctx, rng) -> list[dict]:
 
 
 def _suite_conjugate(ctx, rng) -> list[dict]:
-    checks = []
-    res = df.xi_inverse_neumann(ctx, min(12, 20), compute_residuals=True)
-    tail = res.residuals[3:]
+    residuals = []
+    for n, _, U in df.neumann_series(ctx, 12):
+        if n == 8:
+            U8 = df.HSElement(ctx, U)
+        if n:
+            residuals.append(df.neumann_residual(ctx, U))
+    tail = residuals[3:]
     monotone = all(b <= a or a < 5e-14 for a, b in zip(tail, tail[1:]))
-    checks.append(
+    checks = [
         {
             "name": "neumann_residual_monotone",
-            "value": float(res.residuals[-1]),
-            "tol": float(res.residuals[0]),
+            "value": float(residuals[-1]),
+            "tol": float(residuals[0]),
             "passed": bool(monotone),
         }
-    )
-    for j in range(1, ctx.N + 1):
-        v = dv.conjugate_variable(j, 8, ctx)
-        if ctx.q == 0.0:
+    ]
+    if ctx.q == 0.0:
+        for j in range(1, ctx.N + 1):
+            v = dv.dq_star(U8, j, ctx)
             target = fock.GradedVector.from_word(ctx, (j,))
             checks.append(
                 _check(f"semicircular_cv_{j}", np.abs(v.data - target.data).max(), 1e-12)
@@ -369,6 +374,8 @@ _SUITES = {
     "number": _suite_number,
     "conjugate": _suite_conjugate,
 }
+# smallest level at which a suite's inputs and exactness ranges are non-empty
+_MIN_LEVEL = {"operators": 1, "number": 1, "bozejko": 2, "derivations": 3}
 
 
 def _random_poly(ctx, rng, deg: int) -> "dv.NCPoly":
@@ -398,6 +405,11 @@ def cmd_verify(cfg: RunConfig) -> int:
     ctx = fock.make_context(cfg.N, cfg.q, cfg.L, cfg.cap_override)
     rng = np.random.default_rng(cfg.seed)
     names = sorted(_SUITES) if cfg.suite == "all" else [cfg.suite]
+    need = max(_MIN_LEVEL.get(name, 0) for name in names)
+    if cfg.L < need:
+        raise LevelRangeError(
+            f"suite {cfg.suite!r} needs truncation level >= {need}, got {cfg.L}"
+        )
     all_checks = {}
     passed = True
     for name in names:
@@ -473,40 +485,27 @@ def cmd_xi(cfg: RunConfig) -> int:
 
 
 def cmd_conjugate(cfg: RunConfig) -> int:
+    if cfg.terms < 1:
+        raise QFockError(f"--terms must be at least 1, got {cfg.terms}")
     ctx = fock.make_context(cfg.N, cfg.q, cfg.L, cfg.cap_override)
     rep = df.constants(ctx.q, ctx.N)
     banner = None
     if not rep.rho_lt_1:
-        banner = (
-            f"rho({ctx.q}, {ctx.N}) = {rep.rho:.6g} >= 1; no convergence guarantee"
-        )
+        banner = f"rho({ctx.q}, {ctx.N}) = {rep.rho:.6g} >= 1; no convergence guarantee"
         print(f"WARNING: {banner}", file=sys.stderr)
-    series = df.xi_inverse_neumann(ctx, cfg.terms, compute_residuals=True)
-    header = ["n", "u_residual"]
-    header += [f"cv_norm_{j}" for j in range(1, ctx.N + 1)]
-    header += ["fisher"]
-    pairs = [(j, k) for j in range(1, ctx.N + 1) for k in range(1, ctx.N + 1)]
+    letters = range(1, ctx.N + 1)
+    pairs = [(j, k) for j in letters for k in letters]
+    header = ["n", "u_residual", *(f"cv_norm_{j}" for j in letters), "fisher"]
     header += [f"lipschitz_{j}{k}" for j, k in pairs]
     rows = []
-    delta = df.xi_as_hs(ctx) - df.unit_hs(ctx)
-    term = df.unit_hs(ctx).coeffs.real.copy()
-    U = term.copy()
-    for n in range(1, cfg.terms + 1):
-        term = -df.lr_apply(delta, term)
-        U = U + term
+    for n, _, U in islice(df.neumann_series(ctx, cfg.terms), 1, None):
         Uel = df.HSElement(ctx, U)
-        cvs = {j: dv.dq_star(Uel, j, ctx) for j in range(1, ctx.N + 1)}
-        norms = {
-            j: math.sqrt(max(fock.q_inner(v, v, ctx).real, 0.0))
-            for j, v in cvs.items()
-        }
-        row = [n, series.residuals[n - 1]]
-        row += [norms[j] for j in range(1, ctx.N + 1)]
-        row += [sum(norms[j] ** 2 for j in range(1, ctx.N + 1))]
+        cvs = [dv.dq_star(Uel, j, ctx) for j in letters]
+        norms = [math.sqrt(max(fock.q_inner(v, v, ctx).real, 0.0)) for v in cvs]
+        row = [n, df.neumann_residual(ctx, U), *norms, sum(x**2 for x in norms)]
+        polys = [dv.vector_to_poly(v) for v in cvs]
         for j, k in pairs:
-            P = dv.vector_to_poly(cvs[j])
-            T = dv.derive(P, k, dv.FDQ, ctx)
-            row.append(df.doubled_op_norm(T))
+            row.append(df.doubled_op_norm(dv.derive(polys[j - 1], k, dv.FDQ, ctx)))
         rows.append(row)
     _emit(csv_table(header, rows, banner=banner), cfg.out)
     return 0

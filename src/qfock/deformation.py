@@ -56,6 +56,8 @@ __all__ = [
     "doubled_psd_sqrt",
     "apply_in_orthonormal",
     "constants",
+    "neumann_series",
+    "neumann_residual",
     "xi_inverse_neumann",
     "NeumannResult",
 ]
@@ -379,14 +381,6 @@ def doubled_op_norm(T: HSElement, hermitian: bool = False) -> float:
     return math.sqrt(max(top, 0.0))
 
 
-def doubled_right_form(T: HSElement, X: np.ndarray, Y: np.ndarray) -> complex:
-    """<X, (right action of T) Y> in the doubled metric, for (dim, dim) vectors."""
-    ctx = T.ctx
-    G = metric(ctx)["G"]
-    Z = rl_apply(T, Y)
-    return complex(np.vdot(X, G @ Z @ G))
-
-
 def doubled_psd_sqrt(T: HSElement, which: str = "right", tol: float = 1e-9) -> np.ndarray:
     """Metric-symmetric PSD square root of the (right or left) action of T.
 
@@ -461,14 +455,45 @@ def constants(q: float, N: int) -> ConstantsReport:
 # ---- Neumann series ----------------------------------------------------------
 
 
+def neumann_series(ctx: FockContext, n_terms: int):
+    """Yields ``(n, D^n, U_n)`` for n = 0..n_terms: the partial sums
+    ``U_n = sum_{i<=n} (-1)^i D^i`` of the series for the inverse of the
+    deformation operator, ``D = Xi - 1``, with powers taken in the truncated
+    tensor-square algebra via the left action (in real arithmetic when q is
+    real).  Warns when the working constants report ``rho >= 1``."""
+    rep = constants(ctx.q, ctx.N)
+    if not rep.rho_lt_1:
+        warnings.warn(
+            f"rho({ctx.q}, {ctx.N}) = {rep.rho:.3g} >= 1: the Neumann series "
+            f"has no convergence guarantee at these parameters",
+            NonConvergenceWarning,
+        )
+    delta = xi_as_hs(ctx) - unit_hs(ctx)
+    term = _real_if_possible(unit_hs(ctx).coeffs)
+    U = term.copy()
+    yield 0, term, U
+    for n in range(1, n_terms + 1):
+        term = lr_apply(delta, term)
+        U = U + (-1) ** n * term
+        yield n, term, U
+
+
+def neumann_residual(ctx: FockContext, U: np.ndarray) -> float:
+    """Symmetrized (``hermitian=True``) doubled norm of ``Xi # U - 1 (x) 1``.
+
+    At ``U = U_n`` the element is ``(-1)^n D^(n+1)`` in exact arithmetic; the
+    product is formed anyway, as the recorded residuals were, since the two
+    differ in rounding."""
+    H = lr_apply(xi_as_hs(ctx), U)
+    H[0, 0] -= 1.0
+    return doubled_op_norm(HSElement(ctx, H), hermitian=True)
+
+
 @dataclass
 class NeumannResult:
-    """Partial sums of the alternating series for the inverse of the
-    deformation operator, with per-term residual norms.
-
-    ``residuals[i]`` is the doubled-space operator norm of
-    ``(deformation op) # U_i - 1 (x) 1``; monotone geometric decay is the
-    convergence signature.
+    """Partial sum of the series for the inverse of the deformation operator,
+    with ``residuals[i]`` the :func:`neumann_residual` of ``U_(i+1)``;
+    monotone geometric decay is the convergence signature.
     """
 
     element: HSElement
@@ -476,44 +501,23 @@ class NeumannResult:
     warned: bool
 
 
-def xi_inverse_neumann(
-    ctx: FockContext, n_terms: int, compute_residuals: bool = True
-) -> NeumannResult:
-    """Alternating Neumann series ``U_n = sum_{i<=n} (-1)^i (Xi - 1)^i``.
+def xi_inverse_neumann(ctx: FockContext, n_terms: int) -> NeumannResult:
+    """``U_n_terms`` of :func:`neumann_series` and the residuals of U_1..U_n_terms.
 
-    Powers are taken in the (truncated) tensor-square algebra via the left
-    action.  A convergence warning (not an error) fires when the working
-    constants report ``rho >= 1`` or when residuals increase over three
-    consecutive terms.
+    A convergence warning (not an error) fires when the working constants
+    report ``rho >= 1`` or when residuals increase over three consecutive terms.
     """
-    rep = constants(ctx.q, ctx.N)
-    warned = False
-    if not rep.rho_lt_1:
+    residuals: list[float] = []
+    for n, _, U in neumann_series(ctx, n_terms):
+        if n:
+            residuals.append(neumann_residual(ctx, U))
+    warned = not constants(ctx.q, ctx.N).rho_lt_1
+    runs = [b > a for a, b in zip(residuals, residuals[1:])]
+    if any(all(runs[i : i + 3]) for i in range(len(runs) - 2)):
         warnings.warn(
-            f"rho({ctx.q}, {ctx.N}) = {rep.rho:.3g} >= 1: the Neumann series "
-            f"has no convergence guarantee at these parameters",
+            "Neumann residuals increased over three consecutive terms; "
+            "the series is not converging at this truncation",
             NonConvergenceWarning,
         )
         warned = True
-    delta = xi_as_hs(ctx) - unit_hs(ctx)
-    term = _real_if_possible(unit_hs(ctx).coeffs)
-    U = term.copy()
-    residuals: list[float] = []
-    xi = xi_as_hs(ctx)
-    for i in range(1, n_terms + 1):
-        term = lr_apply(delta, term)
-        U = U + (-1) ** i * term
-        if compute_residuals:
-            H = lr_apply(xi, U)
-            H[0, 0] -= 1.0
-            residuals.append(doubled_op_norm(HSElement(ctx, H), hermitian=True))
-    if compute_residuals and len(residuals) >= 4:
-        runs = [b > a for a, b in zip(residuals, residuals[1:])]
-        if any(all(runs[i : i + 3]) for i in range(len(runs) - 2)):
-            warnings.warn(
-                "Neumann residuals increased over three consecutive terms; "
-                "the series is not converging at this truncation",
-                NonConvergenceWarning,
-            )
-            warned = True
     return NeumannResult(HSElement(ctx, U), residuals, warned)

@@ -33,9 +33,8 @@ from .deformation import (
     hs_mult,
     hs_norm_of,
     multiplier_of,
-    unit_hs,
+    neumann_series,
     xi_as_hs,
-    xi_inverse_neumann,
     _DENSE_DOUBLED_DIM,
     _dense_sym_action,
     _rev_perm,
@@ -433,6 +432,12 @@ def dq_star(T: HSElement, j: int, ctx: FockContext) -> GradedVector:
     return GradedVector(ctx, out)
 
 
+def _neumann_sum(ctx: FockContext, n_terms: int) -> HSElement:
+    for _, _, U in neumann_series(ctx, n_terms):
+        pass
+    return HSElement(ctx, U)
+
+
 def conjugate_variable(
     j: int, n_terms: int, ctx: FockContext, series: bool = False
 ):
@@ -444,19 +449,9 @@ def conjugate_variable(
     if not (1 <= j <= ctx.N):
         raise AlphabetError(f"letter {j} outside 1..{ctx.N}")
     if not series:
-        U = xi_inverse_neumann(ctx, n_terms, compute_residuals=False).element
-        return dq_star(U, j, ctx)
-    from .deformation import lr_apply
-
-    delta = xi_as_hs(ctx) - unit_hs(ctx)
-    term = unit_hs(ctx).coeffs
-    U = term.copy()
+        return dq_star(_neumann_sum(ctx, n_terms), j, ctx)
     norms = []
-    vec = dq_star(HSElement(ctx, U), j, ctx)
-    norms.append(float(np.sqrt(q_inner(vec, vec, ctx).real)))
-    for _ in range(1, n_terms + 1):
-        term = -lr_apply(delta, term)
-        U += term
+    for _, _, U in neumann_series(ctx, n_terms):
         vec = dq_star(HSElement(ctx, U), j, ctx)
         norms.append(float(np.sqrt(q_inner(vec, vec, ctx).real)))
     return vec, norms
@@ -465,7 +460,7 @@ def conjugate_variable(
 def fisher_estimate(n_terms: int, ctx: FockContext) -> float:
     """Sum over letters of the squared deformed two-norm of the conjugate
     variable approximant; exactly N at q = 0."""
-    U = xi_inverse_neumann(ctx, n_terms, compute_residuals=False).element
+    U = _neumann_sum(ctx, n_terms)
     total = 0.0
     for j in range(1, ctx.N + 1):
         v = dq_star(U, j, ctx)
@@ -480,10 +475,8 @@ def lipschitz_diagnostic(j: int, k: int, n_terms: int, ctx: FockContext) -> dict
     its left action (the computable proxy for the von Neumann tensor norm).
     No extrapolation beyond the truncation is claimed.
     """
-    U = xi_inverse_neumann(ctx, n_terms, compute_residuals=False).element
-    v = dq_star(U, j, ctx)
-    P = vector_to_poly(v)
-    T = derive(P, k, FDQ, ctx)
+    v = dq_star(_neumann_sum(ctx, n_terms), j, ctx)
+    T = derive(vector_to_poly(v), k, FDQ, ctx)
     return {
         "l2_norm": hs_norm_of(T),
         "lr_op_norm": doubled_op_norm(T),

@@ -42,7 +42,7 @@ class DegenerateMetricError(QFockError, ArithmeticError):
 
 
 class LevelRangeError(QFockError, ValueError):
-    """A level index outside the truncation 0..L."""
+    """A level index outside the truncation 0..L, or a truncation too shallow."""
 
 
 class HomogeneityError(QFockError, ValueError):

@@ -24,6 +24,7 @@ from .errors import (
     AlphabetError,
     ContextMismatchError,
     DegenerateMetricError,
+    LevelRangeError,
     QRangeError,
     check_dim,
 )
@@ -182,15 +183,15 @@ def make_context(N: int, q: float, L: int, cap_override: int | None = None) -> F
     """Validated context constructor.
 
     Raises :class:`AlphabetError` for N < 1, :class:`QRangeError` for q
-    outside (-1, 1), ``ValueError`` for L < 0 and :class:`CapacityError` when
-    the total dimension exceeds the cap.
+    outside (-1, 1), :class:`LevelRangeError` for L < 0 and
+    :class:`CapacityError` when the total dimension exceeds the cap.
     """
     if not isinstance(N, (int, np.integer)) or N < 1:
         raise AlphabetError(f"alphabet size must be a positive integer, got {N!r}")
     if not (-1.0 < q < 1.0):
         raise QRangeError(f"deformation parameter must satisfy -1 < q < 1, got {q}")
     if not isinstance(L, (int, np.integer)) or L < 0:
-        raise ValueError(f"truncation level must be a non-negative integer, got {L!r}")
+        raise LevelRangeError(f"truncation level must be a non-negative integer, got {L!r}")
     ctx = FockContext(int(N), float(q), int(L), cap_override)
     check_dim(ctx.dim, f"Fock space with N={N}, L={L}", cap_override)
     return ctx

@@ -7,7 +7,18 @@ from pathlib import Path
 import pytest
 
 import qfock
+from qfock import make_context
 from qfock.cli import json_dumps_stable, main
+from qfock.deformation import xi_inverse_neumann
+from qfock.derivations import conjugate_variable, fisher_estimate, lipschitz_diagnostic
+
+
+def _src_env() -> dict:
+    # subprocesses import the package from this checkout
+    env = dict(os.environ)
+    src = str(Path(qfock.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def run(argv, capsys):
@@ -197,16 +208,68 @@ def test_cap_override_flag(capsys):
         ["xi", "--trunc-q", "-1", "--level", "3"],
         ["cocycle-sim", "--spec", "z-splitting", "--init", "0"],
         ["cocycle-sim", "--spec", "z-splitting", "--init", "3", "--max-jumps", "0"],
+        ["verify", "--level", "1"],
+        ["verify", "--suite", "bozejko", "--level", "1"],
+        ["verify", "--suite", "derivations", "--n", "1", "--level", "2"],
+        ["verify", "--suite", "all", "--n", "1", "--level", "2"],
+        ["verify", "--suite", "number", "--level", "0"],
+        ["verify", "--suite", "gram", "--level", "-1"],
+        ["conjugate", "--terms", "0"],
+        ["conjugate", "--terms", "-1"],
     ],
 )
 def test_bad_input_exits_2_without_traceback(argv):
     # a real process, so an uncaught exception shows as a traceback and exit 1
-    env = dict(os.environ)
-    src = str(Path(qfock.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "qfock", *argv], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "qfock", *argv],
+        capture_output=True, text=True, env=_src_env(),
     )
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "suite, level, need",
+    [("all", 2, 3), ("derivations", 2, 3), ("bozejko", 1, 2), ("operators", 0, 1)],
+)
+def test_verify_names_minimum_level(capsys, suite, level, need):
+    code, out, err = run(["verify", "--suite", suite, "--level", str(level)], capsys)
+    assert code == 2 and out == ""
+    assert f"needs truncation level >= {need}, got {level}" in err
+
+
+def test_conjugate_columns_match_library(capsys):
+    # one pass of the series feeds every column; each must equal the library
+    # function that computes it on its own
+    ctx = make_context(2, 0.05, 3)
+    code, out, _ = run(
+        ["conjugate", "--n", "2", "--q", "0.05", "--level", "3", "--terms", "6"], capsys
+    )
+    assert code == 0
+    header, *lines = out.strip().split("\r\n")
+    rows = [dict(zip(header.split(","), map(float, ln.split(",")))) for ln in lines]
+    assert [row["n"] for row in rows] == [1, 2, 3, 4, 5, 6]
+    residuals = xi_inverse_neumann(ctx, 6).residuals
+    cv = {j: conjugate_variable(j, 6, ctx, series=True)[1] for j in (1, 2)}
+    for row in rows:
+        n = int(row["n"])
+        assert row["u_residual"] == pytest.approx(residuals[n - 1], rel=1e-12)
+        assert row["fisher"] == pytest.approx(fisher_estimate(n, ctx), rel=1e-12)
+        for j in (1, 2):
+            assert row[f"cv_norm_{j}"] == pytest.approx(cv[j][n], rel=1e-12)
+            for k in (1, 2):
+                lip = lipschitz_diagnostic(j, k, n, ctx)["lr_op_norm"]
+                assert row[f"lipschitz_{j}{k}"] == pytest.approx(lip, rel=1e-12)
+
+
+def test_neumann_convergence_script():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "neumann_convergence.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "0.05", "2", "3", "4"],
+        capture_output=True, text=True, env=_src_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.strip().split("\n")
+    assert header == "n,residual,cv_norm_1,cv_norm_2,fisher"
+    assert [r.split(",")[0] for r in rows] == ["1", "2", "3", "4"]

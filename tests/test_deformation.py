@@ -16,6 +16,7 @@ from qfock.deformation import (
     lr_action,
     lr_apply,
     multiplier_of,
+    neumann_series,
     rl_apply,
     unit_hs,
     xi_as_hs,
@@ -208,7 +209,7 @@ def test_neumann_free_case_is_exact():
 
 def test_neumann_two_term_partial_sum():
     ctx = make_context(2, 0.05, 3)
-    res = xi_inverse_neumann(ctx, 1, compute_residuals=False)
+    res = xi_inverse_neumann(ctx, 1)
     expected = 2.0 * unit_hs(ctx).coeffs - xi_as_hs(ctx).coeffs
     assert np.abs(res.element.coeffs - expected).max() < 1e-12
 
@@ -221,10 +222,24 @@ def test_neumann_residual_decay():
     assert isinstance(res, NeumannResult)
 
 
+@pytest.mark.filterwarnings("ignore::qfock.errors.NonConvergenceWarning")
+@pytest.mark.parametrize("N, q, L", [(2, 0.05, 4), (2, -0.3, 4), (3, 0.1, 3)])
+def test_neumann_residual_element_is_next_term(N, q, L):
+    # Xi # U_n - 1 = (-1)^n D^(n+1) with D = Xi - 1.  neumann_residual still
+    # forms the product: the telescoped form agrees only to rounding, and the
+    # recorded benchmark residuals come from the product.
+    ctx = make_context(N, q, L)
+    steps = list(neumann_series(ctx, 10))
+    for (n, _, U), (_, nxt, _) in zip(steps, steps[1:]):
+        H = lr_apply(xi_as_hs(ctx), U)
+        H[0, 0] -= 1.0
+        assert np.abs(H - (-1) ** n * nxt).max() <= 1e-13
+
+
 def test_neumann_warns_outside_guarantee():
     ctx = make_context(2, 0.75, 3)
     with pytest.warns(NonConvergenceWarning):
-        xi_inverse_neumann(ctx, 2, compute_residuals=False)
+        xi_inverse_neumann(ctx, 2)
 
 
 # ---- norms, positivity, square roots ------------------------------------------------
