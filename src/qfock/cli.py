@@ -12,7 +12,6 @@ import argparse
 import io
 import math
 import sys
-from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
@@ -23,28 +22,7 @@ from . import derivations as dv
 from . import fock, operators
 from .errors import LevelRangeError, QFockError
 
-__all__ = ["main", "RunConfig"]
-
-
-@dataclass
-class RunConfig:
-    command: str
-    N: int = 2
-    q: float = 0.1
-    L: int = 5
-    trunc_q: int | None = None
-    terms: int = 20
-    grid: str | None = None
-    suite: str = "all"
-    spec: str | None = None
-    init: str | None = None
-    horizon: float = 1e9
-    paths: int = 10000
-    max_jumps: int = 64
-    seed: int = 0
-    out: str | None = None
-    fmt: str | None = None
-    cap_override: int | None = None
+__all__ = ["main"]
 
 
 # ---- serialization -------------------------------------------------------------
@@ -145,18 +123,18 @@ def _parse_grid(raw: str) -> list[tuple[float, int]]:
     return rows
 
 
-def cmd_constants(cfg: RunConfig) -> int:
-    grid = _parse_grid(cfg.grid) if cfg.grid else _default_grid()
+def cmd_constants(args: argparse.Namespace) -> int:
+    grid = _parse_grid(args.grid) if args.grid else _default_grid()
     rows = []
     for q, N in grid:
         rep = df.constants(q, N)
         rows.append([rep.q, rep.N, rep.c_q, rep.nu, rep.rho, rep.nu_lt_1, rep.rho_lt_1])
     header = ["q", "N", "c_q", "nu", "rho", "nu_lt_1", "rho_lt_1"]
-    if (cfg.fmt or "csv") == "json":
+    if (args.fmt or "csv") == "json":
         data = [dict(zip(header, row)) for row in rows]
-        _emit(json_dumps_stable({"rows": data}), cfg.out)
+        _emit(json_dumps_stable({"rows": data}), args.out)
     else:
-        _emit(csv_table(header, rows), cfg.out)
+        _emit(csv_table(header, rows), args.out)
     return 0
 
 
@@ -396,19 +374,19 @@ def _random_hs(ctx, rng, leg_cap: int) -> "df.HSElement":
     return df.HSElement(ctx, C)
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    if cfg.suite not in set(_SUITES) | {"all"}:
+def cmd_verify(args: argparse.Namespace) -> int:
+    if args.suite not in set(_SUITES) | {"all"}:
         raise QFockError(
-            f"unknown suite {cfg.suite!r}; choose from "
+            f"unknown suite {args.suite!r}; choose from "
             f"{sorted(_SUITES)} or 'all'"
         )
-    ctx = fock.make_context(cfg.N, cfg.q, cfg.L, cfg.cap_override)
-    rng = np.random.default_rng(cfg.seed)
-    names = sorted(_SUITES) if cfg.suite == "all" else [cfg.suite]
+    ctx = fock.make_context(args.n, args.q, args.level, args.cap_override)
+    rng = np.random.default_rng(args.seed)
+    names = sorted(_SUITES) if args.suite == "all" else [args.suite]
     need = max(_MIN_LEVEL.get(name, 0) for name in names)
-    if cfg.L < need:
+    if args.level < need:
         raise LevelRangeError(
-            f"suite {cfg.suite!r} needs truncation level >= {need}, got {cfg.L}"
+            f"suite {args.suite!r} needs truncation level >= {need}, got {args.level}"
         )
     all_checks = {}
     passed = True
@@ -417,19 +395,19 @@ def cmd_verify(cfg: RunConfig) -> int:
         all_checks[name] = checks
         passed &= all(c["passed"] for c in checks)
     report = {
-        "params": {"N": cfg.N, "q": cfg.q, "L": cfg.L, "seed": cfg.seed},
+        "params": {"N": args.n, "q": args.q, "L": args.level, "seed": args.seed},
         "suites": all_checks,
         "passed": passed,
     }
-    _emit(json_dumps_stable(report), cfg.out)
+    _emit(json_dumps_stable(report), args.out)
     return 0 if passed else 1
 
 
 # ---- gram / xi tables -------------------------------------------------------------
 
 
-def cmd_gram(cfg: RunConfig) -> int:
-    ctx = fock.make_context(cfg.N, cfg.q, cfg.L, cfg.cap_override)
+def cmd_gram(args: argparse.Namespace) -> int:
+    ctx = fock.make_context(args.n, args.q, args.level, args.cap_override)
     rows = []
     for n in range(ctx.L + 1):
         block = fock.gram(n, ctx)
@@ -445,16 +423,16 @@ def cmd_gram(cfg: RunConfig) -> int:
             ortho = float(np.abs(Gm - np.eye(len(vecs))).max())
         rows.append([n, ctx.N**n, block.min_eig, bgb, ortho])
     header = ["level", "dim", "min_eig", "bgb_residual", "orthonormality_residual"]
-    if (cfg.fmt or "csv") == "json":
-        _emit(json_dumps_stable({"rows": [dict(zip(header, r)) for r in rows]}), cfg.out)
+    if (args.fmt or "csv") == "json":
+        _emit(json_dumps_stable({"rows": [dict(zip(header, r)) for r in rows]}), args.out)
     else:
-        _emit(csv_table(header, rows), cfg.out)
+        _emit(csv_table(header, rows), args.out)
     return 0
 
 
-def cmd_xi(cfg: RunConfig) -> int:
-    ctx = fock.make_context(cfg.N, cfg.q, cfg.L, cfg.cap_override)
-    Q = cfg.trunc_q if cfg.trunc_q is not None else ctx.L
+def cmd_xi(args: argparse.Namespace) -> int:
+    ctx = fock.make_context(args.n, args.q, args.level, args.cap_override)
+    Q = args.trunc_q if args.trunc_q is not None else ctx.L
     mult = df.xi_multiplier(ctx, Q)
     hs = df.xi_as_hs(ctx, Q)
     consistency = np.abs(df.multiplier_of(hs).mat - mult.mat).max()
@@ -477,28 +455,27 @@ def cmd_xi(cfg: RunConfig) -> int:
         "hs_consistency_residual": float(consistency),
         "tail_norms": tail_norms,
     }
-    _emit(json_dumps_stable(report), cfg.out)
+    _emit(json_dumps_stable(report), args.out)
     return 0
 
 
 # ---- conjugate-variable convergence -------------------------------------------------
 
 
-def cmd_conjugate(cfg: RunConfig) -> int:
-    if cfg.terms < 1:
-        raise QFockError(f"--terms must be at least 1, got {cfg.terms}")
-    ctx = fock.make_context(cfg.N, cfg.q, cfg.L, cfg.cap_override)
+def cmd_conjugate(args: argparse.Namespace) -> int:
+    if args.terms < 1:
+        raise QFockError(f"--terms must be at least 1, got {args.terms}")
+    ctx = fock.make_context(args.n, args.q, args.level, args.cap_override)
     rep = df.constants(ctx.q, ctx.N)
     banner = None
     if not rep.rho_lt_1:
         banner = f"rho({ctx.q}, {ctx.N}) = {rep.rho:.6g} >= 1; no convergence guarantee"
-        print(f"WARNING: {banner}", file=sys.stderr)
     letters = range(1, ctx.N + 1)
     pairs = [(j, k) for j in letters for k in letters]
     header = ["n", "u_residual", *(f"cv_norm_{j}" for j in letters), "fisher"]
     header += [f"lipschitz_{j}{k}" for j, k in pairs]
     rows = []
-    for n, _, U in islice(df.neumann_series(ctx, cfg.terms), 1, None):
+    for n, _, U in islice(df.neumann_series(ctx, args.terms), 1, None):
         Uel = df.HSElement(ctx, U)
         cvs = [dv.dq_star(Uel, j, ctx) for j in letters]
         norms = [math.sqrt(max(fock.q_inner(v, v, ctx).real, 0.0)) for v in cvs]
@@ -507,27 +484,27 @@ def cmd_conjugate(cfg: RunConfig) -> int:
         for j, k in pairs:
             row.append(df.doubled_op_norm(dv.derive(polys[j - 1], k, dv.FDQ, ctx)))
         rows.append(row)
-    _emit(csv_table(header, rows, banner=banner), cfg.out)
+    _emit(csv_table(header, rows, banner=banner), args.out)
     return 0
 
 
 # ---- cocycle simulation --------------------------------------------------------------
 
 
-def cmd_cocycle(cfg: RunConfig) -> int:
-    if not cfg.spec:
+def cmd_cocycle(args: argparse.Namespace) -> int:
+    if not args.spec:
         raise QFockError("--spec is required (path or 'z-splitting')")
-    if cfg.spec == "z-splitting":
+    if args.spec == "z-splitting":
         spec = cc.z_splitting_spec()
     else:
-        spec = cc.load_cocycle_spec(cfg.spec)
-    if not cfg.init:
+        spec = cc.load_cocycle_spec(args.spec)
+    if not args.init:
         raise QFockError("--init is required (comma-separated elements)")
-    init = cc.parse_state(spec, cfg.init)
+    init = cc.parse_state(spec, args.init)
     report = cc.simulate(
-        spec, init, cfg.horizon, cfg.paths, cfg.max_jumps, cfg.seed
+        spec, init, args.horizon, args.paths, args.max_jumps, args.seed
     )
-    _emit(json_dumps_stable(report.to_jsonable(spec)), cfg.out)
+    _emit(json_dumps_stable(report.to_jsonable(spec)), args.out)
     return 0
 
 
@@ -586,20 +563,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in vars(cfg):
-        if name == "command":
-            continue
-        src = {"N": "n", "L": "level"}.get(name, name)
-        if hasattr(args, src) and getattr(args, src) is not None:
-            setattr(cfg, name, getattr(args, src))
-    return cfg
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    cfg = _config_from_args(args)
     handlers = {
         "constants": cmd_constants,
         "verify": cmd_verify,
@@ -609,7 +574,7 @@ def main(argv: list[str] | None = None) -> int:
         "cocycle-sim": cmd_cocycle,
     }
     try:
-        return handlers[cfg.command](cfg)
+        return handlers[args.command](args)
     except QFockError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

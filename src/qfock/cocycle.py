@@ -321,6 +321,8 @@ def simulate(
     """
     if max_jumps < 1:
         raise SimulationInputError(f"max_jumps must be >= 1, got {max_jumps}")
+    if n_paths < 0:
+        raise SimulationInputError(f"n_paths must be >= 0, got {n_paths}")
     G = spec.group
     for g in init:
         if G.is_identity(g):

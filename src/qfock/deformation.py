@@ -30,9 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    CapacityError,
+    AlphabetError,
     LevelRangeError,
     NonConvergenceWarning,
+    QRangeError,
     SquareRootUnavailableError,
     check_doubled_axis,
 )
@@ -61,9 +62,6 @@ __all__ = [
     "xi_inverse_neumann",
     "NeumannResult",
 ]
-
-_DENSE_DOUBLED_DIM = 64
-
 
 @dataclass
 class HSElement:
@@ -271,20 +269,23 @@ def hs_norm_of(T: HSElement) -> float:
     return float(math.sqrt(max(hs_inner(T, T).real, 0.0)))
 
 
-def lr_action(T: HSElement) -> np.ndarray:
-    """Dense matrix of the left action on the doubled space (dim**2 square).
+def _dense_action(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Dense matrix of ``V -> sum_{u,v} C[u,v] . A_u @ V @ B_v^T`` (dim**2
+    square), guarded by the doubled-axis capacity cap.
 
     Index convention: row/column ``i * dim + j`` is (basis i) (x) (basis j).
-    Guarded by the doubled-axis capacity cap.
     """
-    ctx = T.ctx
-    d = ctx.dim
+    d = A.shape[1]
     check_doubled_axis(d, "dense doubled-space action matrix")
-    A = left_wick_stack(ctx)
-    B = right_wick_stack(ctx)
-    W = _weighted_stack(_real_if_possible(T.coeffs), B)  # (u, x2, y2)
+    W = _weighted_stack(_real_if_possible(C), B)  # (u, x2, y2)
     M = np.tensordot(A, W, axes=(0, 0))  # (x1, y1, x2, y2)
     return M.transpose(0, 2, 1, 3).reshape(d * d, d * d)
+
+
+def lr_action(T: HSElement) -> np.ndarray:
+    """Dense matrix of the left action on the doubled space (dim**2 square)."""
+    ctx = T.ctx
+    return _dense_action(left_wick_stack(ctx), right_wick_stack(ctx), T.coeffs)
 
 
 def _sym_stacks(ctx: FockContext) -> tuple[np.ndarray, np.ndarray]:
@@ -321,23 +322,39 @@ def _star(ctx: FockContext, C: np.ndarray) -> np.ndarray:
 
 def _dense_sym_action(ctx: FockContext, C: np.ndarray, which: str = "left") -> np.ndarray:
     """Dense action matrix in metric-orthonormal coordinates (dim**2 square)."""
-    d = ctx.dim
-    check_doubled_axis(d, "dense doubled-space action matrix")
     Ah, Bh = _sym_stacks(ctx)
     if which == "right":
         Ah, Bh = Bh, Ah
-    W = _weighted_stack(_real_if_possible(C), Bh)
-    M = np.tensordot(Ah, W, axes=(0, 0))
-    return M.transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    return _dense_action(Ah, Bh, C)
 
 
-def _lanczos_top(matvec, d2: int, dtype, which: str) -> float:
-    """Extreme eigenvalue (ARPACK ``which``: "LM" or "LA") of a self-adjoint
-    operator, by deterministic Lanczos iteration from a fixed start vector."""
+def _sym_action(ctx: FockContext, C: np.ndarray):
+    """Matrix-free left action of C in metric-orthonormal coordinates, as a
+    map on flattened doubled-space vectors; the weighted right stack is built
+    once, here."""
+    d = ctx.dim
+    Ah, Bh = _sym_stacks(ctx)
+    apply = _action_matvec(_concat(Ah), _weighted_stack(C, Bh))
+    return lambda v: apply(v.reshape(d, d)).reshape(-1)
+
+
+def _extreme_eig(matvec, d2: int, dtype, which: str) -> float:
+    """Extreme eigenvalue of a self-adjoint operator on the doubled space:
+    ``which`` is "LA" (largest), "SA" (smallest) or "LM" (largest modulus).
+
+    Up to 128 rows the matrix is built from matvec columns and fully
+    diagonalized.  Above that, deterministic Lanczos iteration (ARPACK) runs
+    from one seeded Gaussian start vector: a constant vector is invariant
+    under letter relabelling and word reversal, so its Krylov space never
+    leaves that symmetric sector and misses extremes that lie outside it.
+    """
+    if d2 <= 128:
+        w = np.linalg.eigvalsh(np.stack([matvec(e) for e in np.eye(d2)], axis=1))
+        return float({"LA": w[-1], "SA": w[0], "LM": w[np.abs(w).argmax()]}[which])
     from scipy.sparse.linalg import LinearOperator, eigsh
 
     op = LinearOperator((d2, d2), matvec=matvec, dtype=dtype)
-    v0 = np.full(d2, 1.0 / math.sqrt(d2))
+    v0 = np.random.default_rng(0).standard_normal(d2)
     vals = eigsh(
         op, k=1, which=which, v0=v0, ncv=min(d2, 48), tol=1e-11,
         return_eigenvectors=False,
@@ -351,52 +368,49 @@ def doubled_op_norm(T: HSElement, hermitian: bool = False) -> float:
 
     Matrix-free: the action is applied through the metric-orthonormal stacks
     with the weighted right stack built once per call, and the adjoint action
-    is the forward action of the star element.  The top singular value comes
-    from deterministic Lanczos iteration on the normal operator.  Pass
+    is the forward action of the star element.  The top singular value is the
+    square root of the top eigenvalue of the normal operator.  Pass
     ``hermitian=True`` for elements known to be self-adjoint (polynomials in
     the deformation operator): the largest |eigenvalue| of the symmetrized
-    action ``(M + M^T) / 2`` is then computed with one Lanczos run.
+    action ``(M + M^T) / 2`` is then computed instead.
     """
     ctx = T.ctx
-    d = ctx.dim
+    d2 = ctx.dim**2
     C = _real_if_possible(T.coeffs)
     if not np.abs(C).max():
         return 0.0
-    Ah, Bh = _sym_stacks(ctx)
-    A_cat = _concat(Ah)
-
-    def action(coeffs):
-        apply = _action_matvec(A_cat, _weighted_stack(coeffs, Bh))
-        return lambda v: apply(v.reshape(d, d)).reshape(-1)
-
-    if d * d <= 128:
-        fwd = action(C)
-        M = np.stack([fwd(e) for e in np.eye(d * d)], axis=1)
-        return float(np.linalg.svd(M, compute_uv=False)[0])
     if hermitian and not np.iscomplexobj(C):
-        sym = action((C + _star(ctx, C)) / 2)
-        return abs(_lanczos_top(sym, d * d, float, "LM"))
-    fwd, adj = action(C), action(_star(ctx, C))
-    top = _lanczos_top(lambda v: adj(fwd(v)), d * d, C.dtype, "LA")
+        sym = _sym_action(ctx, (C + _star(ctx, C)) / 2)
+        return abs(_extreme_eig(sym, d2, float, "LM"))
+    fwd, adj = _sym_action(ctx, C), _sym_action(ctx, _star(ctx, C))
+    top = _extreme_eig(lambda v: adj(fwd(v)), d2, C.dtype, "LA")
     return math.sqrt(max(top, 0.0))
+
+
+def _xi_spectral_range(ctx: FockContext) -> tuple[float, float]:
+    """(min, max) eigenvalue of the symmetrized doubled-space action of the
+    deformation operator: the action of the hermitian shortcut of
+    :func:`doubled_op_norm`, at both ends of its spectrum."""
+    cached = ctx._xi.get("spec_range")
+    if cached is None:
+        C = _real_if_possible(xi_as_hs(ctx).coeffs)
+        sym = _sym_action(ctx, (C + _star(ctx, C)) / 2)
+        cached = tuple(_extreme_eig(sym, ctx.dim**2, C.dtype, w) for w in ("SA", "LA"))
+        ctx._xi["spec_range"] = cached
+    return cached
 
 
 def doubled_psd_sqrt(T: HSElement, which: str = "right", tol: float = 1e-9) -> np.ndarray:
     """Metric-symmetric PSD square root of the (right or left) action of T.
 
     Returns a dense dim**2 matrix in METRIC-ORTHONORMAL coordinates; apply it
-    with :func:`apply_in_orthonormal`.  Raises
+    with :func:`apply_in_orthonormal`.  Above dim 64 the doubled-axis cap
+    raises :class:`CapacityError`.  Raises
     :class:`SquareRootUnavailableError` when the action has eigenvalues below
     ``-tol`` (possible for q < 0 at finite truncation); eigenvalues in
     (-tol, 0) are clipped to 0.
     """
     ctx = T.ctx
-    d = ctx.dim
-    if d > _DENSE_DOUBLED_DIM:
-        raise CapacityError(
-            f"dense doubled-space square root unavailable at dim {d} > "
-            f"{_DENSE_DOUBLED_DIM}"
-        )
     sym = _dense_sym_action(ctx, T.coeffs, which)
     sym = (sym + sym.conj().T) / 2.0
     w, U = np.linalg.eigh(sym)
@@ -444,8 +458,13 @@ def constants(q: float, N: int) -> ConstantsReport:
     ``nu`` bounds the projective tensor norm via the series in |q|N; ``rho``
     bounds the von Neumann tensor norm via the series in |q|sqrt(N).  Both
     carry the cube of the product constant.  Poles (argument >= 1) are
-    reported as +inf, never raised.
+    reported as +inf, never raised; q outside (-1, 1) raises
+    :class:`QRangeError` and N < 1 raises :class:`AlphabetError`.
     """
+    if not -1.0 < q < 1.0:
+        raise QRangeError(f"deformation parameter must satisfy -1 < q < 1, got {q}")
+    if N < 1:
+        raise AlphabetError(f"alphabet size must be a positive integer, got {N!r}")
     c = c_q(q)
     nu = c**3 * _bracket(abs(q) * N)
     rho = c**3 * _bracket(abs(q) * math.sqrt(N))

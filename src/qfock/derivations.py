@@ -35,9 +35,8 @@ from .deformation import (
     multiplier_of,
     neumann_series,
     xi_as_hs,
-    _DENSE_DOUBLED_DIM,
-    _dense_sym_action,
     _rev_perm,
+    _xi_spectral_range,
 )
 from .errors import AlphabetError, CapacityError, SquareRootUnavailableError
 from .fock import FockContext, GradedVector, gram, make_context, metric, q_inner
@@ -484,26 +483,6 @@ def lipschitz_diagnostic(j: int, k: int, n_terms: int, ctx: FockContext) -> dict
 
 
 # ---- norm equivalences -----------------------------------------------------------
-
-
-def _xi_spectral_range(ctx: FockContext) -> tuple[float, float]:
-    """(min, max) eigenvalue of the symmetrized doubled-space action of the
-    deformation operator; dense path only."""
-    cached = ctx._xi.get("spec_range")
-    if cached is not None:
-        return cached
-    d = ctx.dim
-    if d > _DENSE_DOUBLED_DIM:
-        raise CapacityError(
-            f"spectral range needs the dense doubled path (dim {d} > "
-            f"{_DENSE_DOUBLED_DIM})"
-        )
-    M = _dense_sym_action(ctx, xi_as_hs(ctx).coeffs)
-    M = (M + M.conj().T) / 2.0
-    w = np.linalg.eigvalsh(M)
-    out = (float(w[0]), float(w[-1]))
-    ctx._xi["spec_range"] = out
-    return out
 
 
 def bimodule_form_discrepancy(

@@ -10,8 +10,9 @@ from __future__ import annotations
 import os
 
 DEFAULT_DIM_CAP = 4096
-# guard on one axis of a doubled-space (tensor square) matrix: dim**2 entries
-DEFAULT_DOUBLED_AXIS_CAP = 250_000
+# guard on one axis of a dense doubled-space (tensor square) matrix: dim**2
+# entries; dim 64 already means two 4096 x 4096 float arrays (134 MB each)
+DEFAULT_DOUBLED_AXIS_CAP = 64**2
 # dense Wick stacks hold dim**3 floats; beyond this, build operators one by one
 DEFAULT_STACK_DIM_CAP = 192
 MAX_PERM_LENGTH = 8
@@ -58,8 +59,8 @@ class CocycleSpecError(QFockError, ValueError):
 
 
 class SimulationInputError(QFockError, ValueError):
-    """A chain simulation cannot start: identity in the initial state or a
-    jump budget below one."""
+    """A chain simulation cannot start: identity in the initial state, a
+    jump budget below one or a negative path count."""
 
 
 class SquareRootUnavailableError(QFockError, ArithmeticError):
@@ -89,10 +90,9 @@ def check_dim(dim: int, what: str, override: int | None = None) -> None:
         )
 
 
-def check_doubled_axis(dim: int, what: str, override: int | None = None) -> None:
-    cap = override if override is not None else DEFAULT_DOUBLED_AXIS_CAP
-    if dim * dim > cap:
+def check_doubled_axis(dim: int, what: str) -> None:
+    if dim * dim > DEFAULT_DOUBLED_AXIS_CAP:
         raise CapacityError(
             f"{what} needs a doubled-space axis of {dim}**2 = {dim * dim} entries, "
-            f"exceeding the cap {cap}"
+            f"exceeding the cap {DEFAULT_DOUBLED_AXIS_CAP}"
         )

@@ -292,6 +292,44 @@ def test_doubled_op_norm_matches_dense_svd(N, q, L, kind):
     assert doubled_op_norm(T, hermitian=hermitian) == pytest.approx(expected, rel=1e-9)
 
 
+def _letter_symmetric_element(ctx, kind):
+    xi = xi_as_hs(ctx)
+    if kind == "xi-1":
+        return xi - unit_hs(ctx)
+    if kind == "tail":
+        return xi - xi_as_hs(ctx, 2)
+    *_, (_, _, U) = neumann_series(ctx, 3)
+    H = lr_apply(xi, U)
+    H[0, 0] -= 1.0
+    return HSElement(ctx, H)
+
+
+@pytest.mark.filterwarnings("ignore::qfock.errors.NonConvergenceWarning")
+@pytest.mark.parametrize("kind", ["xi-1", "tail", "residual"])
+@pytest.mark.parametrize("N,q,L", [(2, 0.05, 4), (2, -0.3, 4)])
+def test_hermitian_norm_of_letter_symmetric_elements(N, q, L, kind):
+    # elements invariant under letter relabelling and word reversal: a start
+    # vector confined to that symmetric sector would be blind outside it
+    from qfock.deformation import _dense_sym_action
+
+    ctx = make_context(N, q, L)
+    T = _letter_symmetric_element(ctx, kind)
+    expected = _dense_top(_dense_sym_action(ctx, T.coeffs), hermitian=True)
+    assert doubled_op_norm(T, hermitian=True) == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("N,q,L", [(2, 0.3, 4), (2, -0.4, 4), (3, 0.1, 3)])
+def test_xi_spectral_range_matches_dense(N, q, L):
+    from qfock.deformation import _dense_sym_action, _xi_spectral_range
+
+    ctx = make_context(N, q, L)
+    S = _dense_sym_action(ctx, xi_as_hs(ctx).coeffs)
+    w = np.linalg.eigvalsh((S + S.conj().T) / 2)
+    lo, hi = _xi_spectral_range(ctx)
+    assert lo == pytest.approx(w[0], rel=1e-9)
+    assert hi == pytest.approx(w[-1], rel=1e-9)
+
+
 def test_sym_stacks_star_is_reversed_word():
     # the adjoint of a word operator is the operator of the reversed word; in
     # metric-orthonormal coordinates that is a plain conjugate transpose

@@ -359,6 +359,15 @@ def test_equivalence_sandwiches_and_hat_residual():
             )
 
 
+def test_equivalence_sandwiches_above_dense_cap():
+    # dim 85: the spectral range runs matrix-free past the dense doubled cap
+    ctx = make_context(4, 0.05, 3)
+    assert ctx.dim == 85
+    rep = equivalence_check(NCPoly({(1, 2): 1.0, (3, 4, 1): -0.5}), ctx)
+    for r in rep["per_letter"].values():
+        assert r["sandwich_1"] and r["sandwich_2"] and r["sandwich_3"]
+
+
 def test_equivalence_hat_vs_tilde_negative_q():
     # the doubled action stays PSD at moderate negative q, so the square-root
     # form is still available and matches the doubling form
