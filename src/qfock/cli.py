@@ -353,7 +353,7 @@ _SUITES = {
     "conjugate": _suite_conjugate,
 }
 # smallest level at which a suite's inputs and exactness ranges are non-empty
-_MIN_LEVEL = {"operators": 1, "number": 1, "bozejko": 2, "derivations": 3}
+_MIN_LEVEL = {"operators": 1, "number": 1, "conjugate": 1, "bozejko": 2, "derivations": 3}
 
 
 def _random_poly(ctx, rng, deg: int) -> "dv.NCPoly":
@@ -523,9 +523,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--q", type=float, default=0.1, help="deformation parameter")
         sp.add_argument("--level", type=int, default=5, help="truncation level")
         sp.add_argument("--cap-override", type=int, default=None)
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", default=None)
-        sp.add_argument("--format", dest="fmt", choices=["csv", "json"], default=None)
 
     sp = sub.add_parser("constants", help="explicit constants table over a (q, N) grid")
     sp.add_argument("--grid", default=None, help="comma-separated q:N pairs")
@@ -539,9 +537,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="gram|operators|bozejko|derivations|number|conjugate|all",
     )
     add_ctx_flags(sp)
+    sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("gram", help="Gram/orthonormality diagnostics per level")
     add_ctx_flags(sp)
+    sp.add_argument("--format", dest="fmt", choices=["csv", "json"], default=None)
 
     sp = sub.add_parser("xi", help="deformation-operator diagnostics")
     sp.add_argument("--trunc-q", dest="trunc_q", type=int, default=None)

@@ -323,6 +323,8 @@ def simulate(
         raise SimulationInputError(f"max_jumps must be >= 1, got {max_jumps}")
     if n_paths < 0:
         raise SimulationInputError(f"n_paths must be >= 0, got {n_paths}")
+    if not horizon >= 0:
+        raise SimulationInputError(f"horizon must be >= 0, got {horizon}")
     G = spec.group
     for g in init:
         if G.is_identity(g):

@@ -37,7 +37,7 @@ from .errors import (
     SquareRootUnavailableError,
     check_doubled_axis,
 )
-from .fock import FockContext, gram, metric
+from .fock import FockContext, _rev_perm, gram, metric
 from .operators import FockOperator, c_q, left_wick_stack, right_wick_stack
 
 __all__ = [
@@ -103,21 +103,6 @@ def unit_hs(ctx: FockContext) -> HSElement:
     return HSElement(ctx, C)
 
 
-def _rev_perm(ctx: FockContext) -> np.ndarray:
-    """Word-reversal permutation of the graded basis (an involution)."""
-    cached = ctx._stacks.get("rev")
-    if cached is not None:
-        return cached
-    perm = np.empty(ctx.dim, dtype=int)
-    for n in range(ctx.L + 1):
-        off = ctx.level_offset(n)
-        for idx in range(ctx.N**n):
-            w = ctx.index_word(n, idx)
-            perm[off + idx] = off + ctx.word_index(w[::-1])
-    ctx._stacks["rev"] = perm
-    return perm
-
-
 def _level_cap(ctx: FockContext, Q: int | None) -> int:
     if Q is None:
         return ctx.L
@@ -150,23 +135,17 @@ def xi_as_hs(ctx: FockContext, Q: int | None = None) -> HSElement:
     of the reversed word).
     """
     Q = _level_cap(ctx, Q)
-    key = ("xi_hs", Q)
-    cached = ctx._xi.get(key)
-    if cached is not None:
-        return cached
-    d = ctx.dim
-    C = np.zeros((d, d), dtype=complex)
-    for n in range(Q + 1):
-        block = gram(n, ctx)
-        ginv = block.b.entries @ block.b.entries
-        s = ctx.level_slice(n)
-        rev = np.array(
-            [ctx.word_index(ctx.index_word(n, i)[::-1]) for i in range(ctx.N**n)]
-        )
-        C[s, s] = (ctx.q**n) * ginv[:, rev]
-    out = HSElement(ctx, C)
-    ctx._xi[key] = out
-    return out
+
+    def build():
+        d = ctx.dim
+        C = np.zeros((d, d), dtype=complex)
+        for n in range(Q + 1):
+            block = gram(n, ctx)
+            s = ctx.level_slice(n)
+            C[s, s] = (ctx.q**n) * (block.b.entries @ block.b.entries)
+        return HSElement(ctx, C[:, _rev_perm(ctx)])
+
+    return ctx.memo(("xi_hs", Q), build)
 
 
 def multiplier_of(T: HSElement) -> FockOperator:
@@ -297,14 +276,15 @@ def _sym_stacks(ctx: FockContext) -> tuple[np.ndarray, np.ndarray]:
     square matrix products.  Both come back indexed ``(u, i, k)``; the left
     stack is stored in the ``_concat`` layout and returned as a view of it.
     """
-    cached = ctx._stacks.get("sym")
-    if cached is None:
+
+    def build():
         m = metric(ctx)
         Gh, Gih = m["Gh"][None, :, :], m["Gih"][None, :, :]
         Ah = np.matmul(np.matmul(Gh, left_wick_stack(ctx)), Gih)
         Bh = np.matmul(np.matmul(Gh, right_wick_stack(ctx)), Gih)
-        cached = ctx._stacks["sym"] = (_concat(Ah), Bh)
-    A_cat, Bh = cached
+        return _concat(Ah), Bh
+
+    A_cat, Bh = ctx.memo("sym_stacks", build)
     d = ctx.dim
     return A_cat.reshape(d, d, d).transpose(1, 0, 2), Bh
 
@@ -391,13 +371,13 @@ def _xi_spectral_range(ctx: FockContext) -> tuple[float, float]:
     """(min, max) eigenvalue of the symmetrized doubled-space action of the
     deformation operator: the action of the hermitian shortcut of
     :func:`doubled_op_norm`, at both ends of its spectrum."""
-    cached = ctx._xi.get("spec_range")
-    if cached is None:
+
+    def build():
         C = _real_if_possible(xi_as_hs(ctx).coeffs)
         sym = _sym_action(ctx, (C + _star(ctx, C)) / 2)
-        cached = tuple(_extreme_eig(sym, ctx.dim**2, C.dtype, w) for w in ("SA", "LA"))
-        ctx._xi["spec_range"] = cached
-    return cached
+        return tuple(_extreme_eig(sym, ctx.dim**2, C.dtype, w) for w in ("SA", "LA"))
+
+    return ctx.memo("spec_range", build)
 
 
 def doubled_psd_sqrt(T: HSElement, which: str = "right", tol: float = 1e-9) -> np.ndarray:

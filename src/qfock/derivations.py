@@ -35,7 +35,7 @@ from .deformation import (
     multiplier_of,
     neumann_series,
     xi_as_hs,
-    _rev_perm,
+    _star,
     _xi_spectral_range,
 )
 from .errors import AlphabetError, CapacityError, SquareRootUnavailableError
@@ -186,20 +186,19 @@ def poly_right_mult(P: NCPoly, ctx: FockContext) -> np.ndarray:
 def wick_poly(w: tuple[int, ...], ctx: FockContext) -> NCPoly:
     """Monomial expansion of the word operator (three-term recursion)."""
     w = tuple(w)
-    cached = ctx._wick.get(("poly", w))
-    if cached is not None:
-        return cached
-    if len(w) == 0:
-        P = NCPoly.one()
-    else:
+
+    def build():
+        if len(w) == 0:
+            return NCPoly.one()
         tail = w[1:]
         P = NCPoly.x(w[0]) * wick_poly(tail, ctx)
         for j in range(2, len(w) + 1):
             if w[0] == w[j - 1]:
                 hatted = tail[: j - 2] + tail[j - 1 :]
                 P = P - (ctx.q ** (j - 2)) * wick_poly(hatted, ctx)
-    ctx._wick[("poly", w)] = P
-    return P
+        return P
+
+    return ctx.memo(("poly", w), build)
 
 
 def vector_to_poly(v: GradedVector) -> NCPoly:
@@ -269,12 +268,10 @@ def _fdq_coeffs(P: NCPoly, j: int, ctx: FockContext) -> np.ndarray:
 
 
 def _doubled_context(ctx: FockContext, level: int) -> FockContext:
-    key = ("doubled", level)
-    cached = ctx._xi.get(key)
-    if cached is None:
-        cached = make_context(2 * ctx.N, ctx.q, level, cap_override=ctx.cap_override)
-        ctx._xi[key] = cached
-    return cached
+    return ctx.memo(
+        ("doubled", level),
+        lambda: make_context(2 * ctx.N, ctx.q, level, cap_override=ctx.cap_override),
+    )
 
 
 def derive(P: NCPoly, j: int, tag: DerivationTag, ctx: FockContext):
@@ -314,9 +311,7 @@ def derive(P: NCPoly, j: int, tag: DerivationTag, ctx: FockContext):
 
 def real_structure(T: HSElement) -> HSElement:
     """The conjugation (a (x) b) -> (b* (x) a*) in word-operator coordinates."""
-    rev = _rev_perm(T.ctx)
-    C2 = T.coeffs.conj().T
-    return HSElement(T.ctx, C2[np.ix_(rev, rev)])
+    return HSElement(T.ctx, _star(T.ctx, T.coeffs.T))
 
 
 # ---- identity checks -----------------------------------------------------------
@@ -539,7 +534,8 @@ def equivalence_check(P: NCPoly, ctx: FockContext, trunc_q: int | None = None) -
     lo, hi = _xi_spectral_range(ctx)
     norm_xi_half = math.sqrt(max(hi, 0.0))
     norm_xi_invhalf = math.inf if lo <= 1e-14 else 1.0 / math.sqrt(lo)
-    norm_xiQ = doubled_op_norm(xiQ, hermitian=True)
+    # at the full truncation xiQ is Xi itself, whose norm the range already gives
+    norm_xiQ = max(-lo, hi) if trunc_q == ctx.L else doubled_op_norm(xiQ, hermitian=True)
     norm_tail = doubled_op_norm(xi - xiQ, hermitian=True)
     # 0 * inf would poison the truncation penalty when the tail vanishes
     tail_penalty = 0.0 if norm_tail == 0.0 else norm_tail * norm_xi_invhalf**2

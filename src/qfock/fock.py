@@ -9,9 +9,12 @@ symmetric group sum, so the level-``n`` Gram matrix is exactly
 ``pq_direct(n)`` in the word basis.  Inner products are conjugate-linear in
 the first argument.
 
-Contexts are immutable after construction except for internal caches, which
-are write-once-per-key memos: concurrent readers see either absence or the
-final value, never a partial state.
+Contexts are immutable after construction except for one memo,
+:meth:`FockContext.memo`, that holds every object built once per context
+(Gram blocks, metric, word operators, stacks, the deformation operator and
+its spectral range).  It is write-once per key: the first stored value wins
+(``dict.setdefault``), so racing callers all get the same object, and a
+build that raises stores nothing.
 """
 from __future__ import annotations
 
@@ -58,13 +61,16 @@ class FockContext:
     q: float
     L: int
     cap_override: int | None = None
-    _gram: dict = field(default_factory=dict, repr=False)
-    _eig: dict = field(default_factory=dict, repr=False)
-    _metric: dict = field(default_factory=dict, repr=False)
-    _ops: dict = field(default_factory=dict, repr=False)
-    _wick: dict = field(default_factory=dict, repr=False)
-    _stacks: dict = field(default_factory=dict, repr=False)
-    _xi: dict = field(default_factory=dict, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
+
+    def memo(self, key, build):
+        """The value stored under ``key``, else ``build()`` stored and
+        returned.  The first stored value wins, so concurrent callers get the
+        same object; a build that raises stores nothing."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            return self._memo.setdefault(key, build())
 
     # ---- basis bookkeeping -------------------------------------------------
 
@@ -197,8 +203,44 @@ def make_context(N: int, q: float, L: int, cap_override: int | None = None) -> F
     return ctx
 
 
+def _rev_perm(ctx: FockContext) -> np.ndarray:
+    """Word-reversal permutation of the graded basis (an involution)."""
+
+    def build():
+        perm = np.empty(ctx.dim, dtype=int)
+        for n in range(ctx.L + 1):
+            off = ctx.level_offset(n)
+            for idx in range(ctx.N**n):
+                perm[off + idx] = off + ctx.word_index(ctx.index_word(n, idx)[::-1])
+        return perm
+
+    return ctx.memo("rev", build)
+
+
+def _gram_eig(n: int, ctx: FockContext) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The level-``n`` Gram matrix and its eigendecomposition ``(gamma, w, U)``,
+    shared by :func:`gram` and :func:`metric`; raises
+    :class:`DegenerateMetricError` for an eigenvalue at or below 1e-12."""
+
+    def build():
+        if n == 0:
+            gamma = np.ones((1, 1))
+        else:
+            gamma = symgroup.pq_direct(n, ctx).entries
+        w, U = np.linalg.eigh(gamma)
+        min_eig = float(w.min())
+        if min_eig <= _EIG_FLOOR:
+            raise DegenerateMetricError(
+                f"Gram matrix at level {n} has eigenvalue {min_eig:.3e} <= {_EIG_FLOOR}; "
+                f"the deformed metric is numerically degenerate at (q={ctx.q}, N={ctx.N})"
+            )
+        return gamma, w, U
+
+    return ctx.memo(("eig", n), build)
+
+
 def gram(n: int, ctx: FockContext) -> GramBlock:
-    """Level-``n`` Gram block, cached on the context.
+    """Level-``n`` Gram block, memoized on the context.
 
     ``gamma`` is the inversion-weighted S_n sum in the word basis; ``b`` is
     its inverse square root from a full symmetric eigendecomposition.
@@ -207,57 +249,43 @@ def gram(n: int, ctx: FockContext) -> GramBlock:
     """
     if n > ctx.L:
         raise ValueError(f"level {n} exceeds truncation level {ctx.L}")
-    cached = ctx._gram.get(n)
-    if cached is not None:
-        return cached
-    if n == 0:
-        gamma = np.ones((1, 1))
-    else:
-        gamma = symgroup.pq_direct(n, ctx).entries
-    w, U = np.linalg.eigh(gamma)
-    min_eig = float(w.min())
-    if min_eig <= _EIG_FLOOR:
-        raise DegenerateMetricError(
-            f"Gram matrix at level {n} has eigenvalue {min_eig:.3e} <= {_EIG_FLOOR}; "
-            f"the deformed metric is numerically degenerate at (q={ctx.q}, N={ctx.N})"
+
+    def build():
+        gamma, w, U = _gram_eig(n, ctx)
+        b = (U * w**-0.5) @ U.T
+        return GramBlock(
+            n,
+            symgroup.WordMatrix(n, ctx.N, gamma),
+            symgroup.WordMatrix(n, ctx.N, b),
+            float(w.min()),
         )
-    b = (U * w**-0.5) @ U.T
-    block = GramBlock(
-        n,
-        symgroup.WordMatrix(n, ctx.N, gamma),
-        symgroup.WordMatrix(n, ctx.N, b),
-        min_eig,
-    )
-    ctx._eig[n] = (w, U)
-    ctx._gram[n] = block
-    return block
+
+    return ctx.memo(("gram", n), build)
 
 
 def metric(ctx: FockContext) -> dict[str, np.ndarray]:
     """Full-space metric matrices: G, its inverse, and both square roots.
 
-    Block diagonal over levels; cached.  ``G`` realizes the deformed inner
+    Block diagonal over levels; memoized.  ``G`` realizes the deformed inner
     product against the standard one, ``Gh``/``Gih`` are G**(1/2), G**(-1/2).
     """
-    cached = ctx._metric.get("all")
-    if cached is not None:
-        return cached
-    d = ctx.dim
-    G = np.zeros((d, d))
-    Gi = np.zeros((d, d))
-    Gh = np.zeros((d, d))
-    Gih = np.zeros((d, d))
-    for n in range(ctx.L + 1):
-        gram(n, ctx)
-        w, U = ctx._eig[n]
-        s = ctx.level_slice(n)
-        G[s, s] = (U * w) @ U.T
-        Gi[s, s] = (U / w) @ U.T
-        Gh[s, s] = (U * np.sqrt(w)) @ U.T
-        Gih[s, s] = (U / np.sqrt(w)) @ U.T
-    out = {"G": G, "Gi": Gi, "Gh": Gh, "Gih": Gih}
-    ctx._metric["all"] = out
-    return out
+
+    def build():
+        d = ctx.dim
+        G = np.zeros((d, d))
+        Gi = np.zeros((d, d))
+        Gh = np.zeros((d, d))
+        Gih = np.zeros((d, d))
+        for n in range(ctx.L + 1):
+            _, w, U = _gram_eig(n, ctx)
+            s = ctx.level_slice(n)
+            G[s, s] = (U * w) @ U.T
+            Gi[s, s] = (U / w) @ U.T
+            Gh[s, s] = (U * np.sqrt(w)) @ U.T
+            Gih[s, s] = (U / np.sqrt(w)) @ U.T
+        return {"G": G, "Gi": Gi, "Gh": Gh, "Gih": Gih}
+
+    return ctx.memo("metric", build)
 
 
 def q_inner(v: GradedVector, w: GradedVector, ctx: FockContext | None = None) -> complex:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlphabetError, HomogeneityError, check_dim
-from .fock import FockContext, GradedVector, metric, q_inner
+from .fock import FockContext, GradedVector, _rev_perm, metric, q_inner
 
 __all__ = [
     "FockOperator",
@@ -114,8 +114,8 @@ def _check_letter(i: int, ctx: FockContext) -> None:
 def creation(i: int, ctx: FockContext) -> FockOperator:
     """Prepend letter ``i``; the top level is compressed away (mapped to 0)."""
     _check_letter(i, ctx)
-    key = ("crea", i)
-    if key not in ctx._ops:
+
+    def build():
         N, d = ctx.N, ctx.dim
         M = np.zeros((d, d))
         for n in range(ctx.L):
@@ -123,15 +123,16 @@ def creation(i: int, ctx: FockContext) -> FockOperator:
             # prepending shifts existing letters to higher digits
             tgt = (i - 1) + N * np.arange(N**n) + ctx.level_offset(n + 1)
             M[tgt, src] = 1.0
-        ctx._ops[key] = FockOperator(ctx, M, grading_shift=+1)
-    return ctx._ops[key]
+        return FockOperator(ctx, M, grading_shift=+1)
+
+    return ctx.memo(("crea", i), build)
 
 
 def annihilation(i: int, ctx: FockContext) -> FockOperator:
     """Delete letter ``i``: the word w maps to sum_k q^(k-1) [w_k = i] (w minus k)."""
     _check_letter(i, ctx)
-    key = ("anni", i)
-    if key not in ctx._ops:
+
+    def build():
         N, q, d = ctx.N, ctx.q, ctx.dim
         M = np.zeros((d, d))
         for n in range(1, ctx.L + 1):
@@ -144,33 +145,26 @@ def annihilation(i: int, ctx: FockContext) -> FockOperator:
                         continue
                     shorter = w[: k - 1] + w[k:]
                     M[off_tgt + ctx.word_index(shorter), off_src + idx] += q ** (k - 1)
-        ctx._ops[key] = FockOperator(ctx, M, grading_shift=-1)
-    return ctx._ops[key]
+        return FockOperator(ctx, M, grading_shift=-1)
+
+    return ctx.memo(("anni", i), build)
 
 
 def right_creation(i: int, ctx: FockContext) -> FockOperator:
-    """Append letter ``i``; same truncation convention as :func:`creation`."""
+    """Append letter ``i``: :func:`creation` conjugated by word reversal."""
     _check_letter(i, ctx)
-    key = ("rcrea", i)
-    if key not in ctx._ops:
-        N, d = ctx.N, ctx.dim
-        M = np.zeros((d, d))
-        for n in range(ctx.L):
-            src = np.arange(N**n) + ctx.level_offset(n)
-            tgt = np.arange(N**n) + (i - 1) * N**n + ctx.level_offset(n + 1)
-            M[tgt, src] = 1.0
-        ctx._ops[key] = FockOperator(ctx, M, grading_shift=+1)
-    return ctx._ops[key]
+
+    def build():
+        rev = _rev_perm(ctx)
+        return FockOperator(ctx, creation(i, ctx).mat[np.ix_(rev, rev)], grading_shift=+1)
+
+    return ctx.memo(("rcrea", i), build)
 
 
 def right_annihilation(i: int, ctx: FockContext) -> FockOperator:
     """Adjoint of :func:`right_creation` in the deformed metric."""
     _check_letter(i, ctx)
-    key = ("ranni", i)
-    if key not in ctx._ops:
-        A = adjoint(right_creation(i, ctx))
-        ctx._ops[key] = FockOperator(ctx, A.mat, grading_shift=-1)
-    return ctx._ops[key]
+    return ctx.memo(("ranni", i), lambda: adjoint(right_creation(i, ctx)))
 
 
 def right_annihilation_mirror(i: int, ctx: FockContext) -> FockOperator:
@@ -193,21 +187,19 @@ def right_annihilation_mirror(i: int, ctx: FockContext) -> FockOperator:
 
 def gaussian(i: int, ctx: FockContext) -> FockOperator:
     """Field operator: creation(i) + annihilation(i); self-adjoint in the metric."""
-    key = ("gauss", i)
-    if key not in ctx._ops:
-        ctx._ops[key] = FockOperator(
-            ctx, creation(i, ctx).mat + annihilation(i, ctx).mat
-        )
-    return ctx._ops[key]
+    return ctx.memo(
+        ("gauss", i),
+        lambda: FockOperator(ctx, creation(i, ctx).mat + annihilation(i, ctx).mat),
+    )
 
 
 def right_gaussian(i: int, ctx: FockContext) -> FockOperator:
-    key = ("rgauss", i)
-    if key not in ctx._ops:
-        ctx._ops[key] = FockOperator(
+    return ctx.memo(
+        ("rgauss", i),
+        lambda: FockOperator(
             ctx, right_creation(i, ctx).mat + right_annihilation(i, ctx).mat
-        )
-    return ctx._ops[key]
+        ),
+    )
 
 
 def adjoint(A: FockOperator) -> FockOperator:
@@ -226,26 +218,24 @@ def wick_matrix(w: tuple[int, ...], ctx: FockContext) -> np.ndarray:
     Three-term recursion on the first letter:
     ``psi_w = X_{w_1} psi_{w_2..} - sum_{j>=2} q^(j-2) [w_1 = w_j] psi_{w_2.. without j}``.
     Applying the result to the vacuum walks levels 0..len(w), so the vacuum
-    property is exact for len(w) <= L.  Short words are cached on the context.
+    property is exact for len(w) <= L.  Short words are memoized on the context.
     """
     w = tuple(w)
     if len(w) > ctx.L:
         raise ValueError(f"word length {len(w)} exceeds truncation level {ctx.L}")
-    cached = ctx._wick.get(("L", w))
-    if cached is not None:
-        return cached
-    if len(w) == 0:
-        M = np.eye(ctx.dim)
-    else:
+
+    def build():
+        if len(w) == 0:
+            return np.eye(ctx.dim)
         tail = w[1:]
         M = gaussian(w[0], ctx).mat @ wick_matrix(tail, ctx)
         for j in range(2, len(w) + 1):
             if w[0] == w[j - 1]:
                 hatted = tail[: j - 2] + tail[j - 1 :]
                 M = M - ctx.q ** (j - 2) * wick_matrix(hatted, ctx)
-    if len(w) <= _WICK_CACHE_MAX_LEN:
-        ctx._wick[("L", w)] = M
-    return M
+        return M
+
+    return ctx.memo(("L", w), build) if len(w) <= _WICK_CACHE_MAX_LEN else build()
 
 
 def right_wick_matrix(w: tuple[int, ...], ctx: FockContext) -> np.ndarray:
@@ -258,21 +248,19 @@ def right_wick_matrix(w: tuple[int, ...], ctx: FockContext) -> np.ndarray:
     w = tuple(w)
     if len(w) > ctx.L:
         raise ValueError(f"word length {len(w)} exceeds truncation level {ctx.L}")
-    cached = ctx._wick.get(("R", w))
-    if cached is not None:
-        return cached
-    if len(w) == 0:
-        M = np.eye(ctx.dim)
-    else:
+
+    def build():
+        if len(w) == 0:
+            return np.eye(ctx.dim)
         tail = w[1:]
         M = right_wick_matrix(tail, ctx) @ right_gaussian(w[0], ctx).mat
         for j in range(2, len(w) + 1):
             if w[0] == w[j - 1]:
                 hatted = tail[: j - 2] + tail[j - 1 :]
                 M = M - ctx.q ** (j - 2) * right_wick_matrix(hatted, ctx)
-    if len(w) <= _WICK_CACHE_MAX_LEN:
-        ctx._wick[("R", w)] = M
-    return M
+        return M
+
+    return ctx.memo(("R", w), build) if len(w) <= _WICK_CACHE_MAX_LEN else build()
 
 
 def wick_word(w: tuple[int, ...], ctx: FockContext) -> FockOperator:
@@ -280,26 +268,24 @@ def wick_word(w: tuple[int, ...], ctx: FockContext) -> FockOperator:
 
 
 def _wick_stack(ctx: FockContext, side: str) -> np.ndarray:
-    key = f"stack_{side}"
-    cached = ctx._stacks.get(key)
-    if cached is not None:
-        return cached
-    d = ctx.dim
-    from .errors import DEFAULT_STACK_DIM_CAP, CapacityError
+    def build():
+        d = ctx.dim
+        from .errors import DEFAULT_STACK_DIM_CAP, CapacityError
 
-    if d > DEFAULT_STACK_DIM_CAP:
-        raise CapacityError(
-            f"dense word-operator stack needs {d}^3 floats (dim {d} > "
-            f"{DEFAULT_STACK_DIM_CAP}); use per-word operators instead"
-        )
-    fn = wick_matrix if side == "L" else right_wick_matrix
-    stack = np.empty((d, d, d))
-    for n in range(ctx.L + 1):
-        off = ctx.level_offset(n)
-        for idx in range(ctx.N**n):
-            stack[off + idx] = fn(ctx.index_word(n, idx), ctx)
-    ctx._stacks[key] = stack
-    return stack
+        if d > DEFAULT_STACK_DIM_CAP:
+            raise CapacityError(
+                f"dense word-operator stack needs {d}^3 floats (dim {d} > "
+                f"{DEFAULT_STACK_DIM_CAP}); use per-word operators instead"
+            )
+        fn = wick_matrix if side == "L" else right_wick_matrix
+        stack = np.empty((d, d, d))
+        for n in range(ctx.L + 1):
+            off = ctx.level_offset(n)
+            for idx in range(ctx.N**n):
+                stack[off + idx] = fn(ctx.index_word(n, idx), ctx)
+        return stack
+
+    return ctx.memo(("stack", side), build)
 
 
 def left_wick_stack(ctx: FockContext) -> np.ndarray:

@@ -223,6 +223,9 @@ def test_cap_override_flag(capsys):
         ["constants", "--grid", "0.1:-1"],
         ["constants", "--grid", "0.5:0"],
         ["cocycle-sim", "--spec", "z-splitting", "--init", "3", "--paths", "-1"],
+        ["verify", "--suite", "conjugate", "--n", "1", "--level", "0", "--q", "0"],
+        ["cocycle-sim", "--spec", "z-splitting", "--init", "3", "--horizon", "nan"],
+        ["cocycle-sim", "--spec", "z-splitting", "--init", "3", "--horizon", "-1"],
     ],
 )
 def test_bad_input_exits_2_without_traceback(argv):
@@ -238,12 +241,36 @@ def test_bad_input_exits_2_without_traceback(argv):
 
 @pytest.mark.parametrize(
     "suite, level, need",
-    [("all", 2, 3), ("derivations", 2, 3), ("bozejko", 1, 2), ("operators", 0, 1)],
+    [
+        ("all", 2, 3),
+        ("derivations", 2, 3),
+        ("bozejko", 1, 2),
+        ("operators", 0, 1),
+        ("conjugate", 0, 1),
+    ],
 )
 def test_verify_names_minimum_level(capsys, suite, level, need):
     code, out, err = run(["verify", "--suite", suite, "--level", str(level)], capsys)
     assert code == 2 and out == ""
     assert f"needs truncation level >= {need}, got {level}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--format", "csv"],
+        ["gram", "--seed", "1"],
+        ["xi", "--seed", "1"],
+        ["xi", "--format", "json"],
+        ["conjugate", "--seed", "1"],
+        ["conjugate", "--format", "csv"],
+    ],
+)
+def test_commands_reject_flags_they_ignore(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_conjugate_columns_match_library(capsys):
@@ -280,3 +307,12 @@ def test_neumann_convergence_script():
     header, *rows = proc.stdout.strip().split("\n")
     assert header == "n,residual,cv_norm_1,cv_norm_2,fisher"
     assert [r.split(",")[0] for r in rows] == ["1", "2", "3", "4"]
+    for name, args in [
+        ("constants_sweep.py", ["3"]),
+        ("splitting_chain_demo.py", ["4", "50", "1"]),
+    ]:
+        proc = subprocess.run(
+            [sys.executable, str(script.with_name(name)), *args],
+            capture_output=True, text=True, env=_src_env(),
+        )
+        assert proc.returncode == 0, proc.stderr

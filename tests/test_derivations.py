@@ -4,6 +4,7 @@ import pytest
 from qfock import GradedVector, make_context, q_inner
 from qfock.deformation import (
     HSElement,
+    doubled_op_norm,
     hs_inner,
     hs_mult,
     hs_norm_of,
@@ -366,6 +367,8 @@ def test_equivalence_sandwiches_above_dense_cap():
     rep = equivalence_check(NCPoly({(1, 2): 1.0, (3, 4, 1): -0.5}), ctx)
     for r in rep["per_letter"].values():
         assert r["sandwich_1"] and r["sandwich_2"] and r["sandwich_3"]
+    # at the default cap the norm of Xi is read off its spectral range
+    assert rep["norm_xi_trunc"] == doubled_op_norm(xi_as_hs(ctx), hermitian=True)
 
 
 def test_equivalence_hat_vs_tilde_negative_q():
@@ -376,6 +379,7 @@ def test_equivalence_hat_vs_tilde_negative_q():
     rep = equivalence_check(P, ctx)
     for k in (1, 2):
         assert rep["per_letter"][k]["hat_vs_tilde_residual"] < 1e-9
+    assert rep["norm_xi_trunc"] == doubled_op_norm(xi_as_hs(ctx), hermitian=True)
 
 
 def test_q_sqrt_tag_matches_quadratic_form():
