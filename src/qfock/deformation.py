@@ -184,10 +184,18 @@ def _concat(stack: np.ndarray) -> np.ndarray:
     return stack.transpose(1, 0, 2).reshape(d, -1)
 
 
+def _support(C: np.ndarray) -> tuple[int, int]:
+    # [lo, hi): the contiguous range spanning the nonzero rows of C (0, 0 if none)
+    rows = np.flatnonzero(np.any(C, axis=1))
+    return (int(rows[0]), int(rows[-1]) + 1) if rows.size else (0, 0)
+
+
 def _action_matvec(A_cat: np.ndarray, W: np.ndarray):
     """The map ``V -> sum_u A_u @ V @ W_u^T`` on (dim, dim) arrays, with
     ``A_cat = _concat(A)``: one batched matmul plus one
-    (d, d*d) x (d*d, d) GEMM per application."""
+    (d, d*k) x (d*k, d) GEMM per application, k = len(W).  Callers pass only
+    the word operators in the nonzero row range of the coefficients (see
+    :func:`_trimmed_action`)."""
     Wt = W.transpose(0, 2, 1)
     d = A_cat.shape[0]
 
@@ -202,11 +210,21 @@ def _action_matvec(A_cat: np.ndarray, W: np.ndarray):
     return apply
 
 
+def _trimmed_action(A: np.ndarray, B: np.ndarray, C: np.ndarray):
+    """:func:`_action_matvec` of ``sum_{u,v} C[u,v] . A_u @ V @ B_v^T`` over
+    the word operators in the nonzero row range of C (for A) and column range
+    (for B) only; a full-support C takes exactly the untrimmed arrays, and a
+    stack stored in the ``_concat`` layout is trimmed by a column view."""
+    lo, hi = _support(C)
+    clo, chi = _support(C.T)
+    W = _weighted_stack(C[lo:hi, clo:chi], B[clo:chi])
+    return _action_matvec(_concat(A[lo:hi]), W)
+
+
 def _action_apply(
     A: np.ndarray, B: np.ndarray, C: np.ndarray, V: np.ndarray
 ) -> np.ndarray:
-    W = _weighted_stack(_real_if_possible(C), B)
-    return _action_matvec(_concat(A), W)(_real_if_possible(V))
+    return _trimmed_action(A, B, _real_if_possible(C))(_real_if_possible(V))
 
 
 def lr_apply(T: HSElement, V: np.ndarray) -> np.ndarray:
@@ -214,7 +232,8 @@ def lr_apply(T: HSElement, V: np.ndarray) -> np.ndarray:
 
     ``(a (x) b)`` sends ``x (x) y`` to ``ax (x) yb``; with V[i, j] the
     coefficient of (basis i) (x) (basis j) this is
-    ``sum_{u,v} C[u,v] . A_u @ V @ B_v^T``.
+    ``sum_{u,v} C[u,v] . A_u @ V @ B_v^T``, contracted only over the word
+    operators in the nonzero row and column range of C.
     """
     ctx = T.ctx
     return _action_apply(left_wick_stack(ctx), right_wick_stack(ctx), T.coeffs, V)
@@ -313,8 +332,7 @@ def _sym_action(ctx: FockContext, C: np.ndarray):
     map on flattened doubled-space vectors; the weighted right stack is built
     once, here."""
     d = ctx.dim
-    Ah, Bh = _sym_stacks(ctx)
-    apply = _action_matvec(_concat(Ah), _weighted_stack(C, Bh))
+    apply = _trimmed_action(*_sym_stacks(ctx), C)
     return lambda v: apply(v.reshape(d, d)).reshape(-1)
 
 

@@ -1,14 +1,19 @@
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qfock
 from qfock import make_context
-from qfock.cli import json_dumps_stable, main
+from qfock.cli import _SUITES, json_dumps_stable, main
 from qfock.deformation import xi_inverse_neumann
 from qfock.derivations import conjugate_variable, fisher_estimate, lipschitz_diagnostic
 
@@ -226,10 +231,14 @@ def test_cap_override_flag(capsys):
         ["verify", "--suite", "conjugate", "--n", "1", "--level", "0", "--q", "0"],
         ["cocycle-sim", "--spec", "z-splitting", "--init", "3", "--horizon", "nan"],
         ["cocycle-sim", "--spec", "z-splitting", "--init", "3", "--horizon", "-1"],
+        ["cocycle-sim", "--spec", "{dir}", "--init", "1"],
+        ["gram", "--level", "2", "--out", "{dir}"],
     ],
 )
-def test_bad_input_exits_2_without_traceback(argv):
-    # a real process, so an uncaught exception shows as a traceback and exit 1
+def test_bad_input_exits_2_without_traceback(argv, tmp_path):
+    # a real process, so an uncaught exception shows as a traceback and exit 1;
+    # "{dir}" stands for a directory where a file is expected
+    argv = [a.replace("{dir}", str(tmp_path)) for a in argv]
     proc = subprocess.run(
         [sys.executable, "-m", "qfock", *argv],
         capture_output=True, text=True, env=_src_env(),
@@ -237,6 +246,41 @@ def test_bad_input_exits_2_without_traceback(argv):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_unexpected_exception_exits_3_in_one_line(capsys, monkeypatch):
+    import qfock.cli as cli
+
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_gram", crash)
+    code, out, err = run(["gram", "--level", "2"], capsys)
+    assert code == 3 and out == ""
+    assert err == "internal error: RuntimeError: boom\n"
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("ignore::qfock.errors.NonConvergenceWarning")
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 3),
+    level=st.integers(-1, 3),
+    q=st.floats(-0.6, 0.6, exclude_min=True, exclude_max=True)
+    | st.sampled_from([-1.0, 1.0, math.nan]),
+    command=st.sampled_from(
+        [["verify", "--suite", s] for s in [*sorted(_SUITES), "all"]]
+        + [["xi"]]
+        + [["conjugate", "--terms", str(t)] for t in (1, 2, 3)]
+    ),
+)
+def test_cli_fuzz_exit_codes(n, level, q, command):
+    # any small configuration either runs (0 or 1) or is refused as bad
+    # input (2); a crash would exit 3
+    argv = [*command, f"--n={n}", f"--q={q!r}", f"--level={level}"]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, err.getvalue())
 
 
 @pytest.mark.parametrize(

@@ -130,6 +130,63 @@ def test_lr_action_right_factor_is_right_multiplication():
     assert np.allclose(M, expected, atol=1e-12)
 
 
+def _supported_coeffs(ctx, support):
+    # coefficients whose nonzero rows and columns span a prefix, a suffix, an
+    # interior band, everything, or nothing of the word-operator basis
+    from qfock.derivations import FDQ, NCPoly, derive
+
+    if support == "prefix":
+        P = NCPoly({(1, 2, 1): 1.0, (2, 2): -0.5, (1,): 0.25})
+        return derive(P, 1, FDQ, ctx).coeffs
+    if support == "suffix":
+        return (xi_as_hs(ctx) - xi_as_hs(ctx, ctx.L - 1)).coeffs
+    if support == "interior":
+        # rows on level 2, columns on levels 1..2
+        C = np.zeros((ctx.dim, ctx.dim))
+        band = C[ctx.level_slice(2), ctx.level_offset(1) : ctx.level_offset(3)]
+        band[:] = np.random.default_rng(5).standard_normal(band.shape)
+        return C
+    if support == "full":
+        return xi_as_hs(ctx).coeffs
+    return np.zeros((ctx.dim, ctx.dim))
+
+
+@pytest.mark.parametrize("support", ["prefix", "suffix", "interior", "full", "empty"])
+@pytest.mark.parametrize("N,q,L", [(2, 0.1, 4), (3, 0.1, 3)])
+@pytest.mark.parametrize("cplx", [False, True])
+def test_trimmed_actions_match_dense_oracle(N, q, L, support, cplx):
+    from qfock.deformation import (
+        _action_matvec,
+        _concat,
+        _dense_action,
+        _real_if_possible,
+        _weighted_stack,
+    )
+    from qfock.operators import left_wick_stack, right_wick_stack
+
+    ctx = make_context(N, q, L)
+    d = ctx.dim
+    rng = np.random.default_rng(7)
+    V = rng.standard_normal((d, d))
+    if cplx:
+        V = V + 1j * rng.standard_normal((d, d))
+    T = HSElement(ctx, _supported_coeffs(ctx, support))
+    A, B = left_wick_stack(ctx), right_wick_stack(ctx)
+    for apply, (S1, S2) in [(lr_apply, (A, B)), (rl_apply, (B, A))]:
+        out = apply(T, V)
+        assert out.shape == (d, d)
+        if support == "empty":
+            assert np.array_equal(out, np.zeros((d, d)))
+            continue
+        expected = (_dense_action(S1, S2, T.coeffs) @ V.reshape(-1)).reshape(d, d)
+        assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
+        if support == "full":
+            # full support contracts exactly the untrimmed arrays
+            C = _real_if_possible(T.coeffs)
+            untrimmed = _action_matvec(_concat(S1), _weighted_stack(C, S2))(V)
+            assert np.array_equal(out, untrimmed)
+
+
 def test_hs_mult_matches_symbolic_product():
     # (X_1 (x) 1) # (1 (x) X_2) = X_1 (x) X_2
     ctx = make_context(2, 0.3, 3)
@@ -274,7 +331,7 @@ def _dense_top(S: np.ndarray, hermitian: bool) -> float:
     return math.sqrt(top)
 
 
-@pytest.mark.parametrize("kind", ["real", "complex", "hermitian"])
+@pytest.mark.parametrize("kind", ["real", "complex", "hermitian", "top"])
 @pytest.mark.parametrize("N,q,L", [(2, 0.3, 3), (2, -0.3, 4), (3, 0.1, 3), (2, 0.1, 5)])
 def test_doubled_op_norm_matches_dense_svd(N, q, L, kind):
     from qfock.deformation import _dense_sym_action
@@ -283,7 +340,12 @@ def test_doubled_op_norm_matches_dense_svd(N, q, L, kind):
     rng = np.random.default_rng(3)
     cut = ctx.level_offset(3)
     C = np.zeros((ctx.dim, ctx.dim), dtype=complex if kind == "complex" else float)
-    C[:cut, :cut] = rng.standard_normal((cut, cut))
+    if kind == "top":
+        # supported on the top level only: the action skips every lower word
+        top = ctx.level_slice(L)
+        C[top, top] = rng.standard_normal((ctx.N**L, ctx.N**L))
+    else:
+        C[:cut, :cut] = rng.standard_normal((cut, cut))
     if kind == "complex":
         C[:cut, :cut] += 1j * rng.standard_normal((cut, cut))
     T = HSElement(ctx, C)
