@@ -563,8 +563,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _is_number(arg: str) -> bool:
+    try:
+        float(arg)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """``--q -1e-05`` -> ``--q=-1e-05``.  argparse takes a separate argument
+    that starts with '-' for an option unless it reads as ``-5`` or ``-.5``,
+    so a negative value in exponent form would be refused as missing."""
+    out: list[str] = []
+    for arg in argv:
+        flag = out[-1] if out else ""
+        if flag.startswith("--") and "=" not in flag and arg.startswith("-") and _is_number(arg):
+            out[-1] = f"{flag}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_attach_negative_values(argv))
     handlers = {
         "constants": cmd_constants,
         "verify": cmd_verify,

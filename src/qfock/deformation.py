@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import (
     AlphabetError,
+    EigensolverError,
     LevelRangeError,
     NonConvergenceWarning,
     QRangeError,
@@ -178,8 +179,7 @@ def _weighted_stack(C: np.ndarray, stack: np.ndarray) -> np.ndarray:
 
 
 def _concat(stack: np.ndarray) -> np.ndarray:
-    # (u, i, k) -> (i, u*d + k): the left GEMM operand of _action_matvec;
-    # a free view when the stack already lives in this layout (_sym_stacks)
+    # (u, i, k) -> (i, u*d + k): the left GEMM operand of _action_matvec
     d = stack.shape[1]
     return stack.transpose(1, 0, 2).reshape(d, -1)
 
@@ -213,8 +213,7 @@ def _action_matvec(A_cat: np.ndarray, W: np.ndarray):
 def _trimmed_action(A: np.ndarray, B: np.ndarray, C: np.ndarray):
     """:func:`_action_matvec` of ``sum_{u,v} C[u,v] . A_u @ V @ B_v^T`` over
     the word operators in the nonzero row range of C (for A) and column range
-    (for B) only; a full-support C takes exactly the untrimmed arrays, and a
-    stack stored in the ``_concat`` layout is trimmed by a column view."""
+    (for B) only; a full-support C takes exactly the untrimmed arrays."""
     lo, hi = _support(C)
     clo, chi = _support(C.T)
     W = _weighted_stack(C[lo:hi, clo:chi], B[clo:chi])
@@ -292,8 +291,9 @@ def _sym_stacks(ctx: FockContext) -> tuple[np.ndarray, np.ndarray]:
     With ``S = G**(1/2)`` the sandwiched stacks ``S A_u S^-1``, ``S B_v S^-1``
     turn the doubled metric into the standard one, so operator norms become
     plain singular values; sandwiching once per context avoids any dim**2
-    square matrix products.  Both come back indexed ``(u, i, k)``; the left
-    stack is stored in the ``_concat`` layout and returned as a view of it.
+    square matrix products.  Both come back indexed ``(u, i, k)``.  The left
+    stack is stored in the contraction layout ``A2[i, k*d + u]`` of
+    :func:`_sym_action` and returned as a view of it.
     """
 
     def build():
@@ -301,11 +301,10 @@ def _sym_stacks(ctx: FockContext) -> tuple[np.ndarray, np.ndarray]:
         Gh, Gih = m["Gh"][None, :, :], m["Gih"][None, :, :]
         Ah = np.matmul(np.matmul(Gh, left_wick_stack(ctx)), Gih)
         Bh = np.matmul(np.matmul(Gh, right_wick_stack(ctx)), Gih)
-        return _concat(Ah), Bh
+        return np.ascontiguousarray(Ah.transpose(1, 2, 0)), Bh
 
-    A_cat, Bh = ctx.memo("sym_stacks", build)
-    d = ctx.dim
-    return A_cat.reshape(d, d, d).transpose(1, 0, 2), Bh
+    A2, Bh = ctx.memo("sym_stacks", build)
+    return A2.transpose(2, 0, 1), Bh
 
 
 def _star(ctx: FockContext, C: np.ndarray) -> np.ndarray:
@@ -329,35 +328,102 @@ def _dense_sym_action(ctx: FockContext, C: np.ndarray, which: str = "left") -> n
 
 def _sym_action(ctx: FockContext, C: np.ndarray):
     """Matrix-free left action of C in metric-orthonormal coordinates, as a
-    map on flattened doubled-space vectors; the weighted right stack is built
-    once, here."""
+    map on flattened doubled-space vectors.
+
+    ``V -> sum_{u,v} C[u,v] . Ah_u @ V @ Bh_v^T`` is two plain GEMMs,
+    ``A2 @ (V @ Wh).reshape(-1, d)``, with ``A2[i, k*d + u] = Ah_u[i, k]`` and
+    the weighted right stack ``Wh[l, u*d + j] = sum_v C[u,v] Bh_v[j, l]``;
+    the product ``V @ Wh`` is already laid out as the right operand, so a
+    matvec copies nothing.  Only the word operators in the nonzero row and
+    column range of C take part; ``A2`` is a view of the stored stack when
+    the rows span every word, and ``Wh`` is built once, here.  A complex
+    product ``V @ Wh`` meets the real ``A2`` through its interleaved real
+    view; a complex V against real coefficients runs as its two real parts.
+    """
     d = ctx.dim
-    apply = _trimmed_action(*_sym_stacks(ctx), C)
-    return lambda v: apply(v.reshape(d, d)).reshape(-1)
+    Ah, Bh = _sym_stacks(ctx)
+    lo, hi = _support(C)
+    clo, chi = _support(C.T)
+    A2 = Ah[lo:hi].transpose(1, 2, 0).reshape(d, -1)
+    W = _weighted_stack(C[lo:hi, clo:chi], Bh[clo:chi])
+    Wh = W.transpose(2, 0, 1).reshape(d, -1)
+
+    def gemms(V: np.ndarray) -> np.ndarray:
+        P = (V @ Wh).reshape(-1, d)
+        if np.iscomplexobj(P):
+            return (A2 @ P.view(float)).view(complex)
+        return A2 @ P
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        V = v.reshape(d, d)
+        if np.iscomplexobj(V) and not np.iscomplexobj(Wh):
+            return (gemms(V.real) + 1j * gemms(V.imag)).reshape(-1)
+        return gemms(V).reshape(-1)
+
+    return apply
+
+
+# Lanczos constants: the tolerance of ARPACK's convergence rule, the number of
+# steps between two tests of it, and the step cap past which a run that has
+# neither converged nor exhausted its Krylov space is an internal failure
+_LANCZOS_TOL = 1e-11
+_LANCZOS_STRIDE = 4
+_LANCZOS_MAX_STEPS = 400
+_EPS = np.finfo(float).eps
 
 
 def _extreme_eig(matvec, d2: int, dtype, which: str) -> float:
     """Extreme eigenvalue of a self-adjoint operator on the doubled space:
     ``which`` is "LA" (largest), "SA" (smallest) or "LM" (largest modulus).
 
-    Up to 128 rows the matrix is built from matvec columns and fully
-    diagonalized.  Above that, deterministic Lanczos iteration (ARPACK) runs
-    from one seeded Gaussian start vector: a constant vector is invariant
-    under letter relabelling and word reversal, so its Krylov space never
-    leaves that symmetric sector and misses extremes that lie outside it.
+    Lanczos iteration with full reorthogonalization (classical Gram-Schmidt,
+    twice per step) from one seeded Gaussian start vector: a constant vector
+    is invariant under letter relabelling and word reversal, so its Krylov
+    space never leaves that symmetric sector and misses extremes that lie
+    outside it.  Every ``_LANCZOS_STRIDE`` steps the wanted Ritz value
+    ``theta`` is tested with ARPACK's rule, ``|beta * s_last| <=
+    _LANCZOS_TOL * max(|theta|, eps**(2/3) * max|Ritz value|)``; ARPACK's
+    floor is ``eps**(2/3)`` itself, which would accept any Ritz value of an
+    operator whose norm lies below it.  The iteration also stops,
+    with exact Ritz values, once the Krylov space is exhausted: after
+    ``d2`` steps, or when the new residual is at the rounding level of the
+    matvec (an invariant subspace, e.g. the unit element after one step).
+    Raises :class:`EigensolverError` after ``_LANCZOS_MAX_STEPS`` steps
+    without either.
     """
-    if d2 <= 128:
-        w = np.linalg.eigvalsh(np.stack([matvec(e) for e in np.eye(d2)], axis=1))
-        return float({"LA": w[-1], "SA": w[0], "LM": w[np.abs(w).argmax()]}[which])
-    from scipy.sparse.linalg import LinearOperator, eigsh
-
-    op = LinearOperator((d2, d2), matvec=matvec, dtype=dtype)
-    v0 = np.random.default_rng(0).standard_normal(d2)
-    vals = eigsh(
-        op, k=1, which=which, v0=v0, ncv=min(d2, 48), tol=1e-11,
-        return_eigenvectors=False,
+    m = min(d2, _LANCZOS_MAX_STEPS)
+    Q = np.empty((min(m, 2 * _LANCZOS_STRIDE), d2), dtype=dtype)  # doubles as it fills
+    alpha, beta = np.zeros(m), np.zeros(m)
+    v = np.random.default_rng(0).standard_normal(d2)
+    Q[0] = v / np.linalg.norm(v)
+    anorm = 0.0
+    for j in range(m):
+        w = matvec(Q[j])
+        anorm = max(anorm, float(np.linalg.norm(w)))
+        basis = Q[: j + 1]
+        for _ in range(2):
+            h = (basis @ w.conj()).conj()
+            w = w - h @ basis
+            alpha[j] += h[j].real
+        beta[j] = np.linalg.norm(w)
+        exhausted = j + 1 == d2 or beta[j] <= math.sqrt(d2) * _EPS * anorm
+        if exhausted or (j + 1) % _LANCZOS_STRIDE == 0:
+            theta, S = np.linalg.eigh(
+                np.diag(alpha[: j + 1]) + np.diag(beta[:j], 1) + np.diag(beta[:j], -1)
+            )
+            top = int(np.abs(theta).argmax())
+            i = {"LA": -1, "SA": 0, "LM": top}[which]
+            floor = _EPS ** (2 / 3) * abs(theta[top])
+            if exhausted or beta[j] * abs(S[-1, i]) <= _LANCZOS_TOL * max(abs(theta[i]), floor):
+                return float(theta[i])
+        if j + 1 == len(Q) < m:
+            Q = np.concatenate([Q, np.empty((min(len(Q), m - len(Q)), d2), dtype=dtype)])
+        if j + 1 < m:
+            Q[j + 1] = w / beta[j]
+    raise EigensolverError(
+        f"Lanczos ({which}) did not converge in {m} steps on a doubled space "
+        f"of dimension {d2}"
     )
-    return float(vals[0])
 
 
 def doubled_op_norm(T: HSElement, hermitian: bool = False) -> float:

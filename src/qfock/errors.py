@@ -19,7 +19,8 @@ MAX_PERM_LENGTH = 8
 
 
 class QFockError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for the errors raised by this package on bad input or a
+    capacity limit."""
 
 
 class QRangeError(QFockError, ValueError):
@@ -65,6 +66,12 @@ class SimulationInputError(QFockError, ValueError):
 
 class SquareRootUnavailableError(QFockError, ArithmeticError):
     """The doubled-space deformation form is not PSD at this truncation."""
+
+
+class EigensolverError(RuntimeError):
+    """Lanczos iteration on the doubled space did not converge within its
+    step cap.  A failure of the numerics, not of the input, so it is no
+    :class:`QFockError`: the CLI reports it as an internal error (exit 3)."""
 
 
 class NonConvergenceWarning(UserWarning):

@@ -248,6 +248,21 @@ def test_bad_input_exits_2_without_traceback(argv, tmp_path):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gram", "--level", "2", "--q"],
+        ["cocycle-sim", "--spec", "z-splitting", "--init", "3", "--paths", "5", "--horizon"],
+    ],
+)
+def test_negative_exponent_value_as_separate_argument(capsys, argv):
+    # argparse alone refuses "--q -1e-05" as a flag without its value
+    separate = run([*argv, "-1e-05"], capsys)
+    attached = run([*argv[:-1], f"{argv[-1]}=-1e-05"], capsys)
+    assert separate == attached
+    assert "expected one argument" not in separate[2]
+
+
 def test_unexpected_exception_exits_3_in_one_line(capsys, monkeypatch):
     import qfock.cli as cli
 
@@ -259,6 +274,37 @@ def test_unexpected_exception_exits_3_in_one_line(capsys, monkeypatch):
     assert code == 3 and out == ""
     assert err == "internal error: RuntimeError: boom\n"
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_eigensolver_failure_exits_3(capsys, monkeypatch):
+    # a Lanczos run that neither converges nor exhausts its Krylov space is
+    # an internal failure, not bad input
+    import qfock.deformation as df
+
+    monkeypatch.setattr(df, "_LANCZOS_MAX_STEPS", 3)
+    code, out, err = run(["xi", "--level", "4", "--trunc-q", "2"], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: EigensolverError: ") and err.count("\n") == 1
+    assert "did not converge in 3 steps" in err
+
+
+def test_verify_runs_without_scipy():
+    # the eigenvalue solver is numpy-only: a real process at d^2 = 961
+    # never imports scipy
+    code = (
+        "import runpy, sys\n"
+        "sys.argv = ['qfock', 'verify', '--suite', 'all', '--n', '2', '--q', '0.1', '--level', '4']\n"
+        "try:\n"
+        "    runpy.run_module('qfock', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
 @pytest.mark.filterwarnings("ignore::qfock.errors.NonConvergenceWarning")

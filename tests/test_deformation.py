@@ -159,7 +159,9 @@ def test_trimmed_actions_match_dense_oracle(N, q, L, support, cplx):
         _action_matvec,
         _concat,
         _dense_action,
+        _dense_sym_action,
         _real_if_possible,
+        _sym_action,
         _weighted_stack,
     )
     from qfock.operators import left_wick_stack, right_wick_stack
@@ -185,6 +187,34 @@ def test_trimmed_actions_match_dense_oracle(N, q, L, support, cplx):
             C = _real_if_possible(T.coeffs)
             untrimmed = _action_matvec(_concat(S1), _weighted_stack(C, S2))(V)
             assert np.array_equal(out, untrimmed)
+    # the two-GEMM action in metric-orthonormal coordinates, for real and
+    # complex coefficients on the same support
+    C = _real_if_possible(T.coeffs)
+    for coeffs in (C, C * (1 + 1j * rng.standard_normal(C.shape))):
+        out = _sym_action(ctx, coeffs)(V.reshape(-1))
+        expected = _dense_sym_action(ctx, coeffs) @ V.reshape(-1)
+        assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_sym_action_holds_no_reference_cycle():
+    # each norm builds a dim**3 weighted stack; a cycle through the action's
+    # closure would keep every one alive until the cyclic collector runs
+    import gc
+
+    from qfock.deformation import _sym_action
+
+    ctx = make_context(2, 0.1, 3)
+    d = ctx.dim
+    gc.collect()
+    gc.disable()
+    try:
+        for C in (xi_as_hs(ctx).coeffs.real, xi_as_hs(ctx).coeffs * 1j):
+            apply = _sym_action(ctx, C)
+            apply(np.ones(d * d) + 1j)
+            del apply
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_hs_mult_matches_symbolic_product():
@@ -390,6 +420,119 @@ def test_xi_spectral_range_matches_dense(N, q, L):
     lo, hi = _xi_spectral_range(ctx)
     assert lo == pytest.approx(w[0], rel=1e-9)
     assert hi == pytest.approx(w[-1], rel=1e-9)
+
+
+# ---- the Lanczos solver against a dense eigvalsh oracle ---------------------------
+
+
+def _eig_oracle(M: np.ndarray, which: str) -> float:
+    w = np.linalg.eigvalsh(M)
+    return float({"LA": w[-1], "SA": w[0], "LM": w[np.abs(w).argmax()]}[which])
+
+
+def _counted(matvec):
+    calls = []
+
+    def apply(v):
+        calls.append(None)
+        return matvec(v)
+
+    return apply, calls
+
+
+def _sym_part(ctx, C):
+    # coefficients of (T + T*) / 2 and the dense matrix of their action
+    from qfock.deformation import _dense_sym_action, _star
+
+    Cs = (C + _star(ctx, C)) / 2
+    S = _dense_sym_action(ctx, Cs)
+    return Cs, (S + S.conj().T) / 2
+
+
+@pytest.mark.parametrize("which", ["LA", "SA", "LM"])
+@pytest.mark.parametrize(
+    "N,q,L", [(2, 0.3, 1), (3, 0.2, 1), (4, -0.2, 1), (2, 0.3, 2), (2, -0.4, 2), (10, 0.05, 1)]
+)
+def test_extreme_eig_small_doubled_spaces(N, q, L, which):
+    # doubled axes of at most 128 entries, once served by a dense
+    # eigendecomposition: the deformation operator and a random element
+    from qfock.deformation import _extreme_eig, _sym_action
+
+    ctx = make_context(N, q, L)
+    d2 = ctx.dim**2
+    assert d2 <= 128
+    rng = np.random.default_rng(11)
+    for C in (xi_as_hs(ctx).coeffs.real, rng.standard_normal((ctx.dim, ctx.dim))):
+        Cs, M = _sym_part(ctx, C)
+        got = _extreme_eig(_sym_action(ctx, Cs), d2, float, which)
+        assert got == pytest.approx(_eig_oracle(M, which), rel=1e-12, abs=0)
+
+
+def test_extreme_eig_free_case_breaks_down_early():
+    # at q = 0 the deformation operator is the vacuum projection P; the
+    # doubled action V -> P V P has rank one, so the Krylov space of any start
+    # vector is exhausted after two steps.  SA = 0 lies below the floor
+    # 1e-11 * eps**(2/3) of the convergence rule, so only that exhaustion can
+    # end the run
+    from qfock.deformation import _extreme_eig, _sym_action, _xi_spectral_range
+
+    ctx = make_context(2, 0.0, 4)
+    d = ctx.dim
+    P = xi_multiplier(ctx).mat
+    M = np.kron(P, P)
+    for which in ("SA", "LA", "LM"):
+        matvec, calls = _counted(lambda v: (P @ v.reshape(d, d) @ P).reshape(-1))
+        got = _extreme_eig(matvec, d * d, float, which)
+        assert got == pytest.approx(_eig_oracle(M, which), rel=1e-12, abs=1e-15)
+        assert len(calls) == 2
+    # as a tensor-square element it is the unit, whose action is the identity
+    matvec, calls = _counted(_sym_action(ctx, xi_as_hs(ctx).coeffs.real))
+    assert _extreme_eig(matvec, d * d, float, "SA") == pytest.approx(1.0, rel=1e-12, abs=0)
+    assert len(calls) == 1
+    assert _xi_spectral_range(ctx) == pytest.approx((1.0, 1.0), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("which", ["LA", "SA", "LM"])
+def test_extreme_eig_negative_q_near_equal_ends(which):
+    # Xi - 1 at small q < 0: the two ends of the spectrum have nearly equal
+    # modulus, so LM must pick the right end
+    from qfock.deformation import _extreme_eig, _sym_action
+
+    ctx = make_context(2, -0.002, 4)
+    Cs, M = _sym_part(ctx, (xi_as_hs(ctx) - unit_hs(ctx)).coeffs.real)
+    w = np.linalg.eigvalsh(M)
+    assert w[0] < 0 < w[-1] and 0.95 < -w[0] / w[-1] < 1
+    got = _extreme_eig(_sym_action(ctx, Cs), ctx.dim**2, float, which)
+    assert got == pytest.approx(_eig_oracle(M, which), rel=1e-12, abs=0)
+    if which == "LM":
+        norm = doubled_op_norm(HSElement(ctx, Cs), hermitian=True)
+        assert norm == pytest.approx(w[-1], rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("N,q,L", [(2, 0.3, 2), (2, 0.3, 3), (2, -0.3, 4)])
+def test_doubled_op_norm_complex_non_hermitian(N, q, L):
+    # the normal operator of a complex element, against eigvalsh of S^H S
+    from qfock.deformation import _dense_sym_action
+
+    ctx = make_context(N, q, L)
+    rng = np.random.default_rng(12)
+    cut = ctx.level_offset(min(L, 3))
+    C = np.zeros((ctx.dim, ctx.dim), dtype=complex)
+    C[:cut, :cut] = rng.standard_normal((cut, cut)) + 1j * rng.standard_normal((cut, cut))
+    S = _dense_sym_action(ctx, C)
+    top = np.linalg.eigvalsh(S.conj().T @ S)[-1]
+    assert doubled_op_norm(HSElement(ctx, C)) == pytest.approx(math.sqrt(top), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("hermitian", [False, True])
+def test_doubled_op_norm_of_tiny_element_keeps_relative_accuracy(hermitian):
+    # the eps**(2/3) floor of the convergence rule scales with the operator;
+    # taken absolutely, as in ARPACK, it would pass any Ritz value here
+    ctx = make_context(3, 0.1, 3)
+    T = xi_as_hs(ctx) - unit_hs(ctx)
+    ref = doubled_op_norm(T, hermitian=hermitian)
+    tiny = doubled_op_norm(T * 1e-20, hermitian=hermitian)
+    assert tiny == pytest.approx(1e-20 * ref, rel=1e-12, abs=0)
 
 
 def test_sym_stacks_star_is_reversed_word():
