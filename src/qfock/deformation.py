@@ -368,7 +368,7 @@ def _sym_action(ctx: FockContext, C: np.ndarray):
 # neither converged nor exhausted its Krylov space is an internal failure
 _LANCZOS_TOL = 1e-11
 _LANCZOS_STRIDE = 4
-_LANCZOS_MAX_STEPS = 400
+_LANCZOS_MAX_STEPS = 1000
 _EPS = np.finfo(float).eps
 
 

@@ -509,6 +509,21 @@ def test_extreme_eig_negative_q_near_equal_ends(which):
         assert norm == pytest.approx(w[-1], rel=1e-12, abs=0)
 
 
+def test_xi_spectral_range_where_its_lower_end_crosses_zero():
+    # near q = -0.5662783883 at (N, L) = (2, 4) the smallest eigenvalue of
+    # the action is ~1e-11, so the rule's floor, not |theta|, sets the
+    # bound: about 380 Lanczos steps, the most of any configuration seen
+    from qfock.deformation import _xi_spectral_range
+
+    ctx = make_context(2, -0.5662783883395606, 4)
+    _, M = _sym_part(ctx, xi_as_hs(ctx).coeffs.real)
+    w = np.linalg.eigvalsh(M)
+    assert abs(w[0]) < 1e-9
+    lo, hi = _xi_spectral_range(ctx)
+    assert abs(lo - w[0]) <= 1e-12 * w[-1]
+    assert hi == pytest.approx(w[-1], rel=1e-12, abs=0)
+
+
 @pytest.mark.parametrize("N,q,L", [(2, 0.3, 2), (2, 0.3, 3), (2, -0.3, 4)])
 def test_doubled_op_norm_complex_non_hermitian(N, q, L):
     # the normal operator of a complex element, against eigvalsh of S^H S
