@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import io
 import math
+import re
 import sys
 from itertools import islice
 
@@ -563,22 +564,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _is_number(arg: str) -> bool:
-    try:
-        float(arg)
-    except ValueError:
-        return False
-    return True
-
-
 def _attach_negative_values(argv: list[str]) -> list[str]:
     """``--q -1e-05`` -> ``--q=-1e-05``.  argparse takes a separate argument
     that starts with '-' for an option unless it reads as ``-5`` or ``-.5``,
-    so a negative value in exponent form would be refused as missing."""
+    so a negative value in exponent form, a grid ``-0.3:2`` or a tuple
+    ``-3,5`` would be refused as missing.  No option starts with '-' and a
+    digit or '.', so every such argument after an option is its value."""
     out: list[str] = []
     for arg in argv:
         flag = out[-1] if out else ""
-        if flag.startswith("--") and "=" not in flag and arg.startswith("-") and _is_number(arg):
+        if flag.startswith("--") and "=" not in flag and re.match(r"-[0-9.]", arg):
             out[-1] = f"{flag}={arg}"
         else:
             out.append(arg)

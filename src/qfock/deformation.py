@@ -39,7 +39,7 @@ from .errors import (
     check_doubled_axis,
 )
 from .fock import FockContext, _rev_perm, gram, metric
-from .operators import FockOperator, c_q, left_wick_stack, right_wick_stack
+from .operators import FockOperator, _power, c_q, left_wick_stack, right_wick_stack
 
 __all__ = [
     "HSElement",
@@ -521,8 +521,9 @@ def constants(q: float, N: int) -> ConstantsReport:
 
     ``nu`` bounds the projective tensor norm via the series in |q|N; ``rho``
     bounds the von Neumann tensor norm via the series in |q|sqrt(N).  Both
-    carry the cube of the product constant.  Poles (argument >= 1) are
-    reported as +inf, never raised; q outside (-1, 1) raises
+    carry the cube of the product constant.  Poles (argument >= 1) and
+    constants that overflow a float near |q| = 1 are reported as +inf, never
+    raised; q outside (-1, 1) raises
     :class:`QRangeError` and N < 1 raises :class:`AlphabetError`.
     """
     if not -1.0 < q < 1.0:
@@ -530,8 +531,8 @@ def constants(q: float, N: int) -> ConstantsReport:
     if N < 1:
         raise AlphabetError(f"alphabet size must be a positive integer, got {N!r}")
     c = c_q(q)
-    nu = c**3 * _bracket(abs(q) * N)
-    rho = c**3 * _bracket(abs(q) * math.sqrt(N))
+    nu = _power(c, 3) * _bracket(abs(q) * N)
+    rho = _power(c, 3) * _bracket(abs(q) * math.sqrt(N))
     return ConstantsReport(q, N, c, nu, rho, nu < 1.0, rho < 1.0)
 
 

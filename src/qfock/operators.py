@@ -14,6 +14,7 @@ throughout:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -309,11 +310,63 @@ def trace_state(A: FockOperator) -> complex:
     return complex(A.mat[0, 0])
 
 
-def op_norm(A: FockOperator) -> float:
-    """Largest singular value of A with respect to the deformed metric."""
-    m = metric(A.ctx)
-    sym = m["Gh"] @ A.mat @ m["Gih"]
+def _parity_metric(ctx: FockContext) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """For even and then odd levels: their graded indices and the blocks of
+    ``Gh`` and ``Gih`` on them (both metrics are block diagonal by level)."""
+
+    def build():
+        m = metric(ctx)
+        level = np.repeat(np.arange(ctx.L + 1), ctx.level_dims)
+        out = []
+        for parity in (0, 1):
+            idx = np.flatnonzero(level % 2 == parity)
+            cut = np.ix_(idx, idx)
+            out.append((idx, m["Gh"][cut], m["Gih"][cut]))
+        return out
+
+    return ctx.memo("parity_metric", build)
+
+
+def _top_singular(left: np.ndarray, parts: list[np.ndarray], right: np.ndarray) -> float:
+    """Largest singular value of ``left @ (parts[0] + 1j parts[1]) @ right``
+    for real matrices, with ``parts = [real]`` or ``[real, imag]``."""
+    sym = left @ parts[0] @ right
+    if len(parts) == 2:
+        sym = sym + 1j * (left @ parts[1] @ right)
     return float(np.linalg.svd(sym, compute_uv=False)[0])
+
+
+def op_norm(A: FockOperator) -> float:
+    """Largest singular value of A with respect to the deformed metric.
+
+    That is the top singular value of ``Gh A Gih``.  When A keeps the parity
+    of the level or flips it (its other two parity blocks are exact zeros, as
+    for word and field operators and the word operator of a homogeneous
+    vector), that matrix has one nonzero block per input parity, and the norm
+    is the larger of the two blocks' top singular values; complex blocks are
+    sandwiched as separate real and imaginary parts.  An operator that mixes
+    parities gets one SVD of the whole matrix.
+    """
+    ctx = A.ctx
+    parts = [A.mat.real, A.mat.imag] if np.iscomplexobj(A.mat) else [A.mat]
+    (even, he, hie), (odd, ho, hio) = _parity_metric(ctx)
+
+    def block(rows, cols):
+        return [p[np.ix_(rows, cols)] for p in parts]
+
+    def zero(b):
+        return not any(p.any() for p in b)
+
+    ee, eo, oe, oo = block(even, even), block(even, odd), block(odd, even), block(odd, odd)
+    if zero(eo) and zero(oe):
+        blocks = [(he, ee, hie), (ho, oo, hio)]
+    elif zero(ee) and zero(oo):
+        blocks = [(he, eo, hio), (ho, oe, hie)]
+    else:
+        m = metric(ctx)
+        sym = m["Gh"] @ A.mat @ m["Gih"]
+        return float(np.linalg.svd(sym, compute_uv=False)[0])
+    return max(_top_singular(*blk) for blk in blocks if blk[1][0].size)
 
 
 def hs_norm(A: FockOperator) -> float:
@@ -339,7 +392,62 @@ def c_q(q: float, tol: float = 1e-15, max_factors: int = 10**6) -> float:
             break
         prod *= 1.0 - term
         term *= a
-    return 1.0 / prod
+    # close to |q| = 1 the product underflows; the constant is then +inf
+    return 1.0 / prod if prod > 0.0 else math.inf
+
+
+def _power(c: float, e: float) -> float:
+    """``c**e`` for c >= 0, or +inf where that overflows a float."""
+    try:
+        return c**e
+    except OverflowError:
+        return math.inf
+
+
+def _hatted(coeffs: np.ndarray, n: int, ctx: FockContext) -> np.ndarray:
+    """Level-(n-2) coefficients of ``sum_w coeffs[w] sum_{j>=2} q^(j-2)
+    [w_1 = w_j] (w without letters 1 and j)``: the subtracted words of the
+    :func:`wick_matrix` recursion, collected over all w."""
+    # axis n-1-t of the tensor holds letter t (first letter least significant)
+    T = coeffs.reshape((ctx.N,) * n)
+    eta = np.zeros(ctx.N ** (n - 2), dtype=coeffs.dtype)
+    for j in range(1, n):
+        eta += ctx.q ** (j - 1) * np.diagonal(T, axis1=n - 1 - j, axis2=n - 1).sum(-1).reshape(-1)
+    return eta
+
+
+def _wick_sum(coeffs: np.ndarray, n: int, ctx: FockContext) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of ``sum_w coeffs[w] * wick_matrix(w)`` over
+    the level-n words.
+
+    The first-letter recursion of :func:`wick_matrix` is linear in the word,
+    so it applies to the whole coefficient vector at once:
+    ``psi(xi) = sum_i X_i psi(xi_i) - psi(eta)`` with ``xi_i(t) = xi(i t)``
+    and eta from :func:`_hatted`.  Levels up to ``_WICK_CACHE_MAX_LEN`` add up
+    the memoized word matrices.
+    """
+    d = ctx.dim
+    re = np.zeros((d, d))
+    im = np.zeros((d, d))
+    if n <= _WICK_CACHE_MAX_LEN:
+        for idx in np.flatnonzero(coeffs):
+            W = wick_matrix(ctx.index_word(n, idx), ctx)
+            re += coeffs[idx].real * W
+            im += coeffs[idx].imag * W
+        return re, im
+    by_first = coeffs.reshape(-1, ctx.N)  # [tail index, first letter - 1]
+    for i in range(ctx.N):
+        if by_first[:, i].any():
+            X = gaussian(i + 1, ctx).mat
+            sub_re, sub_im = _wick_sum(by_first[:, i], n - 1, ctx)
+            re += X @ sub_re
+            im += X @ sub_im
+    eta = _hatted(coeffs, n, ctx)
+    if eta.any():
+        sub_re, sub_im = _wick_sum(eta, n - 2, ctx)
+        re -= sub_re
+        im -= sub_im
+    return re, im
 
 
 @dataclass(frozen=True)
@@ -358,7 +466,10 @@ def bozejko_check(xi: GradedVector, ctx: FockContext | None = None) -> BozejkoRe
     ``lhs`` is the operator norm of ``sum_w xi_w psi_w`` at this truncation
     (a compression, hence a lower bound of the untruncated norm, so a bound
     violation would be a genuine failure); ``bound`` is
-    ``c_q(|q|)^(3/2) * (n+1) * ||xi||`` with the deformed two-norm.
+    ``c_q(|q|)^(3/2) * (n+1) * ||xi||`` with the deformed two-norm, +inf
+    where the constant overflows.  The operator is built in one pass of the
+    linear first-letter recursion (:func:`_wick_sum`), not word by word, and
+    has the parity of n, so :func:`op_norm` takes its two parity blocks.
     """
     if ctx is None:
         ctx = xi.ctx
@@ -369,14 +480,10 @@ def bozejko_check(xi: GradedVector, ctx: FockContext | None = None) -> BozejkoRe
             f"input must be supported on exactly one level, found levels {levels}"
         )
     n = levels[0]
-    coeffs = xi.level(n)
-    d = ctx.dim
-    check_dim(d, "word operator for the norm inequality", ctx.cap_override)
-    M = np.zeros((d, d), dtype=complex)
-    for idx in np.flatnonzero(coeffs):
-        M += coeffs[idx] * wick_matrix(ctx.index_word(n, idx), ctx)
-    lhs = op_norm(FockOperator(ctx, M))
+    check_dim(ctx.dim, "word operator for the norm inequality", ctx.cap_override)
+    re, im = _wick_sum(xi.level(n), n, ctx)
+    lhs = op_norm(FockOperator(ctx, re + 1j * im))
     l2 = float(np.sqrt(q_inner(xi, xi).real))
     c = c_q(ctx.q)
-    bound = c**1.5 * (n + 1) * l2
+    bound = _power(c, 1.5) * (n + 1) * l2
     return BozejkoReport(n, lhs, l2, bound, c, lhs <= bound + 1e-9)

@@ -13,12 +13,16 @@ globally so matrix layouts are reproducible.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityError, MAX_PERM_LENGTH, check_dim
+
+# index entries per chunk of the S_n sum (256 KiB of intp)
+_PQ_CHUNK = 1 << 15
 
 __all__ = [
     "Permutation",
@@ -129,7 +133,14 @@ def perm_action(p: Permutation, ctx) -> WordMatrix:
 
 
 def pq_direct(n: int, ctx) -> WordMatrix:
-    """Sum over all of S_n of q^inversions(p) times the word action of p."""
+    """Sum over all of S_n of q^inversions(p) times the word action of p.
+
+    Vectorized over the group, but each entry still adds its terms one at a
+    time in ``itertools.permutations`` order (``np.add.at`` is unbuffered and
+    sequential), so the result is bit-for-bit that of a per-permutation loop.
+    Permutations go in chunks of ``_PQ_CHUNK // N**n``, which bounds the
+    index temporaries.
+    """
     N, q = ctx.N, ctx.q
     d = N**n
     check_dim(d, f"word matrix at level {n}")
@@ -138,21 +149,26 @@ def pq_direct(n: int, ctx) -> WordMatrix:
             f"direct S_n sum needs n! = {math.factorial(n)} terms; "
             f"n = {n} exceeds the cap {MAX_PERM_LENGTH}"
         )
-    letters = _letters(n, N)
-    powers = N ** np.arange(n)
-    M = np.zeros((d, d))
+    # row p: 0-based images of the p-th permutation in itertools order
+    perms = np.fromiter(
+        itertools.chain.from_iterable(itertools.permutations(range(n))),
+        dtype=np.intp,
+        count=n * math.factorial(n),
+    ).reshape(-1, n)
+    inv = sum((perms[:, i, None] > perms[:, i + 1 :]).sum(axis=1) for i in range(n))
+    weights = np.array([q**k for k in range(n * (n - 1) // 2 + 1)])[inv]
+    # place[t, k]: flat row offset of letter k of every source word when it
+    # moves to position t of the target word
     src = np.arange(d)
-    import itertools
-
-    for images in itertools.permutations(range(1, n + 1)):
-        inv = sum(
-            1
-            for i in range(n)
-            for j in range(i + 1, n)
-            if images[i] > images[j]
-        )
-        tgt = letters[:, [images[t] - 1 for t in range(n)]] @ powers
-        M[tgt, src] += q**inv
+    place = (N ** np.arange(n) * d)[:, None, None] * _letters(n, N).T
+    M = np.zeros((d, d))
+    step = max(1, _PQ_CHUNK // d)
+    for s in range(0, len(perms), step):
+        chunk = perms[s : s + step]
+        flat = place[0, chunk[:, 0]] + src
+        for t in range(1, n):
+            flat += place[t, chunk[:, t]]
+        np.add.at(M.reshape(-1), flat.reshape(-1), np.repeat(weights[s : s + step], d))
     return WordMatrix(n, N, M)
 
 

@@ -263,6 +263,36 @@ def test_negative_exponent_value_as_separate_argument(capsys, argv):
     assert "expected one argument" not in separate[2]
 
 
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        (["constants", "--grid"], "-0.3:2"),
+        (["cocycle-sim", "--spec", "z-splitting", "--paths", "5", "--init"], "-3,5"),
+    ],
+)
+def test_negative_leading_value_as_separate_argument(capsys, argv, value):
+    # a grid pair or tuple that starts with a minus sign is a value too
+    separate = run([*argv, value], capsys)
+    attached = run([*argv[:-1], f"{argv[-1]}={value}"], capsys)
+    assert separate == attached
+    assert separate[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["constants", "--grid", "0.995:2"],
+        ["constants", "--grid", "0.999:2"],
+        ["verify", "--suite", "bozejko", "--n", "2", "--q", "0.997", "--level", "3"],
+    ],
+)
+def test_constants_near_one_report_inf(capsys, argv):
+    # c_q**3, c_q**1.5 or c_q itself overflows a float: reported as inf
+    code, out, err = run(argv, capsys)
+    assert code == 0, err
+    assert "inf" in out
+
+
 def test_unexpected_exception_exits_3_in_one_line(capsys, monkeypatch):
     import qfock.cli as cli
 

@@ -20,9 +20,10 @@ from qfock import (
     wick_word,
 )
 from qfock.errors import AlphabetError, HomogeneityError
-from qfock.fock import norm_q
+from qfock.fock import metric, norm_q
 from qfock.operators import (
     FockOperator,
+    _wick_sum,
     hs_norm,
     right_annihilation_mirror,
     right_gaussian,
@@ -401,6 +402,43 @@ def test_op_norm_compression_monotone():
         assert a <= b + 1e-12
 
 
+def _dense_op_norm(A: FockOperator) -> float:
+    m = metric(A.ctx)
+    return float(np.linalg.svd(m["Gh"] @ A.mat @ m["Gih"], compute_uv=False)[0])
+
+
+def _psi(ctx, n: int, coeffs: np.ndarray) -> FockOperator:
+    re, im = _wick_sum(coeffs, n, ctx)
+    return FockOperator(ctx, re + 1j * im)
+
+
+@pytest.mark.parametrize("N, q, L", [(1, 0.3, 5), (2, -0.3, 5), (3, 0.1, 4), (2, 0.4, 6)])
+def test_op_norm_parity_blocks_match_full_svd(N, q, L):
+    ctx = make_context(N, q, L)
+    rng = np.random.default_rng(5)
+    ops = [creation(1, ctx), annihilation(N, ctx), gaussian(1, ctx)]
+    ops += [wick_word(w, ctx) for w in [(1,), (1, 1), (N, 1, 1), (1, N, 1, N)] if len(w) <= L]
+    for n in range(1, min(4, L) + 1):
+        c = rng.standard_normal(N**n) + 1j * rng.standard_normal(N**n)
+        ops.append(_psi(ctx, n, c))
+    for A in ops:
+        assert op_norm(A) == pytest.approx(_dense_op_norm(A), rel=1e-13, abs=0)
+
+
+def test_op_norm_mixed_parity_takes_whole_matrix(monkeypatch):
+    import qfock.operators as operators
+
+    ctx = make_context(2, 0.3, 4)
+    A = FockOperator.identity(ctx) + creation(1, ctx)
+    want = _dense_op_norm(A)
+
+    def refuse(*args):
+        raise AssertionError("a mixed-parity operator has no parity blocks")
+
+    monkeypatch.setattr(operators, "_top_singular", refuse)
+    assert op_norm(A) == pytest.approx(want, rel=1e-13, abs=0)
+
+
 def test_hs_norm_of_identity():
     ctx = make_context(2, 0.3, 2)
     assert hs_norm(FockOperator.identity(ctx)) == pytest.approx(np.sqrt(ctx.dim))
@@ -458,6 +496,23 @@ def test_bozejko_random_sweep_small():
             rep = bozejko_check(xi, ctx)
             assert rep.passed
             assert rep.lhs >= rep.l2 - 1e-9
+
+
+@pytest.mark.parametrize("kind", ["complex", "sparse", "real"])
+@pytest.mark.parametrize("N, q, L", [(1, 0.3, 5), (2, -0.3, 5), (3, 0.1, 5), (2, 0.4, 6)])
+def test_linear_wick_sum_matches_word_by_word(N, q, L, kind):
+    ctx = make_context(N, q, L)
+    rng = np.random.default_rng(N + 10 * L)
+    for n in range(1, 6):
+        c = rng.standard_normal(N**n)
+        if kind != "real":
+            c = c + 1j * rng.standard_normal(N**n)
+        if kind == "sparse":
+            c[rng.random(N**n) < 0.7] = 0.0
+            c[0] = 1.0
+        want = sum(c[i] * wick_matrix(ctx.index_word(n, i), ctx) for i in range(N**n))
+        got = _psi(ctx, n, c).mat
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_right_gaussian_commutes_with_left():

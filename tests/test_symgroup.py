@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from qfock import make_context
 from qfock.errors import CapacityError
 from qfock.symgroup import (
     Permutation,
+    _letters,
     cycle_perm,
     inversions,
     mn_inverse,
@@ -98,6 +101,35 @@ def test_pq_direct_swap_entry_is_q():
     c = ctx()
     M = pq_direct(2, c).entries
     assert M[c.word_index((1, 2)), c.word_index((2, 1))] == pytest.approx(0.3)
+
+
+def pq_loop(n: int, c) -> np.ndarray:
+    """The S_n sum one permutation at a time, in itertools order (the oracle)."""
+    N, q = c.N, c.q
+    d = N**n
+    letters = _letters(n, N)
+    powers = N ** np.arange(n)
+    M = np.zeros((d, d))
+    src = np.arange(d)
+    for images in itertools.permutations(range(1, n + 1)):
+        inv = sum(
+            1 for i in range(n) for j in range(i + 1, n) if images[i] > images[j]
+        )
+        tgt = letters[:, [images[t] - 1 for t in range(n)]] @ powers
+        M[tgt, src] += q**inv
+    return M
+
+
+@pytest.mark.parametrize("q", [-0.3, 0.0, 0.3])
+@pytest.mark.parametrize(
+    "N, n",
+    [(1, n) for n in range(1, 9)]
+    + [(2, n) for n in range(1, 9)]
+    + [(3, n) for n in range(1, 7)],
+)
+def test_pq_direct_bitwise_equals_permutation_loop(N, n, q):
+    c = make_context(N, q, n)
+    assert np.array_equal(pq_direct(n, c).entries, pq_loop(n, c))
 
 
 @pytest.mark.parametrize("q", [-0.9, -0.5, -0.1, 0.0, 0.1, 0.5, 0.9])
