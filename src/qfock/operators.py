@@ -311,8 +311,8 @@ def trace_state(A: FockOperator) -> complex:
 
 
 def _parity_metric(ctx: FockContext) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """For even and then odd levels: their graded indices and the blocks of
-    ``Gh`` and ``Gih`` on them (both metrics are block diagonal by level)."""
+    """``(indices, Gh block, Gih block)`` for the even and then the odd
+    levels (both metrics are block diagonal by level)."""
 
     def build():
         m = metric(ctx)
@@ -327,12 +327,12 @@ def _parity_metric(ctx: FockContext) -> list[tuple[np.ndarray, np.ndarray, np.nd
     return ctx.memo("parity_metric", build)
 
 
-def _top_singular(left: np.ndarray, parts: list[np.ndarray], right: np.ndarray) -> float:
-    """Largest singular value of ``left @ (parts[0] + 1j parts[1]) @ right``
-    for real matrices, with ``parts = [real]`` or ``[real, imag]``."""
-    sym = left @ parts[0] @ right
-    if len(parts) == 2:
-        sym = sym + 1j * (left @ parts[1] @ right)
+def _sandwich_norm(left: np.ndarray, B: np.ndarray, right: np.ndarray) -> float:
+    """Largest singular value of ``left @ B @ right`` for real ``left`` and
+    ``right``; a complex B goes through as its real and imaginary parts."""
+    sym = left @ B.real @ right
+    if np.iscomplexobj(B):
+        sym = sym + 1j * (left @ B.imag @ right)
     return float(np.linalg.svd(sym, compute_uv=False)[0])
 
 
@@ -343,30 +343,27 @@ def op_norm(A: FockOperator) -> float:
     of the level or flips it (its other two parity blocks are exact zeros, as
     for word and field operators and the word operator of a homogeneous
     vector), that matrix has one nonzero block per input parity, and the norm
-    is the larger of the two blocks' top singular values; complex blocks are
-    sandwiched as separate real and imaginary parts.  An operator that mixes
-    parities gets one SVD of the whole matrix.
+    is the larger of the two blocks' top singular values.  An operator that
+    mixes parities gets one SVD of the whole matrix.
     """
     ctx = A.ctx
-    parts = [A.mat.real, A.mat.imag] if np.iscomplexobj(A.mat) else [A.mat]
-    (even, he, hie), (odd, ho, hio) = _parity_metric(ctx)
+    parity = _parity_metric(ctx)
 
-    def block(rows, cols):
-        return [p[np.ix_(rows, cols)] for p in parts]
+    def block(r: int, c: int) -> np.ndarray:
+        return A.mat[np.ix_(parity[r][0], parity[c][0])]
 
-    def zero(b):
-        return not any(p.any() for p in b)
-
-    ee, eo, oe, oo = block(even, even), block(even, odd), block(odd, even), block(odd, odd)
-    if zero(eo) and zero(oe):
-        blocks = [(he, ee, hie), (ho, oo, hio)]
-    elif zero(ee) and zero(oo):
-        blocks = [(he, eo, hio), (ho, oe, hie)]
+    if not (block(0, 1).any() or block(1, 0).any()):
+        pairs = [(0, 0), (1, 1)]
+    elif not (block(0, 0).any() or block(1, 1).any()):
+        pairs = [(0, 1), (1, 0)]
     else:
         m = metric(ctx)
-        sym = m["Gh"] @ A.mat @ m["Gih"]
-        return float(np.linalg.svd(sym, compute_uv=False)[0])
-    return max(_top_singular(*blk) for blk in blocks if blk[1][0].size)
+        return _sandwich_norm(m["Gh"], A.mat, m["Gih"])
+    return max(
+        _sandwich_norm(parity[r][1], block(r, c), parity[c][2])
+        for r, c in pairs
+        if parity[r][0].size and parity[c][0].size
+    )
 
 
 def hs_norm(A: FockOperator) -> float:

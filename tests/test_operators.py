@@ -412,8 +412,24 @@ def _psi(ctx, n: int, coeffs: np.ndarray) -> FockOperator:
     return FockOperator(ctx, re + 1j * im)
 
 
+@pytest.fixture
+def sandwich_shapes(monkeypatch):
+    """Shapes of the matrices whose sandwich ``op_norm`` takes an SVD of."""
+    import qfock.operators as operators
+
+    shapes = []
+    inner = operators._sandwich_norm
+
+    def spy(left, B, right):
+        shapes.append(B.shape)
+        return inner(left, B, right)
+
+    monkeypatch.setattr(operators, "_sandwich_norm", spy)
+    return shapes
+
+
 @pytest.mark.parametrize("N, q, L", [(1, 0.3, 5), (2, -0.3, 5), (3, 0.1, 4), (2, 0.4, 6)])
-def test_op_norm_parity_blocks_match_full_svd(N, q, L):
+def test_op_norm_parity_blocks_match_full_svd(N, q, L, sandwich_shapes):
     ctx = make_context(N, q, L)
     rng = np.random.default_rng(5)
     ops = [creation(1, ctx), annihilation(N, ctx), gaussian(1, ctx)]
@@ -422,21 +438,16 @@ def test_op_norm_parity_blocks_match_full_svd(N, q, L):
         c = rng.standard_normal(N**n) + 1j * rng.standard_normal(N**n)
         ops.append(_psi(ctx, n, c))
     for A in ops:
+        sandwich_shapes.clear()
         assert op_norm(A) == pytest.approx(_dense_op_norm(A), rel=1e-13, abs=0)
+        assert len(sandwich_shapes) == 2 and (ctx.dim, ctx.dim) not in sandwich_shapes
 
 
-def test_op_norm_mixed_parity_takes_whole_matrix(monkeypatch):
-    import qfock.operators as operators
-
+def test_op_norm_mixed_parity_takes_whole_matrix(sandwich_shapes):
     ctx = make_context(2, 0.3, 4)
     A = FockOperator.identity(ctx) + creation(1, ctx)
-    want = _dense_op_norm(A)
-
-    def refuse(*args):
-        raise AssertionError("a mixed-parity operator has no parity blocks")
-
-    monkeypatch.setattr(operators, "_top_singular", refuse)
-    assert op_norm(A) == pytest.approx(want, rel=1e-13, abs=0)
+    assert op_norm(A) == pytest.approx(_dense_op_norm(A), rel=1e-13, abs=0)
+    assert sandwich_shapes == [(ctx.dim, ctx.dim)]
 
 
 def test_hs_norm_of_identity():
