@@ -564,16 +564,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _is_negative_value(arg: str) -> bool:
+    """A number (``-1e-05``, ``-inf``) or anything else that starts with '-'
+    and a digit or '.' (``-0.3:2``, ``-3,5``); no option looks like that."""
+    if re.match(r"-[0-9.]", arg):
+        return True
+    try:
+        float(arg)
+    except ValueError:
+        return False
+    return arg.startswith("-")
+
+
 def _attach_negative_values(argv: list[str]) -> list[str]:
     """``--q -1e-05`` -> ``--q=-1e-05``.  argparse takes a separate argument
     that starts with '-' for an option unless it reads as ``-5`` or ``-.5``,
     so a negative value in exponent form, a grid ``-0.3:2`` or a tuple
-    ``-3,5`` would be refused as missing.  No option starts with '-' and a
-    digit or '.', so every such argument after an option is its value."""
+    ``-3,5`` would be refused as missing."""
     out: list[str] = []
     for arg in argv:
         flag = out[-1] if out else ""
-        if flag.startswith("--") and "=" not in flag and re.match(r"-[0-9.]", arg):
+        if flag.startswith("--") and "=" not in flag and _is_negative_value(arg):
             out[-1] = f"{flag}={arg}"
         else:
             out.append(arg)

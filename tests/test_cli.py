@@ -264,18 +264,20 @@ def test_negative_exponent_value_as_separate_argument(capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "argv, value",
+    "argv, value, code",
     [
-        (["constants", "--grid"], "-0.3:2"),
-        (["cocycle-sim", "--spec", "z-splitting", "--paths", "5", "--init"], "-3,5"),
+        (["constants", "--grid"], "-0.3:2", 0),
+        (["cocycle-sim", "--spec", "z-splitting", "--paths", "5", "--init"], "-3,5", 0),
+        (["gram", "--level", "2", "--q"], "-inf", 2),
     ],
 )
-def test_negative_leading_value_as_separate_argument(capsys, argv, value):
-    # a grid pair or tuple that starts with a minus sign is a value too
+def test_negative_leading_value_as_separate_argument(capsys, argv, value, code):
+    # a grid pair, a tuple or a non-finite number that starts with a minus
+    # sign is a value too
     separate = run([*argv, value], capsys)
     attached = run([*argv[:-1], f"{argv[-1]}={value}"], capsys)
     assert separate == attached
-    assert separate[0] == 0
+    assert separate[0] == code and "expected one argument" not in separate[2]
 
 
 @pytest.mark.parametrize(
