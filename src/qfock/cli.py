@@ -381,6 +381,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"unknown suite {args.suite!r}; choose from "
             f"{sorted(_SUITES)} or 'all'"
         )
+    if args.seed < 0:
+        raise QFockError(f"--seed must be >= 0, got {args.seed}")
     ctx = fock.make_context(args.n, args.q, args.level, args.cap_override)
     rng = np.random.default_rng(args.seed)
     names = sorted(_SUITES) if args.suite == "all" else [args.suite]
@@ -415,13 +417,12 @@ def cmd_gram(args: argparse.Namespace) -> int:
         bgb = np.abs(
             block.b.entries @ block.gamma.entries @ block.b.entries - np.eye(ctx.N**n)
         ).max()
-        vecs = fock.orthonormal_vectors(n, ctx) if ctx.N**n <= 64 else None
         ortho = 0.0
-        if vecs is not None:
-            Gm = np.array(
-                [[fock.q_inner(a, b, ctx).real for b in vecs] for a in vecs]
-            )
-            ortho = float(np.abs(Gm - np.eye(len(vecs))).max())
+        if ctx.N**n <= 64:
+            # all q-inner products of the level vectors: conj(V) . Gamma_n . V^T
+            V = np.array([v.level(n) for v in fock.orthonormal_vectors(n, ctx)])
+            Gm = (V.conj() @ block.gamma.entries @ V.T).real
+            ortho = float(np.abs(Gm - np.eye(len(V))).max())
         rows.append([n, ctx.N**n, block.min_eig, bgb, ortho])
     header = ["level", "dim", "min_eig", "bgb_residual", "orthonormality_residual"]
     if (args.fmt or "csv") == "json":

@@ -12,9 +12,12 @@ free groups of finite rank (elements are freely reduced tuples of signed
 generator indices).  Both are free, so extending a cocycle from arbitrary
 generator values along any letter decomposition is automatically consistent.
 
-Simulation uses one independent, counter-derived random stream per path, so
+Simulation uses one independent, counter-derived random stream per path:
+path p draws from the stream of ``numpy.random.default_rng([seed, p])``, so
 reports are reproducible bit for bit from (seed, parameters) and paths are
-trivially parallelizable.
+trivially parallelizable.  The streams' PCG64 states are derived for a block
+of paths at once, by numpy's SeedSequence hash in uint32 arrays, and one
+generator is set to each state in turn; no generator is built per path.
 
 Explosion is never decided: paths that hit the jump budget with time left
 are reported as censored, quantifying evidence, not a verdict.
@@ -24,7 +27,9 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -306,6 +311,87 @@ class SimReport:
         }
 
 
+# numpy's SeedSequence hash (pool of 4 uint32 words) and PCG64's 128-bit LCG
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_SEED_BLOCK = 4096  # paths whose PCG64 states are derived at once
+
+
+def _hashmix(value: np.ndarray, h: int, mult: int) -> tuple[np.ndarray, int]:
+    value = value ^ np.uint32(h)
+    h = (h * mult) & _MASK32
+    value = value * np.uint32(h)
+    return value ^ (value >> np.uint32(16)), h
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return r ^ (r >> np.uint32(16))
+
+
+def _int_words(n: int) -> list[int]:
+    """Little-endian uint32 words of n >= 0, as SeedSequence splits an int."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _pcg64_states(seed: int, start: int, stop: int) -> list[tuple[int, int]]:
+    """``(state, inc)`` of ``PCG64(SeedSequence([seed, p]))`` for p in
+    start..stop-1: the entropy hash, pool mixing and ``generate_state(4,
+    uint64)`` of SeedSequence run in uint32 arrays across the paths, then
+    PCG's ``srandom`` runs on Python ints.  p takes two entropy words from
+    2**32 on, so that range is hashed separately."""
+    out: list[tuple[int, int]] = []
+    lo = start
+    while lo < stop:
+        hi = stop if lo > _MASK32 else min(stop, _MASK32 + 1)
+        p = np.arange(lo, hi, dtype=np.uint64)
+        entropy = [np.full(hi - lo, w, dtype=np.uint32) for w in _int_words(seed)]
+        entropy.append((p & np.uint64(_MASK32)).astype(np.uint32))
+        if lo > _MASK32:
+            entropy.append((p >> np.uint64(32)).astype(np.uint32))
+        zero = np.zeros(hi - lo, dtype=np.uint32)
+        h = _INIT_A
+        pool = []
+        for i in range(_POOL_SIZE):
+            v, h = _hashmix(entropy[i] if i < len(entropy) else zero, h, _MULT_A)
+            pool.append(v)
+        for src in range(_POOL_SIZE):
+            for dst in range(_POOL_SIZE):
+                if src != dst:
+                    v, h = _hashmix(pool[src], h, _MULT_A)
+                    pool[dst] = _mix(pool[dst], v)
+        for src in range(_POOL_SIZE, len(entropy)):
+            for dst in range(_POOL_SIZE):
+                v, h = _hashmix(entropy[src], h, _MULT_A)
+                pool[dst] = _mix(pool[dst], v)
+        h = _INIT_B
+        words = []
+        for i in range(8):
+            v, h = _hashmix(pool[i % _POOL_SIZE], h, _MULT_B)
+            words.append(v.astype(np.uint64))
+        # little-endian uint64 pairs: seed = (w0|w1, w2|w3), inc = (w4|w5, w6|w7)
+        s_hi, s_lo, i_hi, i_lo = (
+            (words[2 * k] | (words[2 * k + 1] << np.uint64(32))).tolist()
+            for k in range(4)
+        )
+        for sh, sl, ih, il in zip(s_hi, s_lo, i_hi, i_lo):
+            # srandom: state = 0, step, state += seed, step (step: s*M + inc)
+            inc = ((ih << 64 | il) << 1 | 1) & _MASK128
+            state = (((sh << 64 | sl) + inc) * _PCG_MULT + inc) & _MASK128
+            out.append((state, inc))
+        lo = hi
+    return out
+
+
 def simulate(
     spec: CocycleSpec,
     init: ChainState,
@@ -316,8 +402,15 @@ def simulate(
 ) -> SimReport:
     """Exact-jump simulation: exponential holding times, split transitions.
 
-    One random stream per path, derived from (seed, path index); identical
-    arguments reproduce the report exactly.
+    Path p draws its uniforms, in order, from the stream of
+    ``numpy.random.default_rng([seed, p])``; identical arguments reproduce
+    the report exactly.  Those streams are not built one generator per path:
+    ``_pcg64_states`` derives their PCG64 states for blocks of
+    ``_SEED_BLOCK`` paths at once (so they take memory for one block, not
+    for all paths), one generator is set to each in turn, and its uniforms
+    are drawn in blocks.  Visited states are interned as integer ids into tables of
+    rates, target ids and cumulative move probabilities; ``rate`` and
+    ``transitions`` still run once per distinct state that needs them.
     """
     if max_jumps < 1:
         raise SimulationInputError(f"max_jumps must be >= 1, got {max_jumps}")
@@ -325,60 +418,82 @@ def simulate(
         raise SimulationInputError(f"n_paths must be >= 0, got {n_paths}")
     if not horizon >= 0:
         raise SimulationInputError(f"horizon must be >= 0, got {horizon}")
+    if seed < 0:
+        raise SimulationInputError(f"seed must be >= 0, got {seed}")
     G = spec.group
     for g in init:
         if G.is_identity(g):
             raise SimulationInputError(f"initial state {init!r} contains the identity")
-    # states recur across paths; memoized rates/moves keep long batches cheap
-    rate_memo: dict = {}
-    move_memo: dict = {}
+    # states recur across paths: each gets an id into these tables, filled
+    # the first time a path needs the entry
+    ids: dict = {init: 0}
+    states: list = [init]
+    rates: list = [None]
+    targets: list = [None]
+    cums: list = [None]
 
-    def state_rate(s):
-        r = rate_memo.get(s)
-        if r is None:
-            r = rate(spec, s)
-            rate_memo[s] = r
-        return r
+    def intern(s) -> int:
+        i = ids.get(s)
+        if i is None:
+            i = ids[s] = len(states)
+            states.append(s)
+            rates.append(None)
+            targets.append(None)
+            cums.append(None)
+        return i
 
-    def state_moves(s):
-        m = move_memo.get(s)
-        if m is None:
-            m = transitions(spec, s)
-            move_memo[s] = m
-        return m
-
+    bits = np.random.PCG64(0)  # its state is set for each path
+    gen = np.random.Generator(bits)
+    # a path draws (holding time, move) pairs, at most 2*max_jumps+1 uniforms;
+    # an even block never splits a pair, so only a holding time refills it
+    block = min(2 * max_jumps + 2, 32)
     jump_counts: list[int] = []
     absorbed = censored = active = 0
-    for p in range(n_paths):
-        rng = np.random.default_rng([seed, p])
-        state = init
-        t = 0.0
-        jumps = 0
-        while True:
-            R = state_rate(state)
-            if R <= 0.0:
-                absorbed += 1
-                break
-            dt = -math.log1p(-rng.random()) / R
-            if t + dt > horizon:
-                active += 1
-                break
-            t += dt
-            if jumps >= max_jumps:
-                censored += 1
-                break
-            moves = state_moves(state)
-            u = rng.random()
-            acc = 0.0
-            chosen = moves[-1][0]
-            for s2, prob in moves:
-                acc += prob
-                if u < acc:
-                    chosen = s2
+    for first in range(0, n_paths, _SEED_BLOCK):
+        for st, inc in _pcg64_states(seed, first, min(first + _SEED_BLOCK, n_paths)):
+            bits.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": st, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            draws = gen.random(block).tolist()
+            k = 0
+            sid = 0
+            t = 0.0
+            jumps = 0
+            while True:
+                R = rates[sid]
+                if R is None:
+                    R = rates[sid] = rate(spec, states[sid])
+                if R <= 0.0:
+                    absorbed += 1
                     break
-            state = chosen
-            jumps += 1
-        jump_counts.append(jumps)
+                if k == block:
+                    draws = gen.random(block).tolist()
+                    k = 0
+                dt = -math.log1p(-draws[k]) / R
+                k += 1
+                if t + dt > horizon:
+                    active += 1
+                    break
+                t += dt
+                if jumps >= max_jumps:
+                    censored += 1
+                    break
+                cum = cums[sid]
+                if cum is None:
+                    moves = transitions(spec, states[sid])
+                    targets[sid] = [intern(s2) for s2, _ in moves]
+                    cum = list(accumulate(prob for _, prob in moves))
+                    # u at or above the total (roundoff) takes the last move
+                    cum[-1] = math.inf
+                    cums[sid] = cum
+                # the first move whose cumulative probability exceeds u
+                sid = targets[sid][bisect_right(cum, draws[k])]
+                k += 1
+                jumps += 1
+            jump_counts.append(jumps)
     p_surv = (n_paths - censored) / n_paths if n_paths else 1.0
     halfwidth = (
         1.96 * math.sqrt(p_surv * (1.0 - p_surv) / n_paths) if n_paths else 0.0

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qfock
-from qfock import make_context
+from qfock import fock, make_context
 from qfock.cli import _SUITES, json_dumps_stable, main
 from qfock.deformation import xi_inverse_neumann
 from qfock.derivations import conjugate_variable, fisher_estimate, lipschitz_diagnostic
@@ -102,6 +102,27 @@ def test_gram_command(capsys):
     lines = out.strip().split("\r\n")
     assert lines[0].startswith("level,dim,min_eig")
     assert len(lines) == 5
+
+
+@pytest.mark.parametrize("n, q, level", [(2, 0.3, 6), (2, -0.3, 5), (3, 0.1, 3), (1, 0.4, 4)])
+def test_gram_orthonormality_matches_pairwise_q_inner(capsys, n, q, level):
+    # the per-level GEMM against one q_inner per pair of level vectors: both
+    # sit at rounding level (~1e-15) and agree within 1e-14
+    code, out, _ = run(
+        ["gram", "--n", str(n), "--q", str(q), "--level", str(level), "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    ctx = make_context(n, q, level)
+    for row in json.loads(out)["rows"]:
+        vecs = fock.orthonormal_vectors(row["level"], ctx)
+        pairwise = max(
+            abs(fock.q_inner(a, b, ctx).real - (i == j))
+            for i, a in enumerate(vecs)
+            for j, b in enumerate(vecs)
+        )
+        assert abs(row["orthonormality_residual"] - pairwise) <= 1e-14
+        assert row["orthonormality_residual"] <= 1e-13
 
 
 def test_xi_command(capsys):
@@ -233,6 +254,8 @@ def test_cap_override_flag(capsys):
         ["cocycle-sim", "--spec", "z-splitting", "--init", "3", "--horizon", "-1"],
         ["cocycle-sim", "--spec", "{dir}", "--init", "1"],
         ["gram", "--level", "2", "--out", "{dir}"],
+        ["cocycle-sim", "--spec", "z-splitting", "--init", "3", "--seed", "-1"],
+        ["verify", "--suite", "number", "--level", "2", "--seed", "-1"],
     ],
 )
 def test_bad_input_exits_2_without_traceback(argv, tmp_path):

@@ -1,5 +1,7 @@
 import json
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +19,8 @@ from qfock.cocycle import (
     transitions,
     z_splitting_spec,
 )
-from qfock.errors import AbsorbingStateError, CocycleSpecError
+from qfock.cocycle import _SEED_BLOCK, _pcg64_states
+from qfock.errors import AbsorbingStateError, CocycleSpecError, SimulationInputError
 
 
 # ---- group arithmetic ---------------------------------------------------------
@@ -211,6 +214,106 @@ def test_free_group_simulation_smoke():
     rep = simulate(spec, ((1, 1, 1),), horizon=1e9, n_paths=50, max_jumps=16, seed=0)
     assert rep.absorbed == 50
     assert all(j == 2 for j in rep.jump_counts)
+
+
+def test_simulation_rejects_negative_seed():
+    with pytest.raises(SimulationInputError, match="seed"):
+        simulate(z_splitting_spec(), (3,), horizon=1.0, n_paths=5, max_jumps=4, seed=-1)
+
+
+# ---- random streams: the per-path generator loop as the oracle ------------------
+
+# the rank-2 free-group spec of the benchmark's cocycle workload
+FREE_RANK2 = {
+    "group": {"kind": "free", "rank": 2},
+    "cocycles": [
+        {"generator_values": {"a": [{"element": "", "imag": 1.0}],
+                              "b": [{"element": "", "imag": 1.0}]}},
+        {"generator_values": {"a": [{"element": "", "imag": 0.5}],
+                              "b": [{"element": "", "imag": 2.0}]}},
+    ],
+}
+
+
+def simulate_per_path(spec, init, horizon, n_paths, max_jumps, seed):
+    """One ``default_rng([seed, p])`` per path and one scalar draw per uniform;
+    returns (jump_counts, absorbed, censored, active_at_horizon)."""
+    jump_counts = []
+    absorbed = censored = active = 0
+    for p in range(n_paths):
+        rng = np.random.default_rng([seed, p])
+        state = init
+        t = 0.0
+        jumps = 0
+        while True:
+            R = rate(spec, state)
+            if R <= 0.0:
+                absorbed += 1
+                break
+            dt = -math.log1p(-rng.random()) / R
+            if t + dt > horizon:
+                active += 1
+                break
+            t += dt
+            if jumps >= max_jumps:
+                censored += 1
+                break
+            moves = transitions(spec, state)
+            u = rng.random()
+            acc = 0.0
+            chosen = moves[-1][0]
+            for s2, prob in moves:
+                acc += prob
+                if u < acc:
+                    chosen = s2
+                    break
+            state = chosen
+            jumps += 1
+        jump_counts.append(jumps)
+    return jump_counts, absorbed, censored, active
+
+
+@pytest.mark.parametrize(
+    "free, init, horizon, n_paths, max_jumps, seed, shows",
+    [
+        (False, "12", 1e9, 200, 64, 0, "absorbed"),
+        (False, "12", 1e9, 200, 64, 3, "absorbed"),
+        (False, "12", 1e9, 200, 64, 2**32 + 5, "absorbed"),
+        (False, "12", 1e9, 200, 64, 2**200 + 1, "absorbed"),
+        (True, "abbab,bba", 1e9, 200, 64, 3, "absorbed"),
+        (True, "abAB", 0.7, 300, 40, 0, "active_at_horizon"),
+        (False, "9,4", 1.5, 300, 6, 5_000_000_000, "active_at_horizon"),
+        (False, "8", 1e9, 100, 1, 3, "censored"),
+        (True, "abbab,bba", 1e9, 100, 4, 2**200 + 1, "censored"),
+        # paths past 16 jumps draw more than one block of 32 uniforms
+        (False, "20", 2.5, 100, 64, 2**32 + 5, "active_at_horizon"),
+        # the second block of derived states
+        (False, "5", 1e9, _SEED_BLOCK + 3, 64, 3, "absorbed"),
+    ],
+)
+def test_simulate_matches_per_path_generators(
+    free, init, horizon, n_paths, max_jumps, seed, shows
+):
+    spec = load_cocycle_spec(FREE_RANK2) if free else z_splitting_spec()
+    state = parse_state(spec, init)
+    rep = simulate(spec, state, horizon, n_paths, max_jumps, seed)
+    want = simulate_per_path(spec, state, horizon, n_paths, max_jumps, seed)
+    assert (rep.jump_counts, rep.absorbed, rep.censored, rep.active_at_horizon) == want
+    assert getattr(rep, shows) > 0
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2**32 + 5, 2**200 + 1])
+@pytest.mark.parametrize(
+    "start, stop", [(0, 1), (_SEED_BLOCK - 1, _SEED_BLOCK + 1), (2**32 - 2, 2**32 + 2)]
+)
+def test_pcg64_states_match_seed_sequence(seed, start, stop):
+    # from p = 2**32 on, p enters the entropy as two words
+    want = [
+        np.random.PCG64(np.random.SeedSequence([seed, p])).state["state"]
+        for p in range(start, stop)
+    ]
+    got = _pcg64_states(seed, start, stop)
+    assert got == [(w["state"], w["inc"]) for w in want]
 
 
 # ---- JSON schema -------------------------------------------------------------------------
