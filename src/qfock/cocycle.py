@@ -242,15 +242,18 @@ def rate(spec: CocycleSpec, state: ChainState) -> float:
     )
 
 
-def transitions(spec: CocycleSpec, state: ChainState) -> list[tuple[ChainState, float]]:
+def transitions(
+    spec: CocycleSpec, state: ChainState, *, total_rate: float | None = None
+) -> list[tuple[ChainState, float]]:
     """Enumerate split transitions with their probabilities.
 
     Component g splits as d d' with both parts non-identity; d runs over the
     support of the cocycle values at g minus the two endpoints (splits
     outside the support carry probability zero and are omitted).
-    Probabilities sum to one by construction of the rate.
+    Probabilities sum to one by construction of the rate.  ``total_rate`` is
+    ``rate(spec, state)`` when the caller already has it.
     """
-    R = rate(spec, state)
+    R = rate(spec, state) if total_rate is None else total_rate
     if R <= 0.0:
         raise AbsorbingStateError(f"state {state!r} is absorbing (rate 0)")
     G = spec.group
@@ -483,7 +486,7 @@ def simulate(
                     break
                 cum = cums[sid]
                 if cum is None:
-                    moves = transitions(spec, states[sid])
+                    moves = transitions(spec, states[sid], total_rate=R)
                     targets[sid] = [intern(s2) for s2, _ in moves]
                     cum = list(accumulate(prob for _, prob in moves))
                     # u at or above the total (roundoff) takes the last move

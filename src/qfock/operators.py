@@ -213,10 +213,23 @@ def adjoint(A: FockOperator) -> FockOperator:
 # ---- word operators ---------------------------------------------------------
 
 
+def _wick_step(w: tuple[int, ...], head: np.ndarray, lower, q: float) -> np.ndarray:
+    """One step of the first-letter recursion for the word w:
+    ``head - sum_{j>=2} q^(j-2) [w_1 = w_j] lower(w_2.. without w_j)``, where
+    ``head`` is ``X_{w_1} psi_{w_2..}`` (for right multiplication, its
+    mirror) and ``lower`` returns the operator of a word two letters shorter."""
+    tail = w[1:]
+    M = head
+    for j in range(2, len(w) + 1):
+        if w[0] == w[j - 1]:
+            M = M - q ** (j - 2) * lower(tail[: j - 2] + tail[j - 1 :])
+    return M
+
+
 def wick_matrix(w: tuple[int, ...], ctx: FockContext) -> np.ndarray:
     """Matrix of the word operator with vacuum image equal to the basis word w.
 
-    Three-term recursion on the first letter:
+    Three-term recursion on the first letter (:func:`_wick_step`):
     ``psi_w = X_{w_1} psi_{w_2..} - sum_{j>=2} q^(j-2) [w_1 = w_j] psi_{w_2.. without j}``.
     Applying the result to the vacuum walks levels 0..len(w), so the vacuum
     property is exact for len(w) <= L.  Short words are memoized on the context.
@@ -228,13 +241,8 @@ def wick_matrix(w: tuple[int, ...], ctx: FockContext) -> np.ndarray:
     def build():
         if len(w) == 0:
             return np.eye(ctx.dim)
-        tail = w[1:]
-        M = gaussian(w[0], ctx).mat @ wick_matrix(tail, ctx)
-        for j in range(2, len(w) + 1):
-            if w[0] == w[j - 1]:
-                hatted = tail[: j - 2] + tail[j - 1 :]
-                M = M - ctx.q ** (j - 2) * wick_matrix(hatted, ctx)
-        return M
+        head = gaussian(w[0], ctx).mat @ wick_matrix(w[1:], ctx)
+        return _wick_step(w, head, lambda h: wick_matrix(h, ctx), ctx.q)
 
     return ctx.memo(("L", w), build) if len(w) <= _WICK_CACHE_MAX_LEN else build()
 
@@ -253,15 +261,41 @@ def right_wick_matrix(w: tuple[int, ...], ctx: FockContext) -> np.ndarray:
     def build():
         if len(w) == 0:
             return np.eye(ctx.dim)
-        tail = w[1:]
-        M = right_wick_matrix(tail, ctx) @ right_gaussian(w[0], ctx).mat
-        for j in range(2, len(w) + 1):
-            if w[0] == w[j - 1]:
-                hatted = tail[: j - 2] + tail[j - 1 :]
-                M = M - ctx.q ** (j - 2) * right_wick_matrix(hatted, ctx)
-        return M
+        head = right_wick_matrix(w[1:], ctx) @ right_gaussian(w[0], ctx).mat
+        return _wick_step(w, head, lambda h: right_wick_matrix(h, ctx), ctx.q)
 
     return ctx.memo(("R", w), build) if len(w) <= _WICK_CACHE_MAX_LEN else build()
+
+
+def _level_stack(n: int, ctx: FockContext) -> np.ndarray:
+    """``(N^n, dim, dim)`` stack of the level-n word operators in word-index
+    order, for ``n <= _WICK_CACHE_MAX_LEN``; memoized per context.
+
+    Built from the two levels below by the recursion of :func:`wick_matrix`:
+    word ``i + N t`` (first letter i + 1, tail t) gets ``X_(i+1) S_(n-1)[t]``
+    from one ``(N dim, dim) x (dim, dim)`` product per tail, then the
+    :func:`_wick_step` terms from ``S_(n-2)``.  Only whole-level contractions
+    use these stacks; single words keep the per-word memo of
+    :func:`wick_matrix`.
+    """
+
+    def build():
+        N, d = ctx.N, ctx.dim
+        if n == 0:
+            return np.eye(d)[None]
+        if n == 1:
+            return np.stack([gaussian(i, ctx).mat for i in range(1, N + 1)])
+        fields = _level_stack(1, ctx).reshape(N * d, d)
+        S = np.empty((N**n, d, d))
+        np.matmul(fields, _level_stack(n - 1, ctx), out=S.reshape(N ** (n - 1), N * d, d))
+        lower = _level_stack(n - 2, ctx)
+        for idx in range(N**n):
+            w = ctx.index_word(n, idx)
+            if w[0] in w[1:]:
+                S[idx] = _wick_step(w, S[idx], lambda h: lower[ctx.word_index(h)], ctx.q)
+        return S
+
+    return ctx.memo(("level_stack", n), build)
 
 
 def wick_word(w: tuple[int, ...], ctx: FockContext) -> FockOperator:
@@ -328,12 +362,15 @@ def _parity_metric(ctx: FockContext) -> list[tuple[np.ndarray, np.ndarray, np.nd
 
 
 def _sandwich_norm(left: np.ndarray, B: np.ndarray, right: np.ndarray) -> float:
-    """Largest singular value of ``left @ B @ right`` for real ``left`` and
-    ``right``; a complex B goes through as its real and imaginary parts."""
-    sym = left @ B.real @ right
+    """Largest singular value of ``S = left @ B @ right`` for real ``left``
+    and ``right``: the square root of the top ``eigvalsh`` eigenvalue of the
+    smaller of ``S S^H`` and ``S^H S``.  A complex B goes through as its real
+    and imaginary parts."""
+    S = left @ B.real @ right
     if np.iscomplexobj(B):
-        sym = sym + 1j * (left @ B.imag @ right)
-    return float(np.linalg.svd(sym, compute_uv=False)[0])
+        S = S + 1j * (left @ B.imag @ right)
+    gram = S @ S.conj().T if S.shape[0] <= S.shape[1] else S.conj().T @ S
+    return math.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0))
 
 
 def op_norm(A: FockOperator) -> float:
@@ -343,8 +380,9 @@ def op_norm(A: FockOperator) -> float:
     of the level or flips it (its other two parity blocks are exact zeros, as
     for word and field operators and the word operator of a homogeneous
     vector), that matrix has one nonzero block per input parity, and the norm
-    is the larger of the two blocks' top singular values.  An operator that
-    mixes parities gets one SVD of the whole matrix.
+    is the larger of the two blocks' values.  An operator that mixes parities
+    is taken whole.  Each value comes from the smaller Gram matrix of the
+    block (:func:`_sandwich_norm`).
     """
     ctx = A.ctx
     parity = _parity_metric(ctx)
@@ -401,50 +439,44 @@ def _power(c: float, e: float) -> float:
         return math.inf
 
 
-def _hatted(coeffs: np.ndarray, n: int, ctx: FockContext) -> np.ndarray:
-    """Level-(n-2) coefficients of ``sum_w coeffs[w] sum_{j>=2} q^(j-2)
-    [w_1 = w_j] (w without letters 1 and j)``: the subtracted words of the
-    :func:`wick_matrix` recursion, collected over all w."""
-    # axis n-1-t of the tensor holds letter t (first letter least significant)
-    T = coeffs.reshape((ctx.N,) * n)
-    eta = np.zeros(ctx.N ** (n - 2), dtype=coeffs.dtype)
+def _hatted(C: np.ndarray, n: int, ctx: FockContext) -> np.ndarray:
+    """Level-(n-2) coefficients of ``sum_w C[r, w] sum_{j>=2} q^(j-2)
+    [w_1 = w_j] (w without letters 1 and j)`` for each row r of C: the
+    subtracted words of the :func:`_wick_step` recursion, collected over all w."""
+    # axis n-t of the tensor holds letter t (first letter least significant)
+    T = C.reshape((len(C),) + (ctx.N,) * n)
+    eta = np.zeros((len(C), ctx.N ** (n - 2)), dtype=C.dtype)
     for j in range(1, n):
-        eta += ctx.q ** (j - 1) * np.diagonal(T, axis1=n - 1 - j, axis2=n - 1).sum(-1).reshape(-1)
+        eta += ctx.q ** (j - 1) * np.diagonal(T, axis1=n - j, axis2=n).sum(-1).reshape(len(C), -1)
     return eta
 
 
-def _wick_sum(coeffs: np.ndarray, n: int, ctx: FockContext) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of ``sum_w coeffs[w] * wick_matrix(w)`` over
-    the level-n words.
+def _wick_sum(C: np.ndarray, n: int, ctx: FockContext) -> np.ndarray:
+    """``sum_w C[r, w] * wick_matrix(w)`` over the level-n words for each row
+    r of the real block C, as a ``(rows, dim, dim)`` array; a complex vector
+    goes in as the block of its real and imaginary parts.
 
-    The first-letter recursion of :func:`wick_matrix` is linear in the word,
-    so it applies to the whole coefficient vector at once:
+    Up to level ``_WICK_CACHE_MAX_LEN`` that is one product of C with the
+    level stack.  Above it, the first-letter recursion of :func:`wick_matrix`
+    is linear in the word, so it applies to the whole block at once:
     ``psi(xi) = sum_i X_i psi(xi_i) - psi(eta)`` with ``xi_i(t) = xi(i t)``
-    and eta from :func:`_hatted`.  Levels up to ``_WICK_CACHE_MAX_LEN`` add up
-    the memoized word matrices.
+    and eta from :func:`_hatted`.  For each row, the sub-sums of all first
+    letters come from one block one level down and meet ``[X_1 ... X_N]`` in
+    one product.
     """
     d = ctx.dim
-    re = np.zeros((d, d))
-    im = np.zeros((d, d))
     if n <= _WICK_CACHE_MAX_LEN:
-        for idx in np.flatnonzero(coeffs):
-            W = wick_matrix(ctx.index_word(n, idx), ctx)
-            re += coeffs[idx].real * W
-            im += coeffs[idx].imag * W
-        return re, im
-    by_first = coeffs.reshape(-1, ctx.N)  # [tail index, first letter - 1]
-    for i in range(ctx.N):
-        if by_first[:, i].any():
-            X = gaussian(i + 1, ctx).mat
-            sub_re, sub_im = _wick_sum(by_first[:, i], n - 1, ctx)
-            re += X @ sub_re
-            im += X @ sub_im
-    eta = _hatted(coeffs, n, ctx)
-    if eta.any():
-        sub_re, sub_im = _wick_sum(eta, n - 2, ctx)
-        re -= sub_re
-        im -= sub_im
-    return re, im
+        S = _level_stack(n, ctx)
+        return (C @ S.reshape(len(S), d * d)).reshape(len(C), d, d)
+    N = ctx.N
+    # [r, i] holds the tails of the words of row r with first letter i + 1
+    by_first = C.reshape(len(C), -1, N).transpose(0, 2, 1)
+    fields = _level_stack(1, ctx).transpose(1, 0, 2).reshape(d, N * d)
+    out = np.empty((len(C), d, d))
+    for r in range(len(C)):
+        np.matmul(fields, _wick_sum(by_first[r], n - 1, ctx).reshape(N * d, d), out=out[r])
+    out -= _wick_sum(_hatted(C, n, ctx), n - 2, ctx)
+    return out
 
 
 @dataclass(frozen=True)
@@ -464,9 +496,10 @@ def bozejko_check(xi: GradedVector, ctx: FockContext | None = None) -> BozejkoRe
     (a compression, hence a lower bound of the untruncated norm, so a bound
     violation would be a genuine failure); ``bound`` is
     ``c_q(|q|)^(3/2) * (n+1) * ||xi||`` with the deformed two-norm, +inf
-    where the constant overflows.  The operator is built in one pass of the
-    linear first-letter recursion (:func:`_wick_sum`), not word by word, and
-    has the parity of n, so :func:`op_norm` takes its two parity blocks.
+    where the constant overflows.  The operator is contracted from the
+    memoized level stacks of the short words (:func:`_wick_sum`), not built
+    word by word, and has the parity of n, so :func:`op_norm` takes its two
+    parity blocks.
     """
     if ctx is None:
         ctx = xi.ctx
@@ -478,7 +511,8 @@ def bozejko_check(xi: GradedVector, ctx: FockContext | None = None) -> BozejkoRe
         )
     n = levels[0]
     check_dim(ctx.dim, "word operator for the norm inequality", ctx.cap_override)
-    re, im = _wick_sum(xi.level(n), n, ctx)
+    coeffs = xi.level(n)
+    re, im = _wick_sum(np.stack([coeffs.real, coeffs.imag]), n, ctx)
     lhs = op_norm(FockOperator(ctx, re + 1j * im))
     l2 = float(np.sqrt(q_inner(xi, xi).real))
     c = c_q(ctx.q)

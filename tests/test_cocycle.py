@@ -316,6 +316,32 @@ def test_pcg64_states_match_seed_sequence(seed, start, stop):
     assert got == [(w["state"], w["inc"]) for w in want]
 
 
+def test_simulate_rates_each_visited_state_once(monkeypatch):
+    import qfock.cocycle as cocycle
+
+    rated, split = [], []
+    inner_rate, inner_transitions = cocycle.rate, cocycle.transitions
+
+    def count_rate(spec, state):
+        rated.append(state)
+        return inner_rate(spec, state)
+
+    def count_transitions(spec, state, **kwargs):
+        split.append(state)
+        return inner_transitions(spec, state, **kwargs)
+
+    # module-level names, so a rate() inside transitions() is counted too
+    monkeypatch.setattr(cocycle, "rate", count_rate)
+    monkeypatch.setattr(cocycle, "transitions", count_transitions)
+    spec = z_splitting_spec()
+    simulate(spec, (12,), 1e9, 2000, 64, 11)
+    assert len(rated) == len(set(rated))
+    assert len(split) == len(set(split))
+    # every rated state is split except the absorbing all-ones state
+    assert set(split) == set(rated) - {(1,) * 12}
+    assert len(rated) > 1000
+
+
 # ---- JSON schema -------------------------------------------------------------------------
 
 

@@ -23,6 +23,7 @@ from qfock.errors import AlphabetError, HomogeneityError
 from qfock.fock import metric, norm_q
 from qfock.operators import (
     FockOperator,
+    _level_stack,
     _wick_sum,
     hs_norm,
     right_annihilation_mirror,
@@ -408,13 +409,13 @@ def _dense_op_norm(A: FockOperator) -> float:
 
 
 def _psi(ctx, n: int, coeffs: np.ndarray) -> FockOperator:
-    re, im = _wick_sum(coeffs, n, ctx)
+    re, im = _wick_sum(np.stack([coeffs.real, coeffs.imag]), n, ctx)
     return FockOperator(ctx, re + 1j * im)
 
 
 @pytest.fixture
 def sandwich_shapes(monkeypatch):
-    """Shapes of the matrices whose sandwich ``op_norm`` takes an SVD of."""
+    """Shapes of the matrices whose sandwich ``op_norm`` takes the norm of."""
     import qfock.operators as operators
 
     shapes = []
@@ -428,7 +429,9 @@ def sandwich_shapes(monkeypatch):
     return shapes
 
 
-@pytest.mark.parametrize("N, q, L", [(1, 0.3, 5), (2, -0.3, 5), (3, 0.1, 4), (2, 0.4, 6)])
+@pytest.mark.parametrize(
+    "N, q, L", [(1, 0.3, 5), (2, -0.3, 5), (3, 0.1, 4), (2, 0.4, 6), (3, 0.1, 5)]
+)
 def test_op_norm_parity_blocks_match_full_svd(N, q, L, sandwich_shapes):
     ctx = make_context(N, q, L)
     rng = np.random.default_rng(5)
@@ -524,6 +527,50 @@ def test_linear_wick_sum_matches_word_by_word(N, q, L, kind):
         want = sum(c[i] * wick_matrix(ctx.index_word(n, i), ctx) for i in range(N**n))
         got = _psi(ctx, n, c).mat
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("N, q, L", [(1, 0.3, 3), (2, -0.3, 4), (3, 0.1, 3)])
+def test_level_stack_matches_word_operators(N, q, L):
+    ctx = make_context(N, q, L)
+    for n in range(4):
+        S = _level_stack(n, ctx)
+        assert S.shape == (N**n, ctx.dim, ctx.dim)
+        for idx in range(N**n):
+            want = wick_matrix(ctx.index_word(n, idx), ctx)
+            assert np.abs(S[idx] - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_bozejko_builds_no_single_word_operator(monkeypatch):
+    import qfock.operators as operators
+
+    def refuse(w, ctx):
+        raise AssertionError(f"word {w} built on its own")
+
+    # the level stacks are the only copy of each word operator
+    monkeypatch.setattr(operators, "wick_matrix", refuse)
+    ctx = make_context(3, 0.1, 5)
+    rng = np.random.default_rng(2)
+    for n in (1, 2, 3, 4):
+        xi = GradedVector.zero(ctx)
+        xi.level(n)[:] = rng.standard_normal(3**n) + 1j * rng.standard_normal(3**n)
+        assert bozejko_check(xi, ctx).passed
+
+
+def test_single_word_requests_do_not_build_a_level():
+    import tracemalloc
+
+    ctx = make_context(3, 0.1, 5)
+    for i in (1, 2):
+        gaussian(i, ctx)
+    tracemalloc.start()
+    try:
+        for w in [(1,), (1, 1), (1, 2), (2, 1, 1)]:
+            wick_word(w, ctx)
+        allocated, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # six word matrices of 1 MiB each; the whole of levels 0..3 is 40 of them
+    assert allocated < 10 * 2**20
 
 
 def test_right_gaussian_commutes_with_left():
