@@ -19,7 +19,6 @@ from .deformation import (
     ConstantsReport,
     HSElement,
     constants,
-    lr_action,
     xi_as_hs,
     xi_inverse_neumann,
     xi_multiplier,

@@ -36,7 +36,6 @@ from .errors import (
     NonConvergenceWarning,
     QRangeError,
     SquareRootUnavailableError,
-    check_doubled_axis,
 )
 from .fock import FockContext, _rev_perm, gram, metric
 from .operators import FockOperator, _power, c_q, left_wick_stack, right_wick_stack
@@ -47,7 +46,6 @@ __all__ = [
     "xi_multiplier",
     "xi_as_hs",
     "multiplier_of",
-    "lr_action",
     "lr_apply",
     "rl_apply",
     "hs_mult",
@@ -55,8 +53,6 @@ __all__ = [
     "hs_norm_of",
     "unit_hs",
     "doubled_op_norm",
-    "doubled_psd_sqrt",
-    "apply_in_orthonormal",
     "constants",
     "neumann_series",
     "neumann_residual",
@@ -266,25 +262,6 @@ def hs_norm_of(T: HSElement) -> float:
     return float(math.sqrt(max(hs_inner(T, T).real, 0.0)))
 
 
-def _dense_action(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Dense matrix of ``V -> sum_{u,v} C[u,v] . A_u @ V @ B_v^T`` (dim**2
-    square), guarded by the doubled-axis capacity cap.
-
-    Index convention: row/column ``i * dim + j`` is (basis i) (x) (basis j).
-    """
-    d = A.shape[1]
-    check_doubled_axis(d, "dense doubled-space action matrix")
-    W = _weighted_stack(_real_if_possible(C), B)  # (u, x2, y2)
-    M = np.tensordot(A, W, axes=(0, 0))  # (x1, y1, x2, y2)
-    return M.transpose(0, 2, 1, 3).reshape(d * d, d * d)
-
-
-def lr_action(T: HSElement) -> np.ndarray:
-    """Dense matrix of the left action on the doubled space (dim**2 square)."""
-    ctx = T.ctx
-    return _dense_action(left_wick_stack(ctx), right_wick_stack(ctx), T.coeffs)
-
-
 def _sym_stacks(ctx: FockContext) -> tuple[np.ndarray, np.ndarray]:
     """Word-operator stacks conjugated into metric-orthonormal coordinates.
 
@@ -316,14 +293,6 @@ def _star(ctx: FockContext, C: np.ndarray) -> np.ndarray:
     """
     rev = _rev_perm(ctx)
     return C[np.ix_(rev, rev)].conj()
-
-
-def _dense_sym_action(ctx: FockContext, C: np.ndarray, which: str = "left") -> np.ndarray:
-    """Dense action matrix in metric-orthonormal coordinates (dim**2 square)."""
-    Ah, Bh = _sym_stacks(ctx)
-    if which == "right":
-        Ah, Bh = Bh, Ah
-    return _dense_action(Ah, Bh, C)
 
 
 def _sym_action(ctx: FockContext, C: np.ndarray):
@@ -370,31 +339,31 @@ _LANCZOS_TOL = 1e-11
 _LANCZOS_STRIDE = 4
 _LANCZOS_MAX_STEPS = 1000
 _EPS = np.finfo(float).eps
+# the square root of the deformation action: unavailable below this least
+# eigenvalue (those above it are clipped to 0), and converged once one stride
+# changes it by at most _SQRT_TOL relative
+_SQRT_NEG_TOL = 1e-9
+_SQRT_TOL = 1e-13
 
 
-def _extreme_eig(matvec, d2: int, dtype, which: str) -> float:
-    """Extreme eigenvalue of a self-adjoint operator on the doubled space:
-    ``which`` is "LA" (largest), "SA" (smallest) or "LM" (largest modulus).
+def _lanczos(matvec, v: np.ndarray, dtype):
+    """Lanczos iteration on a self-adjoint operator of the doubled space from
+    the start vector ``v``, with full reorthogonalization (classical
+    Gram-Schmidt, twice per step).
 
-    Lanczos iteration with full reorthogonalization (classical Gram-Schmidt,
-    twice per step) from one seeded Gaussian start vector: a constant vector
-    is invariant under letter relabelling and word reversal, so its Krylov
-    space never leaves that symmetric sector and misses extremes that lie
-    outside it.  Every ``_LANCZOS_STRIDE`` steps the wanted Ritz value
-    ``theta`` is tested with ARPACK's rule, ``|beta * s_last| <=
-    _LANCZOS_TOL * max(|theta|, eps**(2/3) * max|Ritz value|)``; ARPACK's
-    floor is ``eps**(2/3)`` itself, which would accept any Ritz value of an
-    operator whose norm lies below it.  The iteration also stops,
-    with exact Ritz values, once the Krylov space is exhausted: after
-    ``d2`` steps, or when the new residual is at the rounding level of the
-    matvec (an invariant subspace, e.g. the unit element after one step).
-    Raises :class:`EigensolverError` after ``_LANCZOS_MAX_STEPS`` steps
-    without either.
+    Every ``_LANCZOS_STRIDE`` steps, and once the Krylov space is exhausted,
+    yields ``(theta, S, beta, Q, exhausted)``: the eigendecomposition of the
+    tridiagonal matrix, the norm of the new residual and the basis so far (the
+    rows of Q).  The space is exhausted after ``len(v)`` steps, or when the new
+    residual is at the rounding level of the matvec (an invariant subspace,
+    e.g. the unit element after one step); the consumer stops there at the
+    latest.  Raises :class:`EigensolverError` after ``_LANCZOS_MAX_STEPS``
+    steps without a stop.
     """
+    d2 = v.size
     m = min(d2, _LANCZOS_MAX_STEPS)
     Q = np.empty((min(m, 2 * _LANCZOS_STRIDE), d2), dtype=dtype)  # doubles as it fills
     alpha, beta = np.zeros(m), np.zeros(m)
-    v = np.random.default_rng(0).standard_normal(d2)
     Q[0] = v / np.linalg.norm(v)
     anorm = 0.0
     for j in range(m):
@@ -411,19 +380,53 @@ def _extreme_eig(matvec, d2: int, dtype, which: str) -> float:
             theta, S = np.linalg.eigh(
                 np.diag(alpha[: j + 1]) + np.diag(beta[:j], 1) + np.diag(beta[:j], -1)
             )
-            top = int(np.abs(theta).argmax())
-            i = {"LA": -1, "SA": 0, "LM": top}[which]
-            floor = _EPS ** (2 / 3) * abs(theta[top])
-            if exhausted or beta[j] * abs(S[-1, i]) <= _LANCZOS_TOL * max(abs(theta[i]), floor):
-                return float(theta[i])
+            yield theta, S, beta[j], Q[: j + 1], exhausted
         if j + 1 == len(Q) < m:
             Q = np.concatenate([Q, np.empty((min(len(Q), m - len(Q)), d2), dtype=dtype)])
         if j + 1 < m:
             Q[j + 1] = w / beta[j]
     raise EigensolverError(
-        f"Lanczos ({which}) did not converge in {m} steps on a doubled space "
-        f"of dimension {d2}"
+        f"Lanczos did not converge in {m} steps on a doubled space of dimension {d2}"
     )
+
+
+def _extreme_eig(matvec, d2: int, dtype, which: str) -> float:
+    """Extreme eigenvalue of a self-adjoint operator on the doubled space:
+    ``which`` is "LA" (largest), "SA" (smallest) or "LM" (largest modulus).
+
+    :func:`_lanczos` from one seeded Gaussian start vector: a constant vector
+    is invariant under letter relabelling and word reversal, so its Krylov
+    space never leaves that symmetric sector and misses extremes that lie
+    outside it.  The wanted Ritz value ``theta`` is tested with ARPACK's
+    rule, ``|beta * s_last| <= _LANCZOS_TOL * max(|theta|, eps**(2/3) *
+    max|Ritz value|)``; ARPACK's floor is ``eps**(2/3)`` itself, which would
+    accept any Ritz value of an operator whose norm lies below it.  Ritz
+    values are exact once the Krylov space is exhausted.
+    """
+    v = np.random.default_rng(0).standard_normal(d2)
+    for theta, S, beta, _, exhausted in _lanczos(matvec, v, dtype):
+        top = int(np.abs(theta).argmax())
+        i = {"LA": -1, "SA": 0, "LM": top}[which]
+        floor = _EPS ** (2 / 3) * abs(theta[top])
+        if exhausted or beta * abs(S[-1, i]) <= _LANCZOS_TOL * max(abs(theta[i]), floor):
+            return float(theta[i])
+
+
+def _lanczos_sqrt(matvec, b: np.ndarray) -> np.ndarray:
+    """``A**(1/2) b`` for a self-adjoint PSD operator A: ``|b| Q sqrt(T) e_1``
+    over the :func:`_lanczos` basis Q from b, with the Ritz values of T
+    clipped at 0 (Higham, *Functions of Matrices*, 2008, ch. 13).  Stops at
+    exhaustion, or when one stride changes the coefficients over Q by at most
+    ``_SQRT_TOL`` relative."""
+    if not b.any():
+        return b
+    prev = np.zeros(0)
+    for theta, S, _, Q, exhausted in _lanczos(matvec, b, b.dtype):
+        c = S @ (np.sqrt(np.clip(theta, 0.0, None)) * S[0])
+        change = np.linalg.norm(c - np.pad(prev, (0, len(c) - len(prev))))
+        if exhausted or change <= _SQRT_TOL * np.linalg.norm(c):
+            return np.linalg.norm(b) * (c @ Q)
+        prev = c
 
 
 def doubled_op_norm(T: HSElement, hermitian: bool = False) -> float:
@@ -464,36 +467,30 @@ def _xi_spectral_range(ctx: FockContext) -> tuple[float, float]:
     return ctx.memo("spec_range", build)
 
 
-def doubled_psd_sqrt(T: HSElement, which: str = "right", tol: float = 1e-9) -> np.ndarray:
-    """Metric-symmetric PSD square root of the (right or left) action of T.
+def _xi_sqrt_right(ctx: FockContext, C: np.ndarray) -> np.ndarray:
+    """Coefficients of T hit on the right by the PSD square root of the
+    deformation operator, for T with coefficient matrix C.
 
-    Returns a dense dim**2 matrix in METRIC-ORTHONORMAL coordinates; apply it
-    with :func:`apply_in_orthonormal`.  Above dim 64 the doubled-axis cap
-    raises :class:`CapacityError`.  Raises
-    :class:`SquareRootUnavailableError` when the action has eigenvalues below
-    ``-tol`` (possible for q < 0 at finite truncation); eigenvalues in
-    (-tol, 0) are clipped to 0.
+    In metric-orthonormal coordinates the right action of an element X sends
+    V to ``(left action of X^T on V^T)^T``.  The coefficient matrix of the
+    deformation operator is symmetric (its Gram blocks are invariant under
+    word reversal), so its right action has the spectrum of
+    :func:`_xi_spectral_range`, and the root is unavailable when the lower
+    end lies below ``-_SQRT_NEG_TOL``.  The root is applied matrix-free by
+    :func:`_lanczos_sqrt` on the symmetrized left action of ``X^T``.
     """
-    ctx = T.ctx
-    sym = _dense_sym_action(ctx, T.coeffs, which)
-    sym = (sym + sym.conj().T) / 2.0
-    w, U = np.linalg.eigh(sym)
-    if w.min() < -tol:
+    lo, _ = _xi_spectral_range(ctx)
+    if lo < -_SQRT_NEG_TOL:
         raise SquareRootUnavailableError(
-            f"doubled-space action has eigenvalue {w.min():.3e} < -{tol}; "
+            f"doubled-space action has eigenvalue {lo:.3e} < -{_SQRT_NEG_TOL}; "
             f"no real PSD square root at this truncation (q = {ctx.q})"
         )
-    w = np.clip(w, 0.0, None)
-    return (U * np.sqrt(w)) @ U.conj().T
-
-
-def apply_in_orthonormal(ctx: FockContext, M: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Apply a metric-orthonormal-coordinates doubled matrix to a standard-
-    coordinates vector (dim, dim), returning standard coordinates."""
     m = metric(ctx)
-    Vg = m["Gh"] @ V @ m["Gh"]
-    out = (M @ Vg.reshape(-1)).reshape(ctx.dim, ctx.dim)
-    return m["Gih"] @ out @ m["Gih"]
+    X = _real_if_possible(xi_as_hs(ctx).coeffs)
+    sym = _sym_action(ctx, ((X + _star(ctx, X)) / 2).T)
+    b = (m["Gh"] @ _real_if_possible(C) @ m["Gh"]).T.reshape(-1)
+    Y = _lanczos_sqrt(sym, b).reshape(ctx.dim, ctx.dim).T
+    return m["Gih"] @ Y @ m["Gih"]
 
 
 # ---- explicit constants ------------------------------------------------------

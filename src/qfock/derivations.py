@@ -28,7 +28,6 @@ import numpy as np
 from .deformation import (
     HSElement,
     doubled_op_norm,
-    doubled_psd_sqrt,
     hs_inner,
     hs_mult,
     hs_norm_of,
@@ -36,6 +35,7 @@ from .deformation import (
     neumann_series,
     xi_as_hs,
     _star,
+    _xi_sqrt_right,
     _xi_spectral_range,
 )
 from .errors import AlphabetError, CapacityError, SquareRootUnavailableError
@@ -47,6 +47,7 @@ from .operators import (
     left_wick_stack,
     right_annihilation,
     right_creation,
+    _sandwich_norm,
 )
 
 __all__ = [
@@ -302,10 +303,7 @@ def derive(P: NCPoly, j: int, tag: DerivationTag, ctx: FockContext):
             raise ValueError(f"level cap {tag.Q} exceeds truncation level {ctx.L}")
         return hs_mult(HSElement(ctx, C), xi_as_hs(ctx, tag.Q))
     if tag.kind == "Q_SQRT":
-        root = doubled_psd_sqrt(xi_as_hs(ctx), which="right")
-        from .deformation import apply_in_orthonormal
-
-        return HSElement(ctx, apply_in_orthonormal(ctx, root, C))
+        return HSElement(ctx, _xi_sqrt_right(ctx, C))
     raise AssertionError(tag)
 
 
@@ -337,9 +335,7 @@ def commutator_check(P: NCPoly, j: int, ctx: FockContext) -> float:
     rhs = Pop @ r - r @ Pop
     cut = ctx.level_offset(K + 1)
     m = metric(ctx)
-    diff = (lhs - rhs)[:, :cut]
-    sym = m["Gh"] @ diff @ m["Gih"][:cut, :cut]
-    return float(np.linalg.svd(sym, compute_uv=False)[0])
+    return _sandwich_norm(m["Gh"], (lhs - rhs)[:, :cut], m["Gih"][:cut, :cut])
 
 
 def partial_tau(P: NCPoly, j: int, ctx: FockContext) -> GradedVector:

@@ -10,9 +10,6 @@ from __future__ import annotations
 import os
 
 DEFAULT_DIM_CAP = 4096
-# guard on one axis of a dense doubled-space (tensor square) matrix: dim**2
-# entries; dim 64 already means two 4096 x 4096 float arrays (134 MB each)
-DEFAULT_DOUBLED_AXIS_CAP = 64**2
 # dense Wick stacks hold dim**3 floats; beyond this, build operators one by one
 DEFAULT_STACK_DIM_CAP = 192
 MAX_PERM_LENGTH = 8
@@ -96,10 +93,3 @@ def check_dim(dim: int, what: str, override: int | None = None) -> None:
             f"raise QFOCK_SIZE_CAP or pass a cap override to proceed"
         )
 
-
-def check_doubled_axis(dim: int, what: str) -> None:
-    if dim * dim > DEFAULT_DOUBLED_AXIS_CAP:
-        raise CapacityError(
-            f"{what} needs a doubled-space axis of {dim}**2 = {dim * dim} entries, "
-            f"exceeding the cap {DEFAULT_DOUBLED_AXIS_CAP}"
-        )

@@ -7,13 +7,10 @@ from qfock import GradedVector, constants, make_context
 from qfock.deformation import (
     HSElement,
     NeumannResult,
-    apply_in_orthonormal,
     doubled_op_norm,
-    doubled_psd_sqrt,
     hs_inner,
     hs_mult,
     hs_norm_of,
-    lr_action,
     lr_apply,
     multiplier_of,
     neumann_series,
@@ -26,6 +23,8 @@ from qfock.deformation import (
 from qfock.errors import NonConvergenceWarning, SquareRootUnavailableError
 from qfock.fock import q_inner
 from qfock.operators import c_q, gaussian, hs_norm, wick_matrix
+
+from dense_oracle import dense_action, dense_sym_action, dense_xi_sqrt_right, lr_action
 
 
 def test_xi_multiplier_free_case_is_vacuum_projection():
@@ -158,8 +157,6 @@ def test_trimmed_actions_match_dense_oracle(N, q, L, support, cplx):
     from qfock.deformation import (
         _action_matvec,
         _concat,
-        _dense_action,
-        _dense_sym_action,
         _real_if_possible,
         _sym_action,
         _weighted_stack,
@@ -180,7 +177,7 @@ def test_trimmed_actions_match_dense_oracle(N, q, L, support, cplx):
         if support == "empty":
             assert np.array_equal(out, np.zeros((d, d)))
             continue
-        expected = (_dense_action(S1, S2, T.coeffs) @ V.reshape(-1)).reshape(d, d)
+        expected = (dense_action(S1, S2, T.coeffs) @ V.reshape(-1)).reshape(d, d)
         assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
         if support == "full":
             # full support contracts exactly the untrimmed arrays
@@ -192,7 +189,7 @@ def test_trimmed_actions_match_dense_oracle(N, q, L, support, cplx):
     C = _real_if_possible(T.coeffs)
     for coeffs in (C, C * (1 + 1j * rng.standard_normal(C.shape))):
         out = _sym_action(ctx, coeffs)(V.reshape(-1))
-        expected = _dense_sym_action(ctx, coeffs) @ V.reshape(-1)
+        expected = dense_sym_action(ctx, coeffs) @ V.reshape(-1)
         assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
@@ -364,8 +361,6 @@ def _dense_top(S: np.ndarray, hermitian: bool) -> float:
 @pytest.mark.parametrize("kind", ["real", "complex", "hermitian", "top"])
 @pytest.mark.parametrize("N,q,L", [(2, 0.3, 3), (2, -0.3, 4), (3, 0.1, 3), (2, 0.1, 5)])
 def test_doubled_op_norm_matches_dense_svd(N, q, L, kind):
-    from qfock.deformation import _dense_sym_action
-
     ctx = make_context(N, q, L)
     rng = np.random.default_rng(3)
     cut = ctx.level_offset(3)
@@ -380,7 +375,7 @@ def test_doubled_op_norm_matches_dense_svd(N, q, L, kind):
         C[:cut, :cut] += 1j * rng.standard_normal((cut, cut))
     T = HSElement(ctx, C)
     hermitian = kind == "hermitian"
-    expected = _dense_top(_dense_sym_action(ctx, T.coeffs), hermitian)
+    expected = _dense_top(dense_sym_action(ctx, T.coeffs), hermitian)
     assert doubled_op_norm(T, hermitian=hermitian) == pytest.approx(expected, rel=1e-9)
 
 
@@ -402,20 +397,18 @@ def _letter_symmetric_element(ctx, kind):
 def test_hermitian_norm_of_letter_symmetric_elements(N, q, L, kind):
     # elements invariant under letter relabelling and word reversal: a start
     # vector confined to that symmetric sector would be blind outside it
-    from qfock.deformation import _dense_sym_action
-
     ctx = make_context(N, q, L)
     T = _letter_symmetric_element(ctx, kind)
-    expected = _dense_top(_dense_sym_action(ctx, T.coeffs), hermitian=True)
+    expected = _dense_top(dense_sym_action(ctx, T.coeffs), hermitian=True)
     assert doubled_op_norm(T, hermitian=True) == pytest.approx(expected, rel=1e-9)
 
 
 @pytest.mark.parametrize("N,q,L", [(2, 0.3, 4), (2, -0.4, 4), (3, 0.1, 3)])
 def test_xi_spectral_range_matches_dense(N, q, L):
-    from qfock.deformation import _dense_sym_action, _xi_spectral_range
+    from qfock.deformation import _xi_spectral_range
 
     ctx = make_context(N, q, L)
-    S = _dense_sym_action(ctx, xi_as_hs(ctx).coeffs)
+    S = dense_sym_action(ctx, xi_as_hs(ctx).coeffs)
     w = np.linalg.eigvalsh((S + S.conj().T) / 2)
     lo, hi = _xi_spectral_range(ctx)
     assert lo == pytest.approx(w[0], rel=1e-9)
@@ -442,10 +435,10 @@ def _counted(matvec):
 
 def _sym_part(ctx, C):
     # coefficients of (T + T*) / 2 and the dense matrix of their action
-    from qfock.deformation import _dense_sym_action, _star
+    from qfock.deformation import _star
 
     Cs = (C + _star(ctx, C)) / 2
-    S = _dense_sym_action(ctx, Cs)
+    S = dense_sym_action(ctx, Cs)
     return Cs, (S + S.conj().T) / 2
 
 
@@ -527,14 +520,12 @@ def test_xi_spectral_range_where_its_lower_end_crosses_zero():
 @pytest.mark.parametrize("N,q,L", [(2, 0.3, 2), (2, 0.3, 3), (2, -0.3, 4)])
 def test_doubled_op_norm_complex_non_hermitian(N, q, L):
     # the normal operator of a complex element, against eigvalsh of S^H S
-    from qfock.deformation import _dense_sym_action
-
     ctx = make_context(N, q, L)
     rng = np.random.default_rng(12)
     cut = ctx.level_offset(min(L, 3))
     C = np.zeros((ctx.dim, ctx.dim), dtype=complex)
     C[:cut, :cut] = rng.standard_normal((cut, cut)) + 1j * rng.standard_normal((cut, cut))
-    S = _dense_sym_action(ctx, C)
+    S = dense_sym_action(ctx, C)
     top = np.linalg.eigvalsh(S.conj().T @ S)[-1]
     assert doubled_op_norm(HSElement(ctx, C)) == pytest.approx(math.sqrt(top), rel=1e-12, abs=0)
 
@@ -615,28 +606,25 @@ def test_multiplier_signed_spectrum_negative_q():
 
 
 def test_doubled_action_positive_moderate_negative_q():
-    from qfock.derivations import _xi_spectral_range
+    # the matrix-free square root against eigh of the dense right action, at
+    # q < 0 (where the doubled action is still positive) and at q > 0
+    from qfock.deformation import _xi_spectral_range
+    from qfock.derivations import FDQ, Q_SQRT, NCPoly, derive
 
-    ctx = make_context(2, -0.4, 4)
-    lo, hi = _xi_spectral_range(ctx)
-    assert lo > 0.0
-    root = doubled_psd_sqrt(xi_as_hs(ctx), which="right")
-    # squaring the root in orthonormal coordinates recovers the action
-    from qfock.deformation import _dense_sym_action
-
-    S = _dense_sym_action(ctx, xi_as_hs(ctx).coeffs, which="right")
-    assert np.abs(root @ root - (S + S.T) / 2).max() < 1e-9
+    for N, q, L in [(2, 0.1, 5), (3, 0.1, 3), (2, 0.3, 4), (2, -0.4, 4)]:
+        ctx = make_context(N, q, L)
+        assert _xi_spectral_range(ctx)[0] > 0.0
+        P = NCPoly({(1, 2, 1): 1.0, (N, 2): -0.5, (1,): 0.25})
+        got = derive(P, 1, Q_SQRT, ctx).coeffs
+        expected = dense_xi_sqrt_right(ctx, derive(P, 1, FDQ, ctx).coeffs)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+    # a polynomial free of the letter has derivative 0, and so has its root image
+    assert not derive(NCPoly.x(2), 1, Q_SQRT, ctx).coeffs.any()
 
 
 def test_doubled_psd_sqrt_unavailable_far_negative_q():
+    from qfock.derivations import Q_SQRT, NCPoly, derive
+
     ctx = make_context(2, -0.6, 4)
     with pytest.raises(SquareRootUnavailableError):
-        doubled_psd_sqrt(xi_as_hs(ctx), which="left")
-
-
-def test_apply_in_orthonormal_identity():
-    ctx = make_context(2, 0.3, 2)
-    rng = np.random.default_rng(5)
-    V = rng.standard_normal((ctx.dim, ctx.dim))
-    out = apply_in_orthonormal(ctx, np.eye(ctx.dim**2), V)
-    assert np.abs(out - V).max() < 1e-12
+        derive(NCPoly({(1, 2, 1): 1.0}), 1, Q_SQRT, ctx)

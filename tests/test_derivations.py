@@ -361,7 +361,7 @@ def test_equivalence_sandwiches_and_hat_residual():
 
 
 def test_equivalence_sandwiches_above_dense_cap():
-    # dim 85: the spectral range runs matrix-free past the dense doubled cap
+    # dim 85: a doubled axis of 7225 entries, all of it matrix-free
     ctx = make_context(4, 0.05, 3)
     assert ctx.dim == 85
     rep = equivalence_check(NCPoly({(1, 2): 1.0, (3, 4, 1): -0.5}), ctx)
@@ -383,13 +383,14 @@ def test_equivalence_hat_vs_tilde_negative_q():
 
 
 def test_q_sqrt_tag_matches_quadratic_form():
-    ctx = make_context(2, 0.3, 3)
+    # |T # Xi^(1/2)|^2 = <T, T # Xi>, also at dim 127 (a doubled axis of 16129)
     P = NCPoly({(1, 2): 1.0, (2, 1): -0.5})
-    T = derive(P, 1, FDQ, ctx)
-    S = derive(P, 1, Q_SQRT, ctx)
-    lhs = hs_norm_of(S) ** 2
-    rhs = hs_inner(T, hs_mult(T, xi_as_hs(ctx))).real
-    assert lhs == pytest.approx(rhs, rel=1e-9)
+    for ctx in (make_context(2, 0.3, 3), make_context(2, 0.1, 6)):
+        T = derive(P, 1, FDQ, ctx)
+        S = derive(P, 1, Q_SQRT, ctx)
+        lhs = hs_norm_of(S) ** 2
+        rhs = hs_inner(T, hs_mult(T, xi_as_hs(ctx))).real
+        assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
 def test_q_truncated_tag_generator_value():
