@@ -30,12 +30,12 @@ from .derivations import (
     Q_COMMUTATOR,
     Q_SQRT,
     commutator_check,
-    conjugate_variable,
+    conjugate_variables,
     derive,
     dq_star,
     equivalence_check,
     fisher_estimate,
-    lipschitz_diagnostic,
+    lipschitz_norms,
     number_check,
     partial_tau,
     q_truncated,

@@ -319,12 +319,9 @@ def _suite_number(ctx, rng) -> list[dict]:
 
 
 def _suite_conjugate(ctx, rng) -> list[dict]:
-    residuals = []
-    for n, _, U in df.neumann_series(ctx, 12):
-        if n == 8:
-            U8 = df.HSElement(ctx, U)
-        if n:
-            residuals.append(df.neumann_residual(ctx, U))
+    # at q = 0 the deformation operator is the unit, and so is every partial sum
+    inverse = df.xi_inverse_neumann(ctx, 12)
+    residuals = inverse.residuals
     tail = residuals[3:]
     monotone = all(b <= a or a < 5e-14 for a, b in zip(tail, tail[1:]))
     checks = [
@@ -336,8 +333,7 @@ def _suite_conjugate(ctx, rng) -> list[dict]:
         }
     ]
     if ctx.q == 0.0:
-        for j in range(1, ctx.N + 1):
-            v = dv.dq_star(U8, j, ctx)
+        for j, v in enumerate(dv.conjugate_variables(inverse.element), start=1):
             target = fock.GradedVector.from_word(ctx, (j,))
             checks.append(
                 _check(f"semicircular_cv_{j}", np.abs(v.data - target.data).max(), 1e-12)
@@ -473,18 +469,15 @@ def cmd_conjugate(args: argparse.Namespace) -> int:
     if not rep.rho_lt_1:
         banner = f"rho({ctx.q}, {ctx.N}) = {rep.rho:.6g} >= 1; no convergence guarantee"
     letters = range(1, ctx.N + 1)
-    pairs = [(j, k) for j in letters for k in letters]
     header = ["n", "u_residual", *(f"cv_norm_{j}" for j in letters), "fisher"]
-    header += [f"lipschitz_{j}{k}" for j, k in pairs]
+    header += [f"lipschitz_{j}{k}" for j in letters for k in letters]
     rows = []
     for n, _, U in islice(df.neumann_series(ctx, args.terms), 1, None):
-        Uel = df.HSElement(ctx, U)
-        cvs = [dv.dq_star(Uel, j, ctx) for j in letters]
-        norms = [math.sqrt(max(fock.q_inner(v, v, ctx).real, 0.0)) for v in cvs]
-        row = [n, df.neumann_residual(ctx, U), *norms, sum(x**2 for x in norms)]
-        polys = [dv.vector_to_poly(v) for v in cvs]
-        for j, k in pairs:
-            row.append(df.doubled_op_norm(dv.derive(polys[j - 1], k, dv.FDQ, ctx)))
+        cvs = dv.conjugate_variables(df.HSElement(ctx, U))
+        row = [n, df.neumann_residual(ctx, U), *map(fock.norm_q, cvs)]
+        row.append(dv.fisher_estimate(cvs))
+        for v in cvs:
+            row += dv.lipschitz_norms(v)
         rows.append(row)
     _emit(csv_table(header, rows, banner=banner), args.out)
     return 0

@@ -32,14 +32,13 @@ from .deformation import (
     hs_mult,
     hs_norm_of,
     multiplier_of,
-    neumann_series,
     xi_as_hs,
     _star,
     _xi_sqrt_right,
     _xi_spectral_range,
 )
 from .errors import AlphabetError, CapacityError, SquareRootUnavailableError
-from .fock import FockContext, GradedVector, gram, make_context, metric, q_inner
+from .fock import FockContext, GradedVector, gram, make_context, metric, norm_q, q_inner
 from .operators import (
     FockOperator,
     creation,
@@ -64,9 +63,9 @@ __all__ = [
     "partial_tau",
     "number_check",
     "dq_star",
-    "conjugate_variable",
+    "conjugate_variables",
     "fisher_estimate",
-    "lipschitz_diagnostic",
+    "lipschitz_norms",
     "equivalence_check",
     "bimodule_form_discrepancy",
     "wick_poly",
@@ -422,55 +421,28 @@ def dq_star(T: HSElement, j: int, ctx: FockContext) -> GradedVector:
     return GradedVector(ctx, out)
 
 
-def _neumann_sum(ctx: FockContext, n_terms: int) -> HSElement:
-    for _, _, U in neumann_series(ctx, n_terms):
-        pass
-    return HSElement(ctx, U)
+def conjugate_variables(U: HSElement) -> list[GradedVector]:
+    """The conjugate variables ``xi_j = dq_star(U, j)`` for j = 1..N, where U
+    approximates the inverse of the deformation operator (the element of
+    :func:`~qfock.deformation.xi_inverse_neumann` or a partial sum of
+    :func:`~qfock.deformation.neumann_series`)."""
+    return [dq_star(U, j, U.ctx) for j in range(1, U.ctx.N + 1)]
 
 
-def conjugate_variable(
-    j: int, n_terms: int, ctx: FockContext, series: bool = False
-):
-    """Adjoint of the deformed derivation on the Neumann inverse approximant.
-
-    With ``series=True`` also returns the deformed two-norms of the partial
-    results, one per series order, for convergence monitoring.
-    """
-    if not (1 <= j <= ctx.N):
-        raise AlphabetError(f"letter {j} outside 1..{ctx.N}")
-    if not series:
-        return dq_star(_neumann_sum(ctx, n_terms), j, ctx)
-    norms = []
-    for _, _, U in neumann_series(ctx, n_terms):
-        vec = dq_star(HSElement(ctx, U), j, ctx)
-        norms.append(float(np.sqrt(q_inner(vec, vec, ctx).real)))
-    return vec, norms
-
-
-def fisher_estimate(n_terms: int, ctx: FockContext) -> float:
+def fisher_estimate(cvs: list[GradedVector]) -> float:
     """Sum over letters of the squared deformed two-norm of the conjugate
-    variable approximant; exactly N at q = 0."""
-    U = _neumann_sum(ctx, n_terms)
-    total = 0.0
-    for j in range(1, ctx.N + 1):
-        v = dq_star(U, j, ctx)
-        total += q_inner(v, v, ctx).real
-    return float(total)
+    variables; exactly N at q = 0."""
+    return sum(norm_q(v) ** 2 for v in cvs)
 
 
-def lipschitz_diagnostic(j: int, k: int, n_terms: int, ctx: FockContext) -> dict:
-    """Free difference quotient of the conjugate-variable approximant.
-
-    Reports its tensor-square two-norm and the doubled-space operator norm of
-    its left action (the computable proxy for the von Neumann tensor norm).
-    No extrapolation beyond the truncation is claimed.
-    """
-    v = dq_star(_neumann_sum(ctx, n_terms), j, ctx)
-    T = derive(vector_to_poly(v), k, FDQ, ctx)
-    return {
-        "l2_norm": hs_norm_of(T),
-        "lr_op_norm": doubled_op_norm(T),
-    }
+def lipschitz_norms(cv: GradedVector) -> list[float]:
+    """Doubled-space operator norms of the free difference quotients
+    ``d_k xi`` of one conjugate variable, k = 1..N: the computable proxy of
+    their von Neumann tensor norms.  No extrapolation beyond the truncation
+    is claimed."""
+    ctx = cv.ctx
+    P = vector_to_poly(cv)
+    return [doubled_op_norm(derive(P, k, FDQ, ctx)) for k in range(1, ctx.N + 1)]
 
 
 # ---- norm equivalences -----------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlphabetError, HomogeneityError, check_dim
-from .fock import FockContext, GradedVector, _rev_perm, metric, q_inner
+from .fock import FockContext, GradedVector, _rev_perm, metric, norm_q
 
 __all__ = [
     "FockOperator",
@@ -361,16 +361,50 @@ def _parity_metric(ctx: FockContext) -> list[tuple[np.ndarray, np.ndarray, np.nd
     return ctx.memo("parity_metric", build)
 
 
-def _sandwich_norm(left: np.ndarray, B: np.ndarray, right: np.ndarray) -> float:
-    """Largest singular value of ``S = left @ B @ right`` for real ``left``
-    and ``right``: the square root of the top ``eigvalsh`` eigenvalue of the
-    smaller of ``S S^H`` and ``S^H S``.  A complex B goes through as its real
-    and imaginary parts."""
-    S = left @ B.real @ right
+def _sandwich_norm(
+    left: np.ndarray, B: np.ndarray, right: np.ndarray, B_imag: np.ndarray | None = None
+) -> float:
+    """Largest singular value of ``S = left @ (B + 1j * B_imag) @ right`` for
+    real ``left``, ``right`` and ``B``: the square root of the top ``eigvalsh``
+    eigenvalue of the smaller of ``S S^H`` and ``S^H S``.  A complex B goes
+    through as its real and imaginary parts."""
     if np.iscomplexobj(B):
-        S = S + 1j * (left @ B.imag @ right)
+        B, B_imag = B.real, B.imag
+    S = left @ B @ right
+    if B_imag is not None:
+        S = S + 1j * (left @ B_imag @ right)
     gram = S @ S.conj().T if S.shape[0] <= S.shape[1] else S.conj().T @ S
     return math.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0))
+
+
+def _parity_support(ctx: FockContext, parts: tuple[np.ndarray, ...]) -> tuple[bool, bool]:
+    """Whether the matrices ``parts`` have a nonzero entry in a level block
+    that keeps the parity of the level, and in one that flips it; read from
+    views of the level blocks, without copies."""
+    levels = [ctx.level_slice(n) for n in range(ctx.L + 1)]
+    found = [False, False]
+    for m, rows in enumerate(levels):
+        for n, cols in enumerate(levels):
+            p = (m + n) % 2
+            found[p] = found[p] or any(P[rows, cols].any() for P in parts)
+    return found[0], found[1]
+
+
+def _metric_norm(ctx: FockContext, re: np.ndarray, im: np.ndarray | None = None) -> float:
+    """:func:`op_norm` of the operator ``re + 1j * im`` (``re`` alone when
+    ``im`` is None), taken from its real and imaginary matrices as they are."""
+    keeps, flips = _parity_support(ctx, (re,) if im is None else (re, im))
+    if keeps and flips:
+        m = metric(ctx)
+        return _sandwich_norm(m["Gh"], re, m["Gih"], im)
+    parity = _parity_metric(ctx)
+    norms = []
+    for r, c in [(0, 1), (1, 0)] if flips else [(0, 0), (1, 1)]:
+        (rows, left, _), (cols, _, right) = parity[r], parity[c]
+        if rows.size and cols.size:
+            cut = np.ix_(rows, cols)
+            norms.append(_sandwich_norm(left, re[cut], right, None if im is None else im[cut]))
+    return max(norms)
 
 
 def op_norm(A: FockOperator) -> float:
@@ -384,24 +418,8 @@ def op_norm(A: FockOperator) -> float:
     is taken whole.  Each value comes from the smaller Gram matrix of the
     block (:func:`_sandwich_norm`).
     """
-    ctx = A.ctx
-    parity = _parity_metric(ctx)
-
-    def block(r: int, c: int) -> np.ndarray:
-        return A.mat[np.ix_(parity[r][0], parity[c][0])]
-
-    if not (block(0, 1).any() or block(1, 0).any()):
-        pairs = [(0, 0), (1, 1)]
-    elif not (block(0, 0).any() or block(1, 1).any()):
-        pairs = [(0, 1), (1, 0)]
-    else:
-        m = metric(ctx)
-        return _sandwich_norm(m["Gh"], A.mat, m["Gih"])
-    return max(
-        _sandwich_norm(parity[r][1], block(r, c), parity[c][2])
-        for r, c in pairs
-        if parity[r][0].size and parity[c][0].size
-    )
+    M = A.mat
+    return _metric_norm(A.ctx, M.real, M.imag if np.iscomplexobj(M) else None)
 
 
 def hs_norm(A: FockOperator) -> float:
@@ -498,8 +516,8 @@ def bozejko_check(xi: GradedVector, ctx: FockContext | None = None) -> BozejkoRe
     ``c_q(|q|)^(3/2) * (n+1) * ||xi||`` with the deformed two-norm, +inf
     where the constant overflows.  The operator is contracted from the
     memoized level stacks of the short words (:func:`_wick_sum`), not built
-    word by word, and has the parity of n, so :func:`op_norm` takes its two
-    parity blocks.
+    word by word, and has the parity of n, so its norm is taken from two
+    parity blocks of its real and imaginary matrices.
     """
     if ctx is None:
         ctx = xi.ctx
@@ -513,8 +531,8 @@ def bozejko_check(xi: GradedVector, ctx: FockContext | None = None) -> BozejkoRe
     check_dim(ctx.dim, "word operator for the norm inequality", ctx.cap_override)
     coeffs = xi.level(n)
     re, im = _wick_sum(np.stack([coeffs.real, coeffs.imag]), n, ctx)
-    lhs = op_norm(FockOperator(ctx, re + 1j * im))
-    l2 = float(np.sqrt(q_inner(xi, xi).real))
+    lhs = _metric_norm(ctx, re, im)
+    l2 = norm_q(xi)
     c = c_q(ctx.q)
     bound = _power(c, 1.5) * (n + 1) * l2
     return BozejkoReport(n, lhs, l2, bound, c, lhs <= bound + 1e-9)

@@ -123,7 +123,7 @@ def perm_action(p: Permutation, ctx) -> WordMatrix:
     if n > ctx.L:
         raise ValueError(f"permutation length {n} exceeds truncation level {ctx.L}")
     d = N**n
-    check_dim(d, f"word matrix at level {n}")
+    check_dim(d, f"word matrix at level {n}", ctx.cap_override)
     letters = _letters(n, N)
     powers = N ** np.arange(n)
     tgt = letters[:, [p(t + 1) - 1 for t in range(n)]] @ powers
@@ -143,7 +143,7 @@ def pq_direct(n: int, ctx) -> WordMatrix:
     """
     N, q = ctx.N, ctx.q
     d = N**n
-    check_dim(d, f"word matrix at level {n}")
+    check_dim(d, f"word matrix at level {n}", ctx.cap_override)
     if n > MAX_PERM_LENGTH:
         raise CapacityError(
             f"direct S_n sum needs n! = {math.factorial(n)} terms; "
@@ -198,7 +198,7 @@ def pq_recursive(n: int, ctx) -> WordMatrix:
     contravariant, the two factors multiply in swapped order at matrix level.
     """
     N = ctx.N
-    check_dim(N**n, f"word matrix at level {n}")
+    check_dim(N**n, f"word matrix at level {n}", ctx.cap_override)
     P = np.ones((1, 1))
     for m in range(1, n + 1):
         P = mn_matrix(m, ctx).entries @ _embed_tail(P, N)
@@ -240,7 +240,7 @@ def mn_inverse(n: int, ctx) -> WordMatrix:
         raise ValueError(f"|q| must be < 1, got q = {ctx.q}")
     N = ctx.N
     d = N**n
-    check_dim(d, f"word matrix at level {n}")
+    check_dim(d, f"word matrix at level {n}", ctx.cap_override)
     Mn = mn_matrix(n, ctx).entries
     inv = _mn_inverse_factorwise(n, ctx)
     residual = np.abs(Mn @ inv - np.eye(d)).max()

@@ -7,6 +7,8 @@ affordable up to dim 63 or so (a 3969-square float matrix is 126 MB).
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from qfock.deformation import _real_if_possible, _sym_stacks, _weighted_stack, xi_as_hs
@@ -48,3 +50,27 @@ def dense_xi_sqrt_right(ctx, C: np.ndarray) -> np.ndarray:
     v = (m["Gh"] @ C @ m["Gh"]).reshape(-1)
     out = (U @ (np.sqrt(np.clip(w, 0.0, None)) * (U.conj().T @ v))).reshape(d, d)
     return m["Gih"] @ out @ m["Gih"]
+
+
+def dense_top(S: np.ndarray, hermitian: bool = False) -> float:
+    """Largest singular value of a dense action matrix, or largest |eigenvalue|
+    of its symmetric part: full decompositions while cheap, ARPACK on the
+    dense matrix to machine precision above that."""
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
+    n = S.shape[0]
+    H = (S + S.conj().T) / 2 if hermitian else None
+    if n <= 1000:
+        if hermitian:
+            return float(np.abs(np.linalg.eigvalsh(H)).max())
+        return float(np.linalg.svd(S, compute_uv=False)[0])
+    v0 = np.random.default_rng(0).standard_normal(n)
+    if hermitian:
+        top = eigsh(H, k=1, which="LM", v0=v0, return_eigenvectors=False)[0]
+        return float(abs(top))
+    # S^H w as conj(S^T conj(w)): no conjugated copy of S per matvec
+    normal = LinearOperator(
+        (n, n), matvec=lambda v: (S.T @ (S @ v).conj()).conj(), dtype=S.dtype
+    )
+    top = eigsh(normal, k=1, which="LA", v0=v0, return_eigenvectors=False)[0]
+    return math.sqrt(top)

@@ -20,16 +20,16 @@ from qfock.cocycle import (
     transitions,
     z_splitting_spec,
 )
-from qfock.deformation import hs_inner, xi_inverse_neumann
+from qfock.deformation import HSElement, hs_inner, neumann_series, xi_inverse_neumann
 from qfock.derivations import (
     NCPoly,
     Q_COMMUTATOR,
     commutator_check,
-    conjugate_variable,
+    conjugate_variables,
     derive,
     dq_star,
     fisher_estimate,
-    lipschitz_diagnostic,
+    lipschitz_norms,
     number_check,
     partial_tau,
     poly_vector,
@@ -237,12 +237,12 @@ def test_criterion_09_norm_inequality():
 
 def test_criterion_10_semicircular_degeneration():
     ctx = make_context(2, 0.0, 5)
+    cvs = conjugate_variables(xi_inverse_neumann(ctx, 6).element)
     worst = 0.0
-    for j in (1, 2):
-        v = conjugate_variable(j, 6, ctx)
+    for j, v in enumerate(cvs, start=1):
         worst = max(worst, np.abs(v.data - GradedVector.from_word(ctx, (j,)).data).max())
-    fisher = fisher_estimate(6, ctx)
-    lip = lipschitz_diagnostic(1, 1, 4, ctx)["lr_op_norm"]
+    fisher = fisher_estimate(cvs)
+    lip = lipschitz_norms(conjugate_variables(xi_inverse_neumann(ctx, 4).element)[0])[0]
     report(
         10,
         "free-case degeneration is exact",
@@ -260,10 +260,10 @@ def test_criterion_11_neumann_convergence():
         for a, b in zip(res.residuals[2:], res.residuals[3:])
         if a > floor
     )
-    from qfock.derivations import conjugate_variable as cv
-
-    series = {j: cv(j, 20, ctx, series=True)[1] for j in (1, 2)}
-    fisher = [sum(series[j][n] ** 2 for j in (1, 2)) for n in range(21)]
+    fisher = [
+        fisher_estimate(conjugate_variables(HSElement(ctx, U)))
+        for _, _, U in neumann_series(ctx, 20)
+    ]
     stable = all(
         abs(fisher[n] - fisher[20]) <= 1e-4 * abs(fisher[20]) for n in (15, 19, 20)
     )

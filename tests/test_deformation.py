@@ -24,7 +24,13 @@ from qfock.errors import NonConvergenceWarning, SquareRootUnavailableError
 from qfock.fock import q_inner
 from qfock.operators import c_q, gaussian, hs_norm, wick_matrix
 
-from dense_oracle import dense_action, dense_sym_action, dense_xi_sqrt_right, lr_action
+from dense_oracle import (
+    dense_action,
+    dense_sym_action,
+    dense_top,
+    dense_xi_sqrt_right,
+    lr_action,
+)
 
 
 def test_xi_multiplier_free_case_is_vacuum_projection():
@@ -334,30 +340,6 @@ def test_doubled_op_norm_of_unit():
     assert doubled_op_norm(unit_hs(ctx)) == pytest.approx(1.0, abs=1e-12)
 
 
-def _dense_top(S: np.ndarray, hermitian: bool) -> float:
-    # oracle: largest singular value of a dense action matrix, or largest
-    # |eigenvalue| of its symmetric part; full decompositions while cheap,
-    # dense-matvec Lanczos to machine precision above that
-    from scipy.sparse.linalg import LinearOperator, eigsh
-
-    n = S.shape[0]
-    H = (S + S.conj().T) / 2 if hermitian else None
-    if n <= 1000:
-        if hermitian:
-            return float(np.abs(np.linalg.eigvalsh(H)).max())
-        return float(np.linalg.svd(S, compute_uv=False)[0])
-    v0 = np.random.default_rng(0).standard_normal(n)
-    if hermitian:
-        top = eigsh(H, k=1, which="LM", v0=v0, return_eigenvectors=False)[0]
-        return float(abs(top))
-    # S^H w as conj(S^T conj(w)): no conjugated copy of S per matvec
-    normal = LinearOperator(
-        (n, n), matvec=lambda v: (S.T @ (S @ v).conj()).conj(), dtype=S.dtype
-    )
-    top = eigsh(normal, k=1, which="LA", v0=v0, return_eigenvectors=False)[0]
-    return math.sqrt(top)
-
-
 @pytest.mark.parametrize("kind", ["real", "complex", "hermitian", "top"])
 @pytest.mark.parametrize("N,q,L", [(2, 0.3, 3), (2, -0.3, 4), (3, 0.1, 3), (2, 0.1, 5)])
 def test_doubled_op_norm_matches_dense_svd(N, q, L, kind):
@@ -375,7 +357,7 @@ def test_doubled_op_norm_matches_dense_svd(N, q, L, kind):
         C[:cut, :cut] += 1j * rng.standard_normal((cut, cut))
     T = HSElement(ctx, C)
     hermitian = kind == "hermitian"
-    expected = _dense_top(dense_sym_action(ctx, T.coeffs), hermitian)
+    expected = dense_top(dense_sym_action(ctx, T.coeffs), hermitian)
     assert doubled_op_norm(T, hermitian=hermitian) == pytest.approx(expected, rel=1e-9)
 
 
@@ -399,7 +381,7 @@ def test_hermitian_norm_of_letter_symmetric_elements(N, q, L, kind):
     # vector confined to that symmetric sector would be blind outside it
     ctx = make_context(N, q, L)
     T = _letter_symmetric_element(ctx, kind)
-    expected = _dense_top(dense_sym_action(ctx, T.coeffs), hermitian=True)
+    expected = dense_top(dense_sym_action(ctx, T.coeffs), hermitian=True)
     assert doubled_op_norm(T, hermitian=True) == pytest.approx(expected, rel=1e-9)
 
 

@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 
 from qfock import GradedVector, make_context, q_inner
+from qfock.fock import norm_q
 from qfock.deformation import (
     HSElement,
     doubled_op_norm,
     hs_inner,
     hs_mult,
     hs_norm_of,
+    neumann_series,
     unit_hs,
     xi_as_hs,
+    xi_inverse_neumann,
 )
 from qfock.derivations import (
     DOUBLING,
@@ -18,12 +21,12 @@ from qfock.derivations import (
     Q_COMMUTATOR,
     Q_SQRT,
     commutator_check,
-    conjugate_variable,
+    conjugate_variables,
     derive,
     dq_star,
     equivalence_check,
     fisher_estimate,
-    lipschitz_diagnostic,
+    lipschitz_norms,
     number_check,
     partial_tau,
     poly_left_mult,
@@ -290,14 +293,15 @@ def test_adjoint_duality_random():
 
 def test_conjugate_variable_free_case():
     ctx = make_context(2, 0.0, 5)
-    for j in (1, 2):
-        v = conjugate_variable(j, 6, ctx)
+    for j, v in enumerate(conjugate_variables(xi_inverse_neumann(ctx, 6).element), start=1):
         assert np.abs(v.data - GradedVector.from_word(ctx, (j,)).data).max() < 1e-12
 
 
 def test_conjugate_variable_series_monitoring():
     ctx = make_context(2, 0.05, 4)
-    v, norms = conjugate_variable(1, 6, ctx, series=True)
+    norms = [
+        norm_q(conjugate_variables(HSElement(ctx, U))[0]) for _, _, U in neumann_series(ctx, 6)
+    ]
     assert len(norms) == 7
     # geometric stabilization of the norm sequence
     assert abs(norms[-1] - norms[-2]) < 1e-4 * norms[-1]
@@ -306,26 +310,31 @@ def test_conjugate_variable_series_monitoring():
 def test_conjugate_variable_rejects_bad_letter():
     ctx = make_context(2, 0.0, 4)
     with pytest.raises(AlphabetError):
-        conjugate_variable(3, 4, ctx)
+        dq_star(xi_inverse_neumann(ctx, 4).element, 3, ctx)
 
 
 def test_fisher_free_case():
-    assert fisher_estimate(4, make_context(2, 0.0, 4)) == pytest.approx(2.0)
-    assert fisher_estimate(4, make_context(1, 0.0, 4)) == pytest.approx(1.0)
+    for N, expected in [(2, 2.0), (1, 1.0)]:
+        U = xi_inverse_neumann(make_context(N, 0.0, 4), 4).element
+        assert fisher_estimate(conjugate_variables(U)) == pytest.approx(expected)
 
 
 def test_lipschitz_free_case():
     ctx = make_context(2, 0.0, 4)
-    rep = lipschitz_diagnostic(1, 1, 3, ctx)
-    assert rep["lr_op_norm"] == pytest.approx(1.0, abs=1e-10)
-    assert rep["l2_norm"] == pytest.approx(1.0, abs=1e-10)
-    rep = lipschitz_diagnostic(1, 2, 3, ctx)
-    assert rep["l2_norm"] < 1e-12
+    xi_1 = conjugate_variables(xi_inverse_neumann(ctx, 3).element)[0]
+    assert lipschitz_norms(xi_1)[0] == pytest.approx(1.0, abs=1e-10)
+    P = vector_to_poly(xi_1)
+    assert hs_norm_of(derive(P, 1, FDQ, ctx)) == pytest.approx(1.0, abs=1e-10)
+    assert hs_norm_of(derive(P, 2, FDQ, ctx)) < 1e-12
 
 
 def test_lipschitz_norms_nonnegative_and_bounded():
     ctx = make_context(2, 0.05, 4)
-    vals = [lipschitz_diagnostic(1, 1, n, ctx)["lr_op_norm"] for n in (2, 4, 6)]
+    vals = [
+        lipschitz_norms(conjugate_variables(HSElement(ctx, U))[0])[0]
+        for n, _, U in neumann_series(ctx, 6)
+        if n in (2, 4, 6)
+    ]
     assert all(v >= 0 for v in vals)
     assert max(vals) - min(vals) < 0.1  # uniformly bounded in series order
 

@@ -57,6 +57,12 @@ def test_make_context_capacity(monkeypatch):
         make_context(2, 0.1, 6)
 
 
+def test_cap_override_reaches_level_gram(monkeypatch):
+    # the context's override beats the environment cap in the S_n sum too
+    monkeypatch.setenv("QFOCK_SIZE_CAP", "5")
+    assert gram(3, make_context(2, 0.1, 3, cap_override=100)).gamma.entries.shape == (8, 8)
+
+
 def test_q_inner_swap_words():
     ctx = make_context(2, 0.37, 3)
     a = GradedVector.from_word(ctx, (1, 2))
@@ -232,7 +238,8 @@ def test_gram_degenerate_metric_error_near_one():
 
 def test_minimal_context_operations():
     from qfock.deformation import doubled_op_norm, unit_hs
-    from qfock.derivations import conjugate_variable, fisher_estimate
+    from qfock.deformation import xi_inverse_neumann
+    from qfock.derivations import conjugate_variables, fisher_estimate
     from qfock.operators import gaussian, op_norm, trace_state
 
     ctx = make_context(1, -0.5, 1)
@@ -241,9 +248,9 @@ def test_minimal_context_operations():
     assert trace_state(x @ x) == pytest.approx(1.0)
     assert op_norm(x) < 2.0 / 0.5
     assert doubled_op_norm(unit_hs(ctx)) == pytest.approx(1.0)
-    v = conjugate_variable(1, 3, ctx)
-    assert np.isfinite(v.data).all()
-    assert fisher_estimate(3, ctx) >= 0
+    cvs = conjugate_variables(xi_inverse_neumann(ctx, 3).element)
+    assert np.isfinite(cvs[0].data).all()
+    assert fisher_estimate(cvs) >= 0
 
 
 def test_gram_cache_is_write_once_under_threads():

@@ -421,9 +421,9 @@ def sandwich_shapes(monkeypatch):
     shapes = []
     inner = operators._sandwich_norm
 
-    def spy(left, B, right):
+    def spy(left, B, right, *imag):
         shapes.append(B.shape)
-        return inner(left, B, right)
+        return inner(left, B, right, *imag)
 
     monkeypatch.setattr(operators, "_sandwich_norm", spy)
     return shapes

@@ -191,3 +191,18 @@ def test_pq_direct_capacity_guard():
     c = make_context(2, 0.1, 6, cap_override=100000)
     with pytest.raises(CapacityError):
         pq_direct(9, c)
+
+
+def test_word_matrices_take_the_context_cap_override(monkeypatch):
+    plain = make_context(2, 0.1, 3)
+    monkeypatch.setenv("QFOCK_SIZE_CAP", "5")
+    c = make_context(2, 0.1, 3, cap_override=100)
+    for build in (
+        lambda: perm_action(cycle_perm(1, 3, 3), c),
+        lambda: pq_direct(3, c),
+        lambda: pq_recursive(3, c),
+        lambda: mn_inverse(3, c),
+    ):
+        assert build().entries.shape == (8, 8)
+    with pytest.raises(CapacityError, match="cap 5"):
+        pq_direct(3, plain)
