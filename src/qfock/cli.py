@@ -293,7 +293,7 @@ def _suite_derivations(ctx, rng) -> list[dict]:
     if P.degree + Q.degree <= ctx.L:
         T_PQ = dv.derive(P * Q, 1, dv.FDQ, ctx)
         right = dv.derive(P, 1, dv.FDQ, ctx).coeffs @ dv.poly_right_mult(Q, ctx).T
-        left = dv.poly_left_mult(P, ctx) @ dv.derive(Q, 1, dv.FDQ, ctx).coeffs
+        left = dv.poly_operator(P, ctx).mat @ dv.derive(Q, 1, dv.FDQ, ctx).coeffs
         res = np.abs(T_PQ.coeffs - right - left).max()
         checks.append(_check("leibniz", res, 1e-10))
     P = _random_poly(ctx, rng, deg=min(3, ctx.L - 1))
@@ -410,15 +410,11 @@ def cmd_gram(args: argparse.Namespace) -> int:
     rows = []
     for n in range(ctx.L + 1):
         block = fock.gram(n, ctx)
-        bgb = np.abs(
-            block.b.entries @ block.gamma.entries @ block.b.entries - np.eye(ctx.N**n)
-        ).max()
-        ortho = 0.0
-        if ctx.N**n <= 64:
-            # all q-inner products of the level vectors: conj(V) . Gamma_n . V^T
-            V = np.array([v.level(n) for v in fock.orthonormal_vectors(n, ctx)])
-            Gm = (V.conj() @ block.gamma.entries @ V.T).real
-            ortho = float(np.abs(Gm - np.eye(len(V))).max())
+        B, gamma, eye = block.b.entries, block.gamma.entries, np.eye(ctx.N**n)
+        bgb = np.abs(B @ gamma @ B - eye).max()
+        # all q-inner products of the level vectors of orthonormal_vectors,
+        # the columns of the real B: B^T . Gamma_n . B
+        ortho = float(np.abs(B.T @ gamma @ B - eye).max())
         rows.append([n, ctx.N**n, block.min_eig, bgb, ortho])
     header = ["level", "dim", "min_eig", "bgb_residual", "orthonormality_residual"]
     if (args.fmt or "csv") == "json":

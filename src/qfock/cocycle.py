@@ -606,7 +606,9 @@ def load_cocycle_spec(source) -> CocycleSpec:
         kind = gdata["kind"]
     except (KeyError, TypeError) as exc:
         raise CocycleSpecError("missing or malformed field 'group.kind'") from exc
-    rank = int(gdata.get("rank", 1))
+    rank = gdata.get("rank", 1)
+    if isinstance(rank, bool) or not isinstance(rank, int) or rank < 1:
+        raise CocycleSpecError(f"field 'group.rank' must be an integer >= 1, got {rank!r}")
     group = GroupSpec(kind, rank)
     raw_cocycles = data.get("cocycles")
     if not isinstance(raw_cocycles, list) or not raw_cocycles:
@@ -619,6 +621,10 @@ def load_cocycle_spec(source) -> CocycleSpec:
             raise CocycleSpecError(
                 f"cocycles[{j}]: missing field 'generator_values'"
             ) from exc
+        if not isinstance(gv_raw, dict):
+            raise CocycleSpecError(
+                f"cocycles[{j}]: field 'generator_values' must be an object, got {gv_raw!r}"
+            )
         gv: dict[int, dict] = {}
         for gkey, pairs in gv_raw.items():
             if group.kind == "int":

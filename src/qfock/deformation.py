@@ -262,26 +262,26 @@ def hs_norm_of(T: HSElement) -> float:
     return float(math.sqrt(max(hs_inner(T, T).real, 0.0)))
 
 
-def _sym_stacks(ctx: FockContext) -> tuple[np.ndarray, np.ndarray]:
-    """Word-operator stacks conjugated into metric-orthonormal coordinates.
-
-    With ``S = G**(1/2)`` the sandwiched stacks ``S A_u S^-1``, ``S B_v S^-1``
-    turn the doubled metric into the standard one, so operator norms become
-    plain singular values; sandwiching once per context avoids any dim**2
-    square matrix products.  Both come back indexed ``(u, i, k)``.  The left
-    stack is stored in the contraction layout ``A2[i, k*d + u]`` of
-    :func:`_sym_action` and returned as a view of it.
+def _sym_stack(ctx: FockContext) -> np.ndarray:
+    """Left word-operator stack conjugated into metric-orthonormal
+    coordinates, ``Ah_u = S A_u S^-1`` with ``S = G**(1/2)``, indexed
+    ``(u, i, k)``: the doubled metric becomes the standard one, so operator
+    norms are plain singular values, and sandwiching once per context avoids
+    any dim**2 square matrix products.  Right multiplication by a word is the
+    word reversal P times left multiplication by the reversed word times P,
+    and P commutes with every Gram block, so the sandwiched right operators
+    are ``P Ah_(rev v) P`` and need no stack of their own.  Stored in the
+    contraction layout ``A2[i, k*d + u]`` of :func:`_sym_action` and
+    returned as a view of it.
     """
 
     def build():
         m = metric(ctx)
         Gh, Gih = m["Gh"][None, :, :], m["Gih"][None, :, :]
         Ah = np.matmul(np.matmul(Gh, left_wick_stack(ctx)), Gih)
-        Bh = np.matmul(np.matmul(Gh, right_wick_stack(ctx)), Gih)
-        return np.ascontiguousarray(Ah.transpose(1, 2, 0)), Bh
+        return np.ascontiguousarray(Ah.transpose(1, 2, 0))
 
-    A2, Bh = ctx.memo("sym_stacks", build)
-    return A2.transpose(2, 0, 1), Bh
+    return ctx.memo("sym_stack", build).transpose(2, 0, 1)
 
 
 def _star(ctx: FockContext, C: np.ndarray) -> np.ndarray:
@@ -296,26 +296,33 @@ def _star(ctx: FockContext, C: np.ndarray) -> np.ndarray:
 
 
 def _sym_action(ctx: FockContext, C: np.ndarray):
-    """Matrix-free left action of C in metric-orthonormal coordinates, as a
-    map on flattened doubled-space vectors.
+    """Matrix-free left action of C in metric-orthonormal coordinates with
+    the words of its second leg reversed, as a map on flattened doubled-space
+    vectors: ``M: V -> sum_{u,v} C[u, rev v] . Ah_u @ V @ Ah_v^T``.  Since
+    ``Bh_v = P Ah_(rev v) P`` (:func:`_sym_stack`), the true action
+    ``V -> sum_{u,v} C[u,v] . Ah_u @ V @ Bh_v^T`` is ``J M J`` for the
+    orthogonal involution ``J: V -> V P``; M has its singular values and
+    spectrum.
 
-    ``V -> sum_{u,v} C[u,v] . Ah_u @ V @ Bh_v^T`` is two plain GEMMs,
-    ``A2 @ (V @ Wh).reshape(-1, d)``, with ``A2[i, k*d + u] = Ah_u[i, k]`` and
-    the weighted right stack ``Wh[l, u*d + j] = sum_v C[u,v] Bh_v[j, l]``;
-    the product ``V @ Wh`` is already laid out as the right operand, so a
-    matvec copies nothing.  Only the word operators in the nonzero row and
-    column range of C take part; ``A2`` is a view of the stored stack when
-    the rows span every word, and ``Wh`` is built once, here.  A complex
-    product ``V @ Wh`` meets the real ``A2`` through its interleaved real
+    M is two plain GEMMs, ``A2 @ (V @ Wh).reshape(-1, d)``, with
+    ``A2[i, k*d + u] = Ah_u[i, k]`` and ``Wh[l, u*d + j] = sum_v C[u, rev v]
+    Ah_v[j, l]`` built once, here; ``V @ Wh`` is already laid out as the
+    right operand, so a matvec copies nothing.  Only the word operators in
+    the nonzero row and column range of the reversed coefficients take part
+    (``A2`` is a view of the stored stack when the rows span every word).  A
+    complex ``V @ Wh`` meets the real ``A2`` through its interleaved real
     view; a complex V against real coefficients runs as its two real parts.
     """
     d = ctx.dim
-    Ah, Bh = _sym_stacks(ctx)
+    Ah = _sym_stack(ctx)
+    C = C[:, _rev_perm(ctx)]
     lo, hi = _support(C)
     clo, chi = _support(C.T)
     A2 = Ah[lo:hi].transpose(1, 2, 0).reshape(d, -1)
-    W = _weighted_stack(C[lo:hi, clo:chi], Bh[clo:chi])
-    Wh = W.transpose(2, 0, 1).reshape(d, -1)
+    # a (words, d*d) view of the stored layout; matmul reads it in place
+    # where tensordot would copy a trimmed word range
+    W = C[lo:hi, clo:chi] @ Ah[clo:chi].reshape(chi - clo, d * d)
+    Wh = W.reshape(-1, d, d).transpose(2, 0, 1).reshape(d, -1)
 
     def gemms(V: np.ndarray) -> np.ndarray:
         P = (V @ Wh).reshape(-1, d)
@@ -433,8 +440,8 @@ def doubled_op_norm(T: HSElement, hermitian: bool = False) -> float:
     """Operator norm of the left action of T on the doubled space, in the
     deformed metric of the tensor-square trace.
 
-    Matrix-free: the action is applied through the metric-orthonormal stacks
-    with the weighted right stack built once per call, and the adjoint action
+    Matrix-free: the action is applied through the one metric-orthonormal
+    stack with the weighted stack built once per call, and the adjoint action
     is the forward action of the star element.  The top singular value is the
     square root of the top eigenvalue of the normal operator.  Pass
     ``hermitian=True`` for elements known to be self-adjoint (polynomials in
@@ -477,7 +484,10 @@ def _xi_sqrt_right(ctx: FockContext, C: np.ndarray) -> np.ndarray:
     word reversal), so its right action has the spectrum of
     :func:`_xi_spectral_range`, and the root is unavailable when the lower
     end lies below ``-_SQRT_NEG_TOL``.  The root is applied matrix-free by
-    :func:`_lanczos_sqrt` on the symmetrized left action of ``X^T``.
+    :func:`_lanczos_sqrt` on the symmetrized left action of ``X^T``; that
+    action comes with its second leg reversed (:func:`_sym_action`), so the
+    reversal goes once onto the columns of the start matrix and once onto
+    those of the result.
     """
     lo, _ = _xi_spectral_range(ctx)
     if lo < -_SQRT_NEG_TOL:
@@ -485,11 +495,11 @@ def _xi_sqrt_right(ctx: FockContext, C: np.ndarray) -> np.ndarray:
             f"doubled-space action has eigenvalue {lo:.3e} < -{_SQRT_NEG_TOL}; "
             f"no real PSD square root at this truncation (q = {ctx.q})"
         )
-    m = metric(ctx)
+    m, rev = metric(ctx), _rev_perm(ctx)
     X = _real_if_possible(xi_as_hs(ctx).coeffs)
     sym = _sym_action(ctx, ((X + _star(ctx, X)) / 2).T)
-    b = (m["Gh"] @ _real_if_possible(C) @ m["Gh"]).T.reshape(-1)
-    Y = _lanczos_sqrt(sym, b).reshape(ctx.dim, ctx.dim).T
+    b = (m["Gh"] @ _real_if_possible(C) @ m["Gh"]).T[:, rev].reshape(-1)
+    Y = _lanczos_sqrt(sym, b).reshape(ctx.dim, ctx.dim)[:, rev].T
     return m["Gih"] @ Y @ m["Gih"]
 
 

@@ -165,11 +165,6 @@ def poly_operator(P: NCPoly, ctx: FockContext) -> FockOperator:
     return FockOperator(ctx, M)
 
 
-def poly_left_mult(P: NCPoly, ctx: FockContext) -> np.ndarray:
-    """Matrix of left multiplication by P on the truncated space."""
-    return poly_operator(P, ctx).mat
-
-
 def poly_right_mult(P: NCPoly, ctx: FockContext) -> np.ndarray:
     """Matrix of right multiplication by P (factors compose in reverse)."""
     from .operators import right_gaussian
@@ -470,7 +465,7 @@ def bimodule_form_discrepancy(
     )
     TP = derive(P, k, FDQ, ctx)
     TQ = derive(Q, k, FDQ, ctx)
-    Rop = poly_left_mult(R, ctx)
+    Rop = poly_operator(R, ctx).mat
     RTP = HSElement(ctx, Rop @ TP.coeffs)
     RTQ = HSElement(ctx, Rop @ TQ.coeffs)
     rhs = hs_inner(RTP, hs_mult(RTQ, xi_as_hs(ctx)))

@@ -19,7 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlphabetError, HomogeneityError, check_dim
+from .errors import (
+    DEFAULT_STACK_DIM_CAP,
+    AlphabetError,
+    CapacityError,
+    HomogeneityError,
+    check_dim,
+)
 from .fock import FockContext, GradedVector, _rev_perm, metric, norm_q
 
 __all__ = [
@@ -34,7 +40,6 @@ __all__ = [
     "adjoint",
     "wick_word",
     "wick_matrix",
-    "right_wick_matrix",
     "left_wick_stack",
     "right_wick_stack",
     "trace_state",
@@ -217,13 +222,13 @@ def _wick_step(w: tuple[int, ...], head: np.ndarray, lower, q: float) -> np.ndar
     """One step of the first-letter recursion for the word w:
     ``head - sum_{j>=2} q^(j-2) [w_1 = w_j] lower(w_2.. without w_j)``, where
     ``head`` is ``X_{w_1} psi_{w_2..}`` (for right multiplication, its
-    mirror) and ``lower`` returns the operator of a word two letters shorter."""
+    mirror), updated in place and returned, and ``lower`` returns the
+    operator of a word two letters shorter."""
     tail = w[1:]
-    M = head
     for j in range(2, len(w) + 1):
         if w[0] == w[j - 1]:
-            M = M - q ** (j - 2) * lower(tail[: j - 2] + tail[j - 1 :])
-    return M
+            head -= q ** (j - 2) * lower(tail[: j - 2] + tail[j - 1 :])
+    return head
 
 
 def wick_matrix(w: tuple[int, ...], ctx: FockContext) -> np.ndarray:
@@ -247,55 +252,48 @@ def wick_matrix(w: tuple[int, ...], ctx: FockContext) -> np.ndarray:
     return ctx.memo(("L", w), build) if len(w) <= _WICK_CACHE_MAX_LEN else build()
 
 
-def right_wick_matrix(w: tuple[int, ...], ctx: FockContext) -> np.ndarray:
-    """Matrix of right multiplication by the word operator of w.
+def _stack(ctx: FockContext, side: str, m: int) -> np.ndarray:
+    """``(words of length <= m, dim, dim)`` stack of the word operators of
+    levels 0..m in graded basis order, for left (``side`` "L") or right
+    ("R") multiplication; memoized per context.
 
-    Right multiplication reverses products, so the recursion multiplies the
-    factors of :func:`wick_matrix` in swapped order with right-side field
-    operators as the base case.
+    Filled level by level from its own lower entries by :func:`_wick_step`,
+    in place: the head of a word is ``X_(w_1) S[tail]`` on the left, the
+    bit-identical arithmetic of :func:`wick_matrix`, and ``S[tail] Y_(w_1)``
+    with the right field operator Y on the right, where products compose in
+    reverse.
     """
-    w = tuple(w)
-    if len(w) > ctx.L:
-        raise ValueError(f"word length {len(w)} exceeds truncation level {ctx.L}")
 
     def build():
-        if len(w) == 0:
-            return np.eye(ctx.dim)
-        head = right_wick_matrix(w[1:], ctx) @ right_gaussian(w[0], ctx).mat
-        return _wick_step(w, head, lambda h: right_wick_matrix(h, ctx), ctx.q)
+        d = ctx.dim
+        field = gaussian if side == "L" else right_gaussian
+        S = np.empty((ctx.level_offset(m + 1), d, d))
+        S[0] = np.eye(d)
+        if m:
+            # level 1: the field operators, exactly their products with the unit
+            S[1 : ctx.N + 1] = [field(i, ctx).mat for i in range(1, ctx.N + 1)]
+        for n in range(2, m + 1):
+            for idx in range(ctx.N**n):
+                w = ctx.index_word(n, idx)
+                X = field(w[0], ctx).mat
+                # the tail w_2.. has index idx // N one level down
+                tail = S[ctx.level_offset(n - 1) + idx // ctx.N]
+                head = S[ctx.level_offset(n) + idx]
+                if side == "L":
+                    np.matmul(X, tail, out=head)
+                else:
+                    np.matmul(tail, X, out=head)
+                _wick_step(w, head, lambda h: S[ctx.global_index(h)], ctx.q)
+        return S
 
-    return ctx.memo(("R", w), build) if len(w) <= _WICK_CACHE_MAX_LEN else build()
+    return ctx.memo(("stack", side, m), build)
 
 
 def _level_stack(n: int, ctx: FockContext) -> np.ndarray:
-    """``(N^n, dim, dim)`` stack of the level-n word operators in word-index
-    order, for ``n <= _WICK_CACHE_MAX_LEN``; memoized per context.
-
-    Built from the two levels below by the recursion of :func:`wick_matrix`:
-    word ``i + N t`` (first letter i + 1, tail t) gets ``X_(i+1) S_(n-1)[t]``
-    from one ``(N dim, dim) x (dim, dim)`` product per tail, then the
-    :func:`_wick_step` terms from ``S_(n-2)``.  Only whole-level contractions
-    use these stacks; single words keep the per-word memo of
-    :func:`wick_matrix`.
-    """
-
-    def build():
-        N, d = ctx.N, ctx.dim
-        if n == 0:
-            return np.eye(d)[None]
-        if n == 1:
-            return np.stack([gaussian(i, ctx).mat for i in range(1, N + 1)])
-        fields = _level_stack(1, ctx).reshape(N * d, d)
-        S = np.empty((N**n, d, d))
-        np.matmul(fields, _level_stack(n - 1, ctx), out=S.reshape(N ** (n - 1), N * d, d))
-        lower = _level_stack(n - 2, ctx)
-        for idx in range(N**n):
-            w = ctx.index_word(n, idx)
-            if w[0] in w[1:]:
-                S[idx] = _wick_step(w, S[idx], lambda h: lower[ctx.word_index(h)], ctx.q)
-        return S
-
-    return ctx.memo(("level_stack", n), build)
+    """``(N^n, dim, dim)`` view of the level-n left word operators, for
+    ``n <= _WICK_CACHE_MAX_LEN``: only whole-level contractions use it;
+    single words keep the per-word memo of :func:`wick_matrix`."""
+    return _stack(ctx, "L", min(ctx.L, _WICK_CACHE_MAX_LEN))[ctx.level_slice(n)]
 
 
 def wick_word(w: tuple[int, ...], ctx: FockContext) -> FockOperator:
@@ -303,24 +301,13 @@ def wick_word(w: tuple[int, ...], ctx: FockContext) -> FockOperator:
 
 
 def _wick_stack(ctx: FockContext, side: str) -> np.ndarray:
-    def build():
-        d = ctx.dim
-        from .errors import DEFAULT_STACK_DIM_CAP, CapacityError
-
-        if d > DEFAULT_STACK_DIM_CAP:
-            raise CapacityError(
-                f"dense word-operator stack needs {d}^3 floats (dim {d} > "
-                f"{DEFAULT_STACK_DIM_CAP}); use per-word operators instead"
-            )
-        fn = wick_matrix if side == "L" else right_wick_matrix
-        stack = np.empty((d, d, d))
-        for n in range(ctx.L + 1):
-            off = ctx.level_offset(n)
-            for idx in range(ctx.N**n):
-                stack[off + idx] = fn(ctx.index_word(n, idx), ctx)
-        return stack
-
-    return ctx.memo(("stack", side), build)
+    d = ctx.dim
+    if d > DEFAULT_STACK_DIM_CAP:
+        raise CapacityError(
+            f"dense word-operator stack needs {d}^3 floats (dim {d} > "
+            f"{DEFAULT_STACK_DIM_CAP}); use per-word operators instead"
+        )
+    return _stack(ctx, side, ctx.L)
 
 
 def left_wick_stack(ctx: FockContext) -> np.ndarray:
@@ -329,6 +316,8 @@ def left_wick_stack(ctx: FockContext) -> np.ndarray:
 
 
 def right_wick_stack(ctx: FockContext) -> np.ndarray:
+    """(dim, dim, dim) array of the right multiplications by all word
+    operators, graded basis order."""
     return _wick_stack(ctx, "R")
 
 
@@ -515,7 +504,7 @@ def bozejko_check(xi: GradedVector, ctx: FockContext | None = None) -> BozejkoRe
     violation would be a genuine failure); ``bound`` is
     ``c_q(|q|)^(3/2) * (n+1) * ||xi||`` with the deformed two-norm, +inf
     where the constant overflows.  The operator is contracted from the
-    memoized level stacks of the short words (:func:`_wick_sum`), not built
+    memoized stack of the short words (:func:`_wick_sum`), not built
     word by word, and has the parity of n, so its norm is taken from two
     parity blocks of its real and imaginary matrices.
     """

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from qfock.deformation import _real_if_possible, _sym_stacks, _weighted_stack, xi_as_hs
+from qfock.deformation import _real_if_possible, _weighted_stack, xi_as_hs
 from qfock.fock import metric
 from qfock.operators import left_wick_stack, right_wick_stack
 
@@ -32,8 +32,9 @@ def lr_action(T) -> np.ndarray:
 
 def dense_sym_action(ctx, C: np.ndarray, which: str = "left") -> np.ndarray:
     """Matrix of the left (or right) action of C in metric-orthonormal
-    coordinates."""
-    Ah, Bh = _sym_stacks(ctx)
+    coordinates, from both plain stacks sandwiched here: no word reversal."""
+    m = metric(ctx)
+    Ah, Bh = (m["Gh"] @ S @ m["Gih"] for S in (left_wick_stack(ctx), right_wick_stack(ctx)))
     if which == "right":
         Ah, Bh = Bh, Ah
     return dense_action(Ah, Bh, C)

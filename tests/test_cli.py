@@ -8,6 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from itertools import islice
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -128,6 +129,25 @@ def test_gram_orthonormality_matches_pairwise_q_inner(capsys, n, q, level):
         assert row["orthonormality_residual"] <= 1e-13
 
 
+def test_gram_orthonormality_residual_above_64_words(capsys):
+    # levels of more than 64 words get the residual too; at q = 0.9 the
+    # level-7 value (~6e-10) is far from 0.  The oracle takes the inner
+    # products of orthonormal_vectors in complex arithmetic
+    code, out, _ = run(
+        ["gram", "--n", "2", "--q", "0.9", "--level", "7", "--format", "json"], capsys
+    )
+    assert code == 0
+    ctx = make_context(2, 0.9, 7)
+    rows = json.loads(out)["rows"]
+    for row in rows:
+        n = row["level"]
+        V = np.array([v.level(n) for v in fock.orthonormal_vectors(n, ctx)])
+        Gm = (V.conj() @ fock.gram(n, ctx).gamma.entries @ V.T).real
+        want = np.abs(Gm - np.eye(len(V))).max()
+        assert row["orthonormality_residual"] == pytest.approx(want, rel=1e-6, abs=1e-14)
+    assert rows[7]["orthonormality_residual"] > 1e-10
+
+
 def test_xi_command(capsys):
     code, out, _ = run(["xi", "--n", "2", "--q", "0.2", "--level", "3"], capsys)
     assert code == 0
@@ -205,6 +225,25 @@ def test_cocycle_sim_missing_spec_file(capsys):
     )
     assert code == 2
     assert "No such file" in err or "nonexistent" in err
+
+
+@pytest.mark.parametrize(
+    "field, group, generator_values",
+    [
+        ("group.rank", {"kind": "free", "rank": "x"}, {"a": []}),
+        ("group.rank", {"kind": "free", "rank": 2.5}, {"a": []}),
+        ("group.rank", {"kind": "free", "rank": True}, {"a": []}),
+        ("group.rank", {"kind": "int", "rank": 0}, {"1": []}),
+        ("generator_values", {"kind": "int"}, [1, 2]),
+    ],
+)
+def test_cocycle_sim_malformed_spec_exits_2(capsys, tmp_path, field, group, generator_values):
+    spec = {"group": group, "cocycles": [{"generator_values": generator_values}]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, _, err = run(["cocycle-sim", "--spec", str(path), "--init", "1"], capsys)
+    assert code == 2
+    assert field in err
 
 
 def test_cocycle_sim_requires_init(capsys):

@@ -21,7 +21,7 @@ from qfock.deformation import (
     xi_multiplier,
 )
 from qfock.errors import NonConvergenceWarning, SquareRootUnavailableError
-from qfock.fock import q_inner
+from qfock.fock import metric, q_inner
 from qfock.operators import c_q, gaussian, hs_norm, wick_matrix
 
 from dense_oracle import (
@@ -125,13 +125,13 @@ def test_lr_action_single_tensor_factor():
 
 
 def test_lr_action_right_factor_is_right_multiplication():
-    from qfock.operators import right_wick_matrix
+    from qfock.operators import right_wick_stack
 
     ctx = make_context(2, 0.3, 2)
     C = np.zeros((ctx.dim, ctx.dim))
     C[0, ctx.global_index((2,))] = 1.0  # 1 (x) X_2
     M = lr_action(HSElement(ctx, C))
-    expected = np.kron(np.eye(ctx.dim), right_wick_matrix((2,), ctx))
+    expected = np.kron(np.eye(ctx.dim), right_wick_stack(ctx)[ctx.global_index((2,))])
     assert np.allclose(M, expected, atol=1e-12)
 
 
@@ -164,6 +164,7 @@ def test_trimmed_actions_match_dense_oracle(N, q, L, support, cplx):
         _action_matvec,
         _concat,
         _real_if_possible,
+        _rev_perm,
         _sym_action,
         _weighted_stack,
     )
@@ -191,11 +192,14 @@ def test_trimmed_actions_match_dense_oracle(N, q, L, support, cplx):
             untrimmed = _action_matvec(_concat(S1), _weighted_stack(C, S2))(V)
             assert np.array_equal(out, untrimmed)
     # the two-GEMM action in metric-orthonormal coordinates, for real and
-    # complex coefficients on the same support
+    # complex coefficients on the same support; it comes with the words of
+    # its second leg reversed, V -> (M (V P)) P for the true action M
     C = _real_if_possible(T.coeffs)
+    rev = _rev_perm(ctx)
     for coeffs in (C, C * (1 + 1j * rng.standard_normal(C.shape))):
         out = _sym_action(ctx, coeffs)(V.reshape(-1))
-        expected = dense_sym_action(ctx, coeffs) @ V.reshape(-1)
+        expected = dense_sym_action(ctx, coeffs) @ V[:, rev].reshape(-1)
+        expected = expected.reshape(d, d)[:, rev].reshape(-1)
         assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
@@ -523,17 +527,35 @@ def test_doubled_op_norm_of_tiny_element_keeps_relative_accuracy(hermitian):
     assert tiny == pytest.approx(1e-20 * ref, rel=1e-12, abs=0)
 
 
-def test_sym_stacks_star_is_reversed_word():
-    # the adjoint of a word operator is the operator of the reversed word; in
-    # metric-orthonormal coordinates that is a plain conjugate transpose
-    from qfock.deformation import _rev_perm, _sym_stacks
+def test_sym_stack_right_operators_are_reversed_left_ones():
+    # right multiplication by a word is P (left multiplication by the
+    # reversed word) P, and P commutes with the metric; in metric-orthonormal
+    # coordinates the adjoint of a word operator is the operator of the
+    # reversed word, a plain transpose
+    from qfock.deformation import _rev_perm, _sym_stack
+    from qfock.operators import right_wick_stack
 
     for N, q, L in [(2, -0.3, 3), (3, 0.1, 3), (2, 0.1, 5)]:
         ctx = make_context(N, q, L)
         rev = _rev_perm(ctx)
-        for S in _sym_stacks(ctx):
-            err = np.linalg.norm(S.conj().transpose(0, 2, 1) - S[rev], axis=(1, 2))
-            assert (err <= 1e-12 * np.linalg.norm(S, axis=(1, 2))).all()
+        m = metric(ctx)
+        Ah = _sym_stack(ctx)
+        Bh = m["Gh"] @ right_wick_stack(ctx) @ m["Gih"]
+        scale = np.linalg.norm(Bh, axis=(1, 2))
+        err = np.linalg.norm(Bh - Ah[rev][:, rev][:, :, rev], axis=(1, 2))
+        assert (err <= 1e-12 * scale).all()
+        err = np.linalg.norm(Ah.transpose(0, 2, 1) - Ah[rev], axis=(1, 2))
+        assert (err <= 1e-12 * np.linalg.norm(Ah, axis=(1, 2))).all()
+
+
+def test_doubled_norms_hold_one_sandwiched_stack():
+    # norms need the left stack and its sandwich only: no right stack is built
+    ctx = make_context(2, 0.1, 4)
+    doubled_op_norm(xi_as_hs(ctx) - unit_hs(ctx), hermitian=True)
+    doubled_op_norm(xi_as_hs(ctx) * 1j)
+    d = ctx.dim
+    held = [a for v in ctx._memo.values() for a in (v if isinstance(v, tuple) else (v,))]
+    assert sum(isinstance(a, np.ndarray) and a.size == d**3 for a in held) == 2
 
 
 def test_lr_bound_one_sided_at_threshold():

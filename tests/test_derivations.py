@@ -29,7 +29,7 @@ from qfock.derivations import (
     lipschitz_norms,
     number_check,
     partial_tau,
-    poly_left_mult,
+    poly_operator,
     poly_right_mult,
     poly_vector,
     q_truncated,
@@ -139,7 +139,7 @@ def test_leibniz_rule_random():
         Q = random_poly(ctx, rng, 2)
         lhs = derive(P * Q, 1, FDQ, ctx).coeffs
         rhs = (
-            poly_left_mult(P, ctx) @ derive(Q, 1, FDQ, ctx).coeffs
+            poly_operator(P, ctx).mat @ derive(Q, 1, FDQ, ctx).coeffs
             + derive(P, 1, FDQ, ctx).coeffs @ poly_right_mult(Q, ctx).T
         )
         assert np.abs(lhs - rhs).max() < 1e-10

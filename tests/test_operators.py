@@ -26,8 +26,10 @@ from qfock.operators import (
     _level_stack,
     _wick_sum,
     hs_norm,
+    left_wick_stack,
     right_annihilation_mirror,
     right_gaussian,
+    right_wick_stack,
     wick_matrix,
 )
 
@@ -278,22 +280,19 @@ def test_wick_vacuum_property(N):
 
 
 def test_right_wick_vacuum_property():
-    from qfock.operators import right_wick_matrix
-
     ctx = make_context(2, 0.4, 4)
     for w in [(1,), (2, 1), (1, 1, 2)]:
-        v = right_wick_matrix(w, ctx) @ GradedVector.vacuum(ctx).data
+        v = right_wick_stack(ctx)[ctx.global_index(w)] @ GradedVector.vacuum(ctx).data
         assert np.abs(v - GradedVector.from_word(ctx, w).data).max() < 1e-12
 
 
 def test_right_wick_is_right_multiplication():
     # x (psi_w) applied to vacuum must equal psi_x applied to the word w
     ctx = make_context(2, 0.4, 4)
-    from qfock.operators import right_wick_matrix
-
     for x_word in [(1,), (2,), (1, 2)]:
         for w in [(1,), (2, 1)]:
-            lhs = right_wick_matrix(w, ctx) @ GradedVector.from_word(ctx, x_word).data
+            R = right_wick_stack(ctx)[ctx.global_index(w)]
+            lhs = R @ GradedVector.from_word(ctx, x_word).data
             rhs = wick_matrix(x_word, ctx) @ GradedVector.from_word(ctx, w).data
             assert np.abs(lhs - rhs).max() < 1e-12
 
@@ -538,6 +537,29 @@ def test_level_stack_matches_word_operators(N, q, L):
         for idx in range(N**n):
             want = wick_matrix(ctx.index_word(n, idx), ctx)
             assert np.abs(S[idx] - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def _right_word_matrix(w, ctx):
+    # the per-word first-letter recursion of right multiplication, factors
+    # in swapped order: psi_(w_2..) Y_(w_1) minus the paired shorter words
+    if not w:
+        return np.eye(ctx.dim)
+    M = _right_word_matrix(w[1:], ctx) @ right_gaussian(w[0], ctx).mat
+    for j in range(2, len(w) + 1):
+        if w[0] == w[j - 1]:
+            M = M - ctx.q ** (j - 2) * _right_word_matrix(w[1 : j - 1] + w[j:], ctx)
+    return M
+
+
+@pytest.mark.parametrize("N, q, L", [(1, 0.3, 6), (2, -0.3, 6), (2, 0.1, 5), (3, -0.2, 4)])
+def test_full_stacks_equal_word_by_word_recursions(N, q, L):
+    # the level-by-level builder repeats the per-word arithmetic exactly
+    ctx = make_context(N, q, L)
+    A, B = left_wick_stack(ctx), right_wick_stack(ctx)
+    for n in range(L + 1):
+        for w in ctx.words(n):
+            assert np.array_equal(A[ctx.global_index(w)], wick_matrix(w, ctx))
+            assert np.array_equal(B[ctx.global_index(w)], _right_word_matrix(w, ctx))
 
 
 def test_bozejko_builds_no_single_word_operator(monkeypatch):
