@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -114,16 +114,6 @@ class GroupSpec:
             )
         return list(g)
 
-    def generator(self, idx: int):
-        """The idx-th generator as a group element (idx in 1..rank)."""
-        if self.kind == "int":
-            if idx != 1:
-                raise CocycleSpecError("the integer group has a single generator 1")
-            return 1
-        if not (1 <= idx <= self.rank):
-            raise CocycleSpecError(f"generator index {idx} outside 1..{self.rank}")
-        return (idx,)
-
     def letter_element(self, letter: int):
         if self.kind == "int":
             return letter
@@ -136,7 +126,8 @@ class CocycleSpec:
 
     ``gen_values[j][g]`` is a dict element -> imaginary part; all cocycle
     values are purely imaginary, stored as real numbers, and all formulas
-    below use squared moduli only.
+    below use squared moduli only.  A value that is not a finite real number
+    (a bool, a string, an infinity or a NaN) raises :class:`CocycleSpecError`.
     """
 
     group: GroupSpec
@@ -152,11 +143,27 @@ class CocycleSpec:
             raise CocycleSpecError("at least one cocycle is required")
         rank = 1 if self.group.kind == "int" else self.group.rank
         for j, gv in enumerate(self.gen_values):
-            for g in gv:
+            for g, values in gv.items():
                 if not (1 <= g <= rank):
                     raise CocycleSpecError(
                         f"cocycle {j}: generator index {g} outside 1..{rank}"
                     )
+                for s, v in values.items():
+                    if not _finite_real(v):
+                        raise CocycleSpecError(
+                            f"cocycle {j}: value {v!r} of generator {g} at {s!r} "
+                            f"is not a finite real number"
+                        )
+
+
+def _finite_real(x) -> bool:
+    """True for a real number (not a bool) whose float value is finite."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _translate(spec: CocycleSpec, g, f: dict) -> dict:
@@ -210,25 +217,14 @@ def hat_norm_sq(spec: CocycleSpec, j: int, g) -> float:
     Evaluated as the sum of squared moduli over the support EXCLUDING the
     identity and g itself, which equals the subtracted form exactly but is a
     sum of squares: endpoint-supported values give an exact zero instead of
-    roundoff, and negative results are structurally impossible.  The guard
-    below still clamps or rejects pathological inputs (NaN propagation or a
-    future evaluation change), per the error contract.
+    roundoff, and negative results are structurally impossible; the values
+    are finite reals (:class:`CocycleSpec` checks them), so it is never NaN.
     """
     if spec.group.is_identity(g):
         raise ValueError("hat norm is only defined at non-identity elements")
     f = cocycle_value(spec, j, g)
     e = spec.group.identity()
-    val = sum(v * v for s, v in f.items() if s != g and s != e)
-    if val < 0.0 or math.isnan(val):
-        total = sum(v * v for v in f.values())
-        if val >= -1e-12 * max(total, 1.0):
-            warnings.warn(f"hat norm {val:.3e} clamped to 0 at {g!r}")
-            return 0.0
-        raise CocycleSpecError(
-            f"hat norm {val:.6e} is materially negative at {g!r}; "
-            f"the cocycle specification is inconsistent"
-        )
-    return float(val)
+    return float(sum(v * v for s, v in f.items() if s != g and s != e))
 
 
 def rate(spec: CocycleSpec, state: ChainState) -> float:
@@ -647,15 +643,19 @@ def load_cocycle_spec(source) -> CocycleSpec:
                     f"cocycles[{j}].generator_values[{gkey!r}] must be a list"
                 )
             for t, pair in enumerate(pairs):
+                where = f"cocycles[{j}].generator_values[{gkey!r}][{t}]"
                 try:
                     el = parse_element(group, pair["element"])
-                    im = float(pair["imag"])
+                    im = pair["imag"]
                 except (KeyError, TypeError, ValueError) as exc:
                     raise CocycleSpecError(
-                        f"cocycles[{j}].generator_values[{gkey!r}][{t}]: expected "
-                        f'{{"element": ..., "imag": ...}}, got {pair!r}'
+                        f'{where}: expected {{"element": ..., "imag": ...}}, got {pair!r}'
                     ) from exc
-                values[el] = values.get(el, 0.0) + im
+                if not _finite_real(im):
+                    raise CocycleSpecError(
+                        f"{where}: 'imag' must be a finite JSON number, got {im!r}"
+                    )
+                values[el] = values.get(el, 0.0) + float(im)
             gv[gidx] = values
         gen_values.append(gv)
     return CocycleSpec(group, gen_values)

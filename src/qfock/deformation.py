@@ -7,15 +7,12 @@ the level projection, so the multiplier equals ``sum_n q^n sum_i p_i (x) p_i*``.
 ``HSElement`` stores such tensor-square elements by their coefficient matrix
 ``C[u, v]`` in the (word operator) x (word operator) basis.
 
-Two commuting actions on the doubled space (truncated space tensor itself)
-matter:
-
-* ``lr`` (left action): ``(a (x) b) . (x (x) y) = ax (x) yb`` — multiplication
-  by the element in the tensor-square algebra; its operator norm is the
-  computable proxy for the von Neumann tensor norm.
-* ``rl`` (right action): ``(x (x) y) . (a (x) b) = xa (x) by`` — right
-  multiplication, whose quadratic form computes norms of derivation values
-  hit by the deformation operator on the right.
+The doubled space (truncated space tensor itself) carries one plain action,
+``lr_apply``: ``(a (x) b) . (x (x) y) = ax (x) yb``, multiplication by the
+element in the tensor-square algebra.  Its operator norm is the computable
+proxy for the von Neumann tensor norm.  The right multiplication
+``T # Xi`` that the derivations need is the product ``hs_mult(T, Xi)``,
+itself the left action of T on the coefficients of Xi.
 
 Everything here is a compression to levels <= L; operator norms are lower
 bounds of their untruncated counterparts and are reported as one-sided
@@ -47,7 +44,6 @@ __all__ = [
     "xi_as_hs",
     "multiplier_of",
     "lr_apply",
-    "rl_apply",
     "hs_mult",
     "hs_inner",
     "hs_norm_of",
@@ -65,7 +61,12 @@ class HSElement:
     """Element of the tensor square in word-operator coordinates.
 
     ``coeffs[u, v]`` is the coefficient of (word operator u) (x) (word
-    operator v); both indices run over the full graded basis.
+    operator v); both indices run over the full graded basis.  The
+    coefficients are stored as a contiguous float64 array when their
+    imaginary part vanishes (ints included) and as complex128 otherwise, so
+    everything downstream runs in real arithmetic whenever it can: the
+    coefficients are real whenever they came from real polynomials at real q.
+    Sums, differences and scalar multiples follow the same rule.
     """
 
     ctx: FockContext
@@ -73,11 +74,12 @@ class HSElement:
 
     def __post_init__(self):
         d = self.ctx.dim
-        if self.coeffs.shape != (d, d):
-            raise ValueError(
-                f"coefficient matrix shape {self.coeffs.shape} != ({d}, {d})"
-            )
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
+        C = np.asarray(self.coeffs)
+        if C.shape != (d, d):
+            raise ValueError(f"coefficient matrix shape {C.shape} != ({d}, {d})")
+        if np.iscomplexobj(C) and not np.any(C.imag):
+            C = C.real
+        self.coeffs = np.ascontiguousarray(C, dtype=complex if np.iscomplexobj(C) else float)
 
     def __add__(self, other: "HSElement") -> "HSElement":
         self.ctx.require_compatible(other.ctx)
@@ -95,7 +97,7 @@ class HSElement:
 
 def unit_hs(ctx: FockContext) -> HSElement:
     """The unit 1 (x) 1."""
-    C = np.zeros((ctx.dim, ctx.dim), dtype=complex)
+    C = np.zeros((ctx.dim, ctx.dim))
     C[0, 0] = 1.0
     return HSElement(ctx, C)
 
@@ -135,7 +137,7 @@ def xi_as_hs(ctx: FockContext, Q: int | None = None) -> HSElement:
 
     def build():
         d = ctx.dim
-        C = np.zeros((d, d), dtype=complex)
+        C = np.zeros((d, d))
         for n in range(Q + 1):
             block = gram(n, ctx)
             s = ctx.level_slice(n)
@@ -161,65 +163,18 @@ def multiplier_of(T: HSElement) -> FockOperator:
 # ---- actions on the doubled space -------------------------------------------
 
 
-def _real_if_possible(C: np.ndarray) -> np.ndarray:
-    # everything downstream is 4x faster on float64; coefficients are real
-    # whenever they came from real polynomials at real q
-    if np.iscomplexobj(C) and not np.any(C.imag):
-        return C.real
-    return C
-
-
-def _weighted_stack(C: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    # W[u] = sum_v C[u, v] * stack[v]
-    return np.tensordot(C, stack, axes=(1, 0))
-
-
-def _concat(stack: np.ndarray) -> np.ndarray:
-    # (u, i, k) -> (i, u*d + k): the left GEMM operand of _action_matvec
-    d = stack.shape[1]
-    return stack.transpose(1, 0, 2).reshape(d, -1)
-
-
 def _support(C: np.ndarray) -> tuple[int, int]:
     # [lo, hi): the contiguous range spanning the nonzero rows of C (0, 0 if none)
     rows = np.flatnonzero(np.any(C, axis=1))
     return (int(rows[0]), int(rows[-1]) + 1) if rows.size else (0, 0)
 
 
-def _action_matvec(A_cat: np.ndarray, W: np.ndarray):
-    """The map ``V -> sum_u A_u @ V @ W_u^T`` on (dim, dim) arrays, with
-    ``A_cat = _concat(A)``: one batched matmul plus one
-    (d, d*k) x (d*k, d) GEMM per application, k = len(W).  Callers pass only
-    the word operators in the nonzero row range of the coefficients (see
-    :func:`_trimmed_action`)."""
-    Wt = W.transpose(0, 2, 1)
-    d = A_cat.shape[0]
-
-    def apply(V: np.ndarray) -> np.ndarray:
-        P = np.matmul(V[None, :, :], Wt).reshape(-1, d)
-        if np.iscomplexobj(P) and not np.iscomplexobj(A_cat):
-            # real stack, complex P: one real GEMM on the interleaved
-            # (re, im) columns instead of a complex copy of the stack
-            return (A_cat @ P.view(float)).view(complex)
-        return A_cat @ P
-
-    return apply
-
-
-def _trimmed_action(A: np.ndarray, B: np.ndarray, C: np.ndarray):
-    """:func:`_action_matvec` of ``sum_{u,v} C[u,v] . A_u @ V @ B_v^T`` over
-    the word operators in the nonzero row range of C (for A) and column range
-    (for B) only; a full-support C takes exactly the untrimmed arrays."""
-    lo, hi = _support(C)
-    clo, chi = _support(C.T)
-    W = _weighted_stack(C[lo:hi, clo:chi], B[clo:chi])
-    return _action_matvec(_concat(A[lo:hi]), W)
-
-
-def _action_apply(
-    A: np.ndarray, B: np.ndarray, C: np.ndarray, V: np.ndarray
-) -> np.ndarray:
-    return _trimmed_action(A, B, _real_if_possible(C))(_real_if_possible(V))
+def _real_gemm(A: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """``A @ P`` for a real A: a complex P is met through its interleaved
+    (re, im) float view, one real GEMM instead of a complex copy of A."""
+    if np.iscomplexobj(P):
+        return (A @ P.view(float)).view(complex)
+    return A @ P
 
 
 def lr_apply(T: HSElement, V: np.ndarray) -> np.ndarray:
@@ -227,17 +182,22 @@ def lr_apply(T: HSElement, V: np.ndarray) -> np.ndarray:
 
     ``(a (x) b)`` sends ``x (x) y`` to ``ax (x) yb``; with V[i, j] the
     coefficient of (basis i) (x) (basis j) this is
-    ``sum_{u,v} C[u,v] . A_u @ V @ B_v^T``, contracted only over the word
-    operators in the nonzero row and column range of C.
+    ``sum_{u,v} C[u,v] . A_u @ V @ B_v^T`` over the left (A) and right (B)
+    word-operator stacks, contracted only over the word operators in the
+    nonzero row range of C (for A) and column range (for B); a full-support
+    C takes exactly the untrimmed stacks.  One application is the weighted
+    stack ``W_u = sum_v C[u,v] B_v``, one batched matmul ``V @ W_u^T`` and
+    one (d, d*m) x (d*m, d) GEMM against ``A_cat[i, u*d + k] = A_u[i, k]``,
+    m the number of rows taking part.
     """
-    ctx = T.ctx
-    return _action_apply(left_wick_stack(ctx), right_wick_stack(ctx), T.coeffs, V)
-
-
-def rl_apply(T: HSElement, V: np.ndarray) -> np.ndarray:
-    """Right action of T: ``x (x) y -> xa (x) by``, i.e. R_u @ V @ L_v^T."""
-    ctx = T.ctx
-    return _action_apply(right_wick_stack(ctx), left_wick_stack(ctx), T.coeffs, V)
+    ctx, C, d = T.ctx, T.coeffs, T.ctx.dim
+    A, B = left_wick_stack(ctx), right_wick_stack(ctx)
+    lo, hi = _support(C)
+    clo, chi = _support(C.T)
+    W = np.tensordot(C[lo:hi, clo:chi], B[clo:chi], axes=(1, 0))
+    A_cat = A[lo:hi].transpose(1, 0, 2).reshape(d, -1)
+    P = np.matmul(V[None, :, :], W.transpose(0, 2, 1)).reshape(-1, d)
+    return _real_gemm(A_cat, P)
 
 
 def hs_mult(T: HSElement, S: HSElement) -> HSElement:
@@ -325,10 +285,7 @@ def _sym_action(ctx: FockContext, C: np.ndarray):
     Wh = W.reshape(-1, d, d).transpose(2, 0, 1).reshape(d, -1)
 
     def gemms(V: np.ndarray) -> np.ndarray:
-        P = (V @ Wh).reshape(-1, d)
-        if np.iscomplexobj(P):
-            return (A2 @ P.view(float)).view(complex)
-        return A2 @ P
+        return _real_gemm(A2, (V @ Wh).reshape(-1, d))
 
     def apply(v: np.ndarray) -> np.ndarray:
         V = v.reshape(d, d)
@@ -450,7 +407,7 @@ def doubled_op_norm(T: HSElement, hermitian: bool = False) -> float:
     """
     ctx = T.ctx
     d2 = ctx.dim**2
-    C = _real_if_possible(T.coeffs)
+    C = T.coeffs
     if not np.abs(C).max():
         return 0.0
     if hermitian and not np.iscomplexobj(C):
@@ -467,7 +424,7 @@ def _xi_spectral_range(ctx: FockContext) -> tuple[float, float]:
     :func:`doubled_op_norm`, at both ends of its spectrum."""
 
     def build():
-        C = _real_if_possible(xi_as_hs(ctx).coeffs)
+        C = xi_as_hs(ctx).coeffs
         sym = _sym_action(ctx, (C + _star(ctx, C)) / 2)
         return tuple(_extreme_eig(sym, ctx.dim**2, C.dtype, w) for w in ("SA", "LA"))
 
@@ -496,9 +453,9 @@ def _xi_sqrt_right(ctx: FockContext, C: np.ndarray) -> np.ndarray:
             f"no real PSD square root at this truncation (q = {ctx.q})"
         )
     m, rev = metric(ctx), _rev_perm(ctx)
-    X = _real_if_possible(xi_as_hs(ctx).coeffs)
+    X = xi_as_hs(ctx).coeffs
     sym = _sym_action(ctx, ((X + _star(ctx, X)) / 2).T)
-    b = (m["Gh"] @ _real_if_possible(C) @ m["Gh"]).T[:, rev].reshape(-1)
+    b = (m["Gh"] @ C @ m["Gh"]).T[:, rev].reshape(-1)
     Y = _lanczos_sqrt(sym, b).reshape(ctx.dim, ctx.dim)[:, rev].T
     return m["Gih"] @ Y @ m["Gih"]
 
@@ -560,7 +517,7 @@ def neumann_series(ctx: FockContext, n_terms: int):
             NonConvergenceWarning,
         )
     delta = xi_as_hs(ctx) - unit_hs(ctx)
-    term = _real_if_possible(unit_hs(ctx).coeffs)
+    term = unit_hs(ctx).coeffs
     U = term.copy()
     yield 0, term, U
     for n in range(1, n_terms + 1):

@@ -287,17 +287,17 @@ def derive(P: NCPoly, j: int, tag: DerivationTag, ctx: FockContext):
                     primed = w[:m] + (j + ctx.N,) + w[m + 1 :]
                     v += c * _word_vector(primed, dctx)
         return GradedVector(dctx, v)
-    C = _fdq_coeffs(P, j, ctx)
+    T = HSElement(ctx, _fdq_coeffs(P, j, ctx))
     if tag.kind == "FDQ":
-        return HSElement(ctx, C)
+        return T
     if tag.kind == "Q_COMMUTATOR":
-        return hs_mult(HSElement(ctx, C), xi_as_hs(ctx))
+        return hs_mult(T, xi_as_hs(ctx))
     if tag.kind == "Q_TRUNCATED":
         if tag.Q > ctx.L:
             raise ValueError(f"level cap {tag.Q} exceeds truncation level {ctx.L}")
-        return hs_mult(HSElement(ctx, C), xi_as_hs(ctx, tag.Q))
+        return hs_mult(T, xi_as_hs(ctx, tag.Q))
     if tag.kind == "Q_SQRT":
-        return HSElement(ctx, _xi_sqrt_right(ctx, C))
+        return HSElement(ctx, _xi_sqrt_right(ctx, T.coeffs))
     raise AssertionError(tag)
 
 

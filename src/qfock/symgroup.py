@@ -55,12 +55,6 @@ class Permutation:
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
 
-    def inverse(self) -> "Permutation":
-        out = [0] * len(self.images)
-        for i, v in enumerate(self.images):
-            out[v - 1] = i + 1
-        return Permutation(tuple(out))
-
     @staticmethod
     def identity(n: int) -> "Permutation":
         return Permutation(tuple(range(1, n + 1)))

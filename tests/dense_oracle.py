@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from qfock.deformation import _real_if_possible, _weighted_stack, xi_as_hs
+from qfock.deformation import xi_as_hs
 from qfock.fock import metric
 from qfock.operators import left_wick_stack, right_wick_stack
 
@@ -19,7 +19,7 @@ from qfock.operators import left_wick_stack, right_wick_stack
 def dense_action(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Matrix of ``V -> sum_{u,v} C[u,v] . A_u @ V @ B_v^T``."""
     d = A.shape[1]
-    W = _weighted_stack(_real_if_possible(C), B)  # (u, x2, y2)
+    W = np.tensordot(C, B, axes=(1, 0))  # (u, x2, y2)
     M = np.tensordot(A, W, axes=(0, 0))  # (x1, y1, x2, y2)
     return M.transpose(0, 2, 1, 3).reshape(d * d, d * d)
 

@@ -246,6 +246,20 @@ def test_cocycle_sim_malformed_spec_exits_2(capsys, tmp_path, field, group, gene
     assert field in err
 
 
+@pytest.mark.parametrize("imag", ['"inf"', '"nan"', "NaN", "-Infinity", "1e400", "true", '"0.5"'])
+def test_cocycle_sim_non_finite_value_exits_2(capsys, tmp_path, imag):
+    path = tmp_path / "spec.json"
+    path.write_text(
+        '{"group": {"kind": "int"}, "cocycles": [{"generator_values": '
+        '{"1": [{"element": 1, "imag": %s}]}}]}' % imag
+    )
+    code, out, err = run(["cocycle-sim", "--spec", str(path), "--init", "3", "--paths", "3"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "cocycles[0].generator_values['1'][0]" in err
+    assert "finite" in err
+
+
 def test_cocycle_sim_requires_init(capsys):
     code, _, err = run(["cocycle-sim", "--spec", "z-splitting"], capsys)
     assert code == 2

@@ -390,6 +390,40 @@ def test_load_cocycle_spec_missing_fields():
         load_cocycle_spec({"group": {"kind": "int"}, "cocycles": [{}]})
 
 
+@pytest.mark.parametrize(
+    "imag", ["inf", "nan", float("inf"), float("nan"), True, None, [1.0], 10**400]
+)
+def test_load_cocycle_spec_rejects_non_finite_values(imag):
+    data = {
+        "group": {"kind": "free", "rank": 2},
+        "cocycles": [
+            {"generator_values": {"a": [{"element": "", "imag": 1.0}]}},
+            {"generator_values": {"b": [{"element": "a", "imag": 1}, {"element": "", "imag": imag}]}},
+        ],
+    }
+    with pytest.raises(CocycleSpecError, match=r"cocycles\[1\]\.generator_values\['b'\]\[1\]"):
+        load_cocycle_spec(data)
+
+
+def test_load_cocycle_spec_rejects_values_summing_past_the_float_range():
+    pair = {"element": 0, "imag": 1e308}
+    data = {"group": {"kind": "int"}, "cocycles": [{"generator_values": {"1": [pair, pair]}}]}
+    with pytest.raises(CocycleSpecError, match="finite real"):
+        load_cocycle_spec(data)
+
+
+@pytest.mark.parametrize("value", [float("inf"), -float("inf"), float("nan"), True, "1", 1j])
+def test_cocycle_spec_rejects_non_finite_values(value):
+    with pytest.raises(CocycleSpecError, match="finite real"):
+        CocycleSpec(GroupSpec("int"), [{1: {0: 1.0, 1: value}}])
+
+
+def test_cocycle_spec_accepts_finite_numbers():
+    spec = CocycleSpec(GroupSpec("int"), [{1: {0: 1, 1: np.float32(0.5), 2: np.int64(-2)}}])
+    assert hat_norm_sq(spec, 0, 1) == 4.0
+    assert hat_norm_sq(spec, 0, 2) == 1.5**2 + 2.0**2
+
+
 def test_parse_state_and_encode():
     spec = z_splitting_spec()
     assert parse_state(spec, "5") == (5,)

@@ -14,7 +14,6 @@ from qfock.deformation import (
     lr_apply,
     multiplier_of,
     neumann_series,
-    rl_apply,
     unit_hs,
     xi_as_hs,
     xi_inverse_neumann,
@@ -106,6 +105,48 @@ def test_xi_as_hs_contracts_like_multiplier():
     assert np.abs(got - expected).max() < 1e-10
 
 
+def test_hs_element_dtype_rule():
+    # contiguous float64 when the imaginary part vanishes, complex128 otherwise
+    ctx = make_context(2, 0.3, 2)
+    d = ctx.dim
+    R = np.random.default_rng(3).standard_normal((d, d))
+    cases = [
+        (R, np.float64),
+        (R.T, np.float64),
+        (R + 0j, np.float64),
+        (R + 1j * R, np.complex128),
+        (np.arange(d * d).reshape(d, d), np.float64),
+        (np.zeros((d, d), dtype=np.float32), np.float64),
+    ]
+    for C, dtype in cases:
+        T = HSElement(ctx, C)
+        assert T.coeffs.dtype == dtype
+        assert T.coeffs.flags.c_contiguous
+        assert np.array_equal(T.coeffs, C)
+    T, S = HSElement(ctx, R), HSElement(ctx, R + 1j * R)
+    for el, dtype in [
+        (T + T, np.float64),
+        (T - T, np.float64),
+        (T * 2j, np.complex128),
+        (2j * T, np.complex128),
+        (T * (2 + 0j), np.float64),
+        (S - S, np.float64),
+        (S + T, np.complex128),
+        ((S - T) * 1j, np.float64),
+    ]:
+        assert el.coeffs.dtype == dtype
+        assert el.coeffs.flags.c_contiguous
+    assert np.array_equal(((S - T) * 1j).coeffs, -R)
+    assert unit_hs(ctx).coeffs.dtype == np.float64
+    assert xi_as_hs(ctx).coeffs.dtype == np.float64
+
+
+def test_hs_element_rejects_wrong_shape():
+    ctx = make_context(2, 0.3, 2)
+    with pytest.raises(ValueError, match="coefficient matrix shape"):
+        HSElement(ctx, np.zeros((ctx.dim, ctx.dim + 1)))
+
+
 # ---- doubled-space actions -----------------------------------------------------
 
 
@@ -160,14 +201,7 @@ def _supported_coeffs(ctx, support):
 @pytest.mark.parametrize("N,q,L", [(2, 0.1, 4), (3, 0.1, 3)])
 @pytest.mark.parametrize("cplx", [False, True])
 def test_trimmed_actions_match_dense_oracle(N, q, L, support, cplx):
-    from qfock.deformation import (
-        _action_matvec,
-        _concat,
-        _real_if_possible,
-        _rev_perm,
-        _sym_action,
-        _weighted_stack,
-    )
+    from qfock.deformation import _rev_perm, _sym_action
     from qfock.operators import left_wick_stack, right_wick_stack
 
     ctx = make_context(N, q, L)
@@ -178,23 +212,26 @@ def test_trimmed_actions_match_dense_oracle(N, q, L, support, cplx):
         V = V + 1j * rng.standard_normal((d, d))
     T = HSElement(ctx, _supported_coeffs(ctx, support))
     A, B = left_wick_stack(ctx), right_wick_stack(ctx)
-    for apply, (S1, S2) in [(lr_apply, (A, B)), (rl_apply, (B, A))]:
-        out = apply(T, V)
-        assert out.shape == (d, d)
-        if support == "empty":
-            assert np.array_equal(out, np.zeros((d, d)))
-            continue
-        expected = (dense_action(S1, S2, T.coeffs) @ V.reshape(-1)).reshape(d, d)
+    out = lr_apply(T, V)
+    assert out.shape == (d, d)
+    if support == "empty":
+        assert np.array_equal(out, np.zeros((d, d)))
+    else:
+        expected = (dense_action(A, B, T.coeffs) @ V.reshape(-1)).reshape(d, d)
         assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
-        if support == "full":
-            # full support contracts exactly the untrimmed arrays
-            C = _real_if_possible(T.coeffs)
-            untrimmed = _action_matvec(_concat(S1), _weighted_stack(C, S2))(V)
-            assert np.array_equal(out, untrimmed)
+    if support == "full":
+        # full support contracts exactly the untrimmed stacks: the weighted
+        # right stack, one batched matmul, then one GEMM against the left
+        # stack laid out as A_cat[i, u*d + k] = A_u[i, k]
+        W = np.tensordot(T.coeffs, B, axes=(1, 0))
+        A_cat = A.transpose(1, 0, 2).reshape(d, -1)
+        P = np.matmul(V[None, :, :], W.transpose(0, 2, 1)).reshape(-1, d)
+        untrimmed = (A_cat @ P.view(float)).view(complex) if cplx else A_cat @ P
+        assert np.array_equal(out, untrimmed)
     # the two-GEMM action in metric-orthonormal coordinates, for real and
     # complex coefficients on the same support; it comes with the words of
     # its second leg reversed, V -> (M (V P)) P for the true action M
-    C = _real_if_possible(T.coeffs)
+    C = T.coeffs
     rev = _rev_perm(ctx)
     for coeffs in (C, C * (1 + 1j * rng.standard_normal(C.shape))):
         out = _sym_action(ctx, coeffs)(V.reshape(-1))
@@ -235,25 +272,6 @@ def test_hs_mult_matches_symbolic_product():
     expected = np.zeros((ctx.dim, ctx.dim))
     expected[ctx.global_index((1,)), ctx.global_index((2,))] = 1.0
     assert np.abs(prod.coeffs - expected).max() < 1e-12
-
-
-def test_lr_rl_actions_commute():
-    # left and right multiplications commute on inputs far enough below the
-    # truncation ceiling that no product path is compressed away
-    ctx = make_context(2, 0.3, 4)
-    rng = np.random.default_rng(2)
-    cut = ctx.level_offset(2)
-    C1 = np.zeros((ctx.dim, ctx.dim))
-    C2 = np.zeros((ctx.dim, ctx.dim))
-    C1[:cut, :cut] = rng.standard_normal((cut, cut))
-    C2[:cut, :cut] = rng.standard_normal((cut, cut))
-    T1, T2 = HSElement(ctx, C1), HSElement(ctx, C2)
-    V = np.zeros((ctx.dim, ctx.dim))
-    vcut = ctx.level_offset(3)
-    V[:vcut, :vcut] = rng.standard_normal((vcut, vcut))
-    lhs = lr_apply(T1, rl_apply(T2, V))
-    rhs = rl_apply(T2, lr_apply(T1, V))
-    assert np.abs(lhs - rhs).max() < 1e-10
 
 
 def test_hs_inner_word_factorization():
