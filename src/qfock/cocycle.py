@@ -228,14 +228,18 @@ def hat_norm_sq(spec: CocycleSpec, j: int, g) -> float:
 
 
 def rate(spec: CocycleSpec, state: ChainState) -> float:
-    """Total jump rate: double sum of hat norms over components and cocycles."""
-    return float(
+    """Total jump rate: double sum of hat norms over components and cocycles;
+    one that overflows (finite values can) raises :class:`CocycleSpecError`."""
+    R = float(
         sum(
             hat_norm_sq(spec, j, g)
             for g in state
             for j in range(spec.n_cocycles)
         )
     )
+    if not math.isfinite(R):
+        raise CocycleSpecError(f"jump rate at state {state!r} is {R}: the cocycle values overflow")
+    return R
 
 
 def transitions(

@@ -2,7 +2,8 @@
 
 The derivation domain is the free polynomial algebra on the N field
 operators; a polynomial of degree <= L is represented exactly at truncation
-(its vacuum image walks levels 0..deg only).  Four derivations share the
+(its vacuum image walks levels 0..deg only), and every tag below requires
+deg P <= L (:class:`CapacityError` otherwise).  Four derivations share the
 generator structure "delta on letter j, extended by the Leibniz rule":
 
 * ``FDQ``           — generator value 1 (x) 1 (the free difference quotient);
@@ -12,7 +13,9 @@ generator structure "delta on letter j, extended by the Leibniz rule":
 * ``Q_SQRT``        — the FDQ output hit on the right by the PSD square root
   of the deformation operator on the doubled space;
 * ``DOUBLING``      — the derivation into the double-alphabet algebra sending
-  letter k to its primed copy k + N.
+  letter k to its primed copy k + N.  Word operators are second-quantized,
+  so it relabels the vacuum image of P (:func:`_prime`): each word goes to
+  the sum of its copies with one occurrence of k primed.
 
 All identity checks quote the degree ranges on which truncation is exact;
 outside those ranges results are compressions and only convergence behavior
@@ -38,7 +41,7 @@ from .deformation import (
     _xi_spectral_range,
 )
 from .errors import AlphabetError, CapacityError, SquareRootUnavailableError
-from .fock import FockContext, GradedVector, gram, make_context, metric, norm_q, q_inner
+from .fock import FockContext, GradedVector, _rev_perm, make_context, metric, norm_q, q_inner
 from .operators import (
     FockOperator,
     creation,
@@ -166,16 +169,11 @@ def poly_operator(P: NCPoly, ctx: FockContext) -> FockOperator:
 
 
 def poly_right_mult(P: NCPoly, ctx: FockContext) -> np.ndarray:
-    """Matrix of right multiplication by P (factors compose in reverse)."""
-    from .operators import right_gaussian
-
-    M = np.zeros((ctx.dim, ctx.dim), dtype=complex)
-    for w, c in P.terms.items():
-        term = np.eye(ctx.dim)
-        for letter in reversed(w):
-            term = term @ right_gaussian(letter, ctx).mat
-        M += c * term
-    return M
+    """Matrix of right multiplication by P: left multiplication by P with
+    every monomial reversed, conjugated by word reversal."""
+    rev = _rev_perm(ctx)
+    reversed_P = NCPoly({w[::-1]: c for w, c in P.terms.items()})
+    return poly_operator(reversed_P, ctx).mat[np.ix_(rev, rev)]
 
 
 def wick_poly(w: tuple[int, ...], ctx: FockContext) -> NCPoly:
@@ -238,27 +236,11 @@ def _fdq_coeffs(P: NCPoly, j: int, ctx: FockContext) -> np.ndarray:
         raise CapacityError(
             f"polynomial degree {P.degree} exceeds truncation level {ctx.L}"
         )
-    d = ctx.dim
-    C = np.zeros((d, d), dtype=complex)
+    C = np.zeros((ctx.dim, ctx.dim), dtype=complex)
     for w, c in P.terms.items():
-        if not w:
-            continue
-        # prefix[m] = X_{w_1..w_m} vacuum, suffix[m] = X_{w_{m+1}..} vacuum
-        n = len(w)
-        prefix = [None] * (n + 1)
-        suffix = [None] * (n + 1)
-        e0 = np.zeros(d, dtype=complex)
-        e0[0] = 1.0
-        prefix[0] = e0
-        for m in range(1, n + 1):
-            # X_{w_1..w_m} vacuum = X-product applied right-to-left
-            prefix[m] = _word_vector(w[:m], ctx)
-        suffix[n] = e0
-        for m in range(n - 1, -1, -1):
-            suffix[m] = gaussian(w[m], ctx).mat @ suffix[m + 1]
-        for m in range(1, n + 1):
-            if w[m - 1] == j:
-                C += c * np.outer(prefix[m - 1], suffix[m])
+        for m, letter in enumerate(w):
+            if letter == j:
+                C += c * np.outer(_word_vector(w[:m], ctx), _word_vector(w[m + 1 :], ctx))
     return C
 
 
@@ -267,6 +249,23 @@ def _doubled_context(ctx: FockContext, level: int) -> FockContext:
         ("doubled", level),
         lambda: make_context(2 * ctx.N, ctx.q, level, cap_override=ctx.cap_override),
     )
+
+
+def _prime(v: GradedVector, k: int, dctx: FockContext) -> GradedVector:
+    """Each word of v sent to the sum of its copies with one occurrence of
+    letter k primed (k + N) in the doubled context dctx, where v vanishes
+    above level dctx.L.  Distinct (word, occurrence) pairs give distinct
+    primed words, so coefficients are moved, never added."""
+    src = v.ctx
+    out = GradedVector.zero(dctx)
+    for n in range(1, min(src.L, dctx.L) + 1):
+        digits = np.arange(src.N**n)[:, None] // src.N ** np.arange(n) % src.N
+        base = digits @ dctx.N ** np.arange(n)
+        for t in range(n):
+            hit = digits[:, t] == k - 1
+            # the primed letter's digit is N above the plain one
+            out.level(n)[base[hit] + src.N * dctx.N**t] = v.level(n)[hit]
+    return out
 
 
 def derive(P: NCPoly, j: int, tag: DerivationTag, ctx: FockContext):
@@ -278,27 +277,14 @@ def derive(P: NCPoly, j: int, tag: DerivationTag, ctx: FockContext):
     if not (1 <= j <= ctx.N):
         raise AlphabetError(f"letter {j} outside 1..{ctx.N}")
     if tag.kind == "DOUBLING":
-        deg = max(P.degree, 1)
-        dctx = _doubled_context(ctx, deg)
-        v = np.zeros(dctx.dim, dtype=complex)
-        for w, c in P.terms.items():
-            for m, letter in enumerate(w):
-                if letter == j:
-                    primed = w[:m] + (j + ctx.N,) + w[m + 1 :]
-                    v += c * _word_vector(primed, dctx)
-        return GradedVector(dctx, v)
+        return _prime(poly_vector(P, ctx), j, _doubled_context(ctx, max(P.degree, 1)))
     T = HSElement(ctx, _fdq_coeffs(P, j, ctx))
     if tag.kind == "FDQ":
         return T
-    if tag.kind == "Q_COMMUTATOR":
-        return hs_mult(T, xi_as_hs(ctx))
-    if tag.kind == "Q_TRUNCATED":
-        if tag.Q > ctx.L:
-            raise ValueError(f"level cap {tag.Q} exceeds truncation level {ctx.L}")
-        return hs_mult(T, xi_as_hs(ctx, tag.Q))
     if tag.kind == "Q_SQRT":
         return HSElement(ctx, _xi_sqrt_right(ctx, T.coeffs))
-    raise AssertionError(tag)
+    # Q_COMMUTATOR (cap None, the full truncation) and Q_TRUNCATED
+    return hs_mult(T, xi_as_hs(ctx, tag.Q))
 
 
 def real_structure(T: HSElement) -> HSElement:
@@ -369,30 +355,13 @@ def number_check(xi: GradedVector, eta: GradedVector, ctx: FockContext) -> dict:
     lhs = 0.0 + 0.0j
     if n is not None and m is not None and n == m and n > 0:
         dctx = _doubled_context(ctx, n)
-        gamma = gram(n, dctx).gamma.entries
         for k in range(1, ctx.N + 1):
-            dk_xi = _doubling_words(xi, k, n, dctx)
-            dk_eta = _doubling_words(eta, k, n, dctx)
-            lhs += np.vdot(dk_xi, gamma @ dk_eta)
+            lhs += q_inner(_prime(xi, k, dctx), _prime(eta, k, dctx), dctx)
     return {
         "lhs": complex(lhs),
         "rhs": complex(rhs),
         "residual": abs(complex(lhs) - complex(rhs)),
     }
-
-
-def _doubling_words(v: GradedVector, k: int, n: int, dctx: FockContext) -> np.ndarray:
-    """Replace one occurrence of letter k at a time by its primed copy."""
-    ctx = v.ctx
-    out = np.zeros(dctx.N**n, dtype=complex)
-    coeffs = v.level(n)
-    for idx in np.flatnonzero(np.abs(coeffs) > 0):
-        w = ctx.index_word(n, idx)
-        for t, letter in enumerate(w):
-            if letter == k:
-                primed = w[:t] + (k + ctx.N,) + w[t + 1 :]
-                out[dctx.word_index(primed)] += coeffs[idx]
-    return out
 
 
 # ---- adjoint machinery -----------------------------------------------------------
@@ -455,8 +424,8 @@ def bimodule_form_discrepancy(
     """
     deg = max(P.degree, Q.degree) + R.degree
     dctx = _doubled_context(ctx, max(deg, 1))
-    hatP = _reembed(derive(P, k, DOUBLING, ctx), dctx)
-    hatQ = _reembed(derive(Q, k, DOUBLING, ctx), dctx)
+    hatP = _prime(poly_vector(P, ctx), k, dctx)
+    hatQ = _prime(poly_vector(Q, ctx), k, dctx)
     Rop_doubled = poly_operator(R, dctx).mat
     lhs = q_inner(
         GradedVector(dctx, Rop_doubled @ hatP.data),
@@ -470,16 +439,6 @@ def bimodule_form_discrepancy(
     RTQ = HSElement(ctx, Rop @ TQ.coeffs)
     rhs = hs_inner(RTP, hs_mult(RTQ, xi_as_hs(ctx)))
     return abs(complex(lhs) - complex(rhs))
-
-
-def _reembed(v: GradedVector, dctx: FockContext) -> GradedVector:
-    out = GradedVector.zero(dctx)
-    src = v.ctx
-    for n in range(src.L + 1):
-        coeffs = v.level(n)
-        for idx in np.flatnonzero(np.abs(coeffs) > 0):
-            out.data[dctx.global_index(src.index_word(n, idx))] += coeffs[idx]
-    return out
 
 
 def equivalence_check(P: NCPoly, ctx: FockContext, trunc_q: int | None = None) -> dict:

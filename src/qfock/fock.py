@@ -161,11 +161,11 @@ class GradedVector:
     def level(self, n: int) -> np.ndarray:
         return self.data[self.ctx.level_slice(n)]
 
-    def support_levels(self, tol: float = 0.0) -> list[int]:
+    def support_levels(self) -> list[int]:
         return [
             n
             for n in range(self.ctx.L + 1)
-            if np.abs(self.level(n)).max(initial=0.0) > tol
+            if np.abs(self.level(n)).max(initial=0.0) > 0.0
         ]
 
     def copy(self) -> "GradedVector":

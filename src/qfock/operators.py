@@ -51,6 +51,8 @@ __all__ = [
 ]
 
 _WICK_CACHE_MAX_LEN = 3
+_C_Q_TOL = 1e-15
+_C_Q_MAX_FACTORS = 10**6
 
 
 @dataclass
@@ -174,21 +176,12 @@ def right_annihilation(i: int, ctx: FockContext) -> FockOperator:
 
 
 def right_annihilation_mirror(i: int, ctx: FockContext) -> FockOperator:
-    """Mirror formula sum_k q^(n-k) [w_k = i] (w minus k); cross-check only."""
+    """Mirror formula sum_k q^(n-k) [w_k = i] (w minus k): :func:`annihilation`
+    conjugated by word reversal, as :func:`right_creation` is built; a
+    cross-check of :func:`right_annihilation` only."""
     _check_letter(i, ctx)
-    N, q, d = ctx.N, ctx.q, ctx.dim
-    M = np.zeros((d, d))
-    for n in range(1, ctx.L + 1):
-        off_src = ctx.level_offset(n)
-        off_tgt = ctx.level_offset(n - 1)
-        for idx in range(N**n):
-            w = ctx.index_word(n, idx)
-            for k in range(1, n + 1):
-                if w[k - 1] != i:
-                    continue
-                shorter = w[: k - 1] + w[k:]
-                M[off_tgt + ctx.word_index(shorter), off_src + idx] += q ** (n - k)
-    return FockOperator(ctx, M, grading_shift=-1)
+    rev = _rev_perm(ctx)
+    return FockOperator(ctx, annihilation(i, ctx).mat[np.ix_(rev, rev)], grading_shift=-1)
 
 
 def gaussian(i: int, ctx: FockContext) -> FockOperator:
@@ -418,19 +411,19 @@ def hs_norm(A: FockOperator) -> float:
     return float(np.linalg.norm(sym))
 
 
-def c_q(q: float, tol: float = 1e-15, max_factors: int = 10**6) -> float:
+def c_q(q: float) -> float:
     """Reciprocal of the infinite product prod_{m>=1} (1 - |q|^m).
 
     The product is truncated once the next factor differs from 1 by less
-    than ``tol``; geometric decay makes this a few dozen factors at most.
+    than ``_C_Q_TOL``; geometric decay makes this a few dozen factors at most.
     """
     a = abs(q)
     if a >= 1.0:
         raise ValueError(f"|q| must be < 1, got {q}")
     prod = 1.0
     term = a
-    for _ in range(max_factors):
-        if term < tol:
+    for _ in range(_C_Q_MAX_FACTORS):
+        if term < _C_Q_TOL:
             break
         prod *= 1.0 - term
         term *= a

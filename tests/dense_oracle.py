@@ -1,9 +1,18 @@
-"""Dense oracles of the doubled-space actions for the tests.
+"""Dense oracles of the doubled-space actions for the tests, and direct
+evaluations of what the library derives by relabelling.
 
 The library applies every doubled-space action matrix-free.  Here the
 actions are built as dense dim**2 x dim**2 matrices, whose row/column
 ``i * dim + j`` is (basis i) (x) (basis j), and decomposed in full; that is
 affordable up to dim 63 or so (a 3969-square float matrix is 126 MB).
+
+The library builds the doubling derivation by priming letters, right
+multiplication and the right-delete mirror by word reversal, and the
+Leibniz sum from one monomial evaluator per split.  The functions at the
+end evaluate each of them directly instead: primed monomials on the doubled
+alphabet's field operators (applied to word dictionaries, which keeps the
+doubled context's dense matrices out of the tests), products of right field
+operators, the mirror formula word by word, and prefix/suffix vacuum images.
 """
 from __future__ import annotations
 
@@ -12,8 +21,8 @@ import math
 import numpy as np
 
 from qfock.deformation import xi_as_hs
-from qfock.fock import metric
-from qfock.operators import left_wick_stack, right_wick_stack
+from qfock.fock import GradedVector, make_context, metric
+from qfock.operators import gaussian, left_wick_stack, right_gaussian, right_wick_stack
 
 
 def dense_action(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -75,3 +84,88 @@ def dense_top(S: np.ndarray, hermitian: bool = False) -> float:
     )
     top = eigsh(normal, k=1, which="LA", v0=v0, return_eigenvectors=False)[0]
     return math.sqrt(top)
+
+
+def _field_on_words(vec: dict, i: int, q: float) -> dict:
+    """The field operator of letter i on a {word: coefficient} vector:
+    prepend i, plus delete each occurrence k of i with weight q^k."""
+    out: dict = {}
+    for w, c in vec.items():
+        out[(i,) + w] = out.get((i,) + w, 0.0) + c
+        for k, letter in enumerate(w):
+            if letter == i:
+                u = w[:k] + w[k + 1 :]
+                out[u] = out.get(u, 0.0) + q**k * c
+    return out
+
+
+def doubling_by_evaluation(P, j: int, ctx) -> GradedVector:
+    """Doubling derivation of P: each monomial with one occurrence of letter
+    j primed (sent to j + N), evaluated on the vacuum by the field operators
+    of the doubled alphabet, word by word, in the doubled context of level
+    max(deg P, 1)."""
+    dctx = make_context(2 * ctx.N, ctx.q, max(P.degree, 1))
+    v = np.zeros(dctx.dim, dtype=complex)
+    for w, c in P.terms.items():
+        for m, letter in enumerate(w):
+            if letter == j:
+                vec = {(): 1.0}
+                for x in reversed(w[:m] + (j + ctx.N,) + w[m + 1 :]):
+                    vec = _field_on_words(vec, x, ctx.q)
+                for u, a in vec.items():
+                    v[dctx.global_index(u)] += c * a
+    return GradedVector(dctx, v)
+
+
+def right_mult_by_products(P, ctx) -> np.ndarray:
+    """Right multiplication by P as products of right field operators,
+    composed in reverse."""
+    M = np.zeros((ctx.dim, ctx.dim), dtype=complex)
+    for w, c in P.terms.items():
+        term = np.eye(ctx.dim)
+        for letter in reversed(w):
+            term = term @ right_gaussian(letter, ctx).mat
+        M += c * term
+    return M
+
+
+def mirror_by_words(i: int, ctx) -> np.ndarray:
+    """Right delete by the mirror formula, word by word: the word w of level
+    n maps to sum_k q^(n-k) [w_k = i] (w minus letter k)."""
+    M = np.zeros((ctx.dim, ctx.dim))
+    for n in range(1, ctx.L + 1):
+        for idx in range(ctx.N**n):
+            w = ctx.index_word(n, idx)
+            for k in range(1, n + 1):
+                if w[k - 1] == i:
+                    M[ctx.global_index(w[: k - 1] + w[k:]), ctx.level_offset(n) + idx] += (
+                        ctx.q ** (n - k)
+                    )
+    return M
+
+
+def leibniz_by_prefix_suffix(P, j: int, ctx) -> np.ndarray:
+    """Free difference quotient coefficients: for each monomial, the vacuum
+    images of all its prefixes and suffixes, then one outer product per
+    occurrence of letter j."""
+    d = ctx.dim
+    C = np.zeros((d, d), dtype=complex)
+    for w, c in P.terms.items():
+        if not w:
+            continue
+        n = len(w)
+        e0 = np.zeros(d, dtype=complex)
+        e0[0] = 1.0
+        prefix = [e0]
+        for m in range(1, n + 1):
+            u = e0
+            for letter in reversed(w[:m]):
+                u = gaussian(letter, ctx).mat @ u
+            prefix.append(u)
+        suffix = [None] * n + [e0]
+        for m in range(n - 1, -1, -1):
+            suffix[m] = gaussian(w[m], ctx).mat @ suffix[m + 1]
+        for m in range(1, n + 1):
+            if w[m - 1] == j:
+                C += c * np.outer(prefix[m - 1], suffix[m])
+    return C

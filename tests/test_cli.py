@@ -260,6 +260,22 @@ def test_cocycle_sim_non_finite_value_exits_2(capsys, tmp_path, imag):
     assert "finite" in err
 
 
+@pytest.mark.parametrize(
+    "values", [[(1, 1e200)], [(1, 1e154), (2, 1e154)]], ids=["square", "sum_of_squares"]
+)
+def test_cocycle_sim_overflowing_rate_exits_2(capsys, tmp_path, values):
+    # finite values whose squares, or the sum of them, overflow the rate
+    entries = [{"element": e, "imag": v} for e, v in values]
+    spec = {"group": {"kind": "int"}, "cocycles": [{"generator_values": {"1": entries}}]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(["cocycle-sim", "--spec", str(path), "--init", "3", "--paths", "3"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "(3,)" in err
+
+
 def test_cocycle_sim_requires_init(capsys):
     code, _, err = run(["cocycle-sim", "--spec", "z-splitting"], capsys)
     assert code == 2
@@ -498,13 +514,8 @@ def test_conjugate_columns_match_oracles(capsys, N):
 
 
 def test_scripts_run():
-    scripts = Path(__file__).resolve().parents[1] / "scripts"
-    for name, args in [
-        ("constants_sweep.py", ["3"]),
-        ("splitting_chain_demo.py", ["4", "50", "1"]),
-    ]:
-        proc = subprocess.run(
-            [sys.executable, str(scripts / name), *args],
-            capture_output=True, text=True, env=_src_env(),
-        )
-        assert proc.returncode == 0, proc.stderr
+    script = Path(__file__).resolve().parents[1] / "scripts" / "constants_sweep.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "3"], capture_output=True, text=True, env=_src_env()
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -418,6 +418,17 @@ def test_cocycle_spec_rejects_non_finite_values(value):
         CocycleSpec(GroupSpec("int"), [{1: {0: 1.0, 1: value}}])
 
 
+def test_rate_rejects_overflowing_values():
+    spec = CocycleSpec(GroupSpec("int"), [{1: {1: 1e154, 2: 1e154}}])
+    # at 2 the interior terms sit at 1 and 3, each squaring to 1e308; their sum overflows
+    assert cocycle_value(spec, 0, 2) == {1: 1e154, 2: 2e154, 3: 1e154}
+    for call in (rate, transitions):
+        with pytest.raises(CocycleSpecError, match=r"\(2,\)"):
+            call(spec, (2,))
+    with pytest.raises(CocycleSpecError):
+        simulate(spec, (2,), horizon=1.0, n_paths=1, max_jumps=4, seed=0)
+
+
 def test_cocycle_spec_accepts_finite_numbers():
     spec = CocycleSpec(GroupSpec("int"), [{1: {0: 1, 1: np.float32(0.5), 2: np.int64(-2)}}])
     assert hat_norm_sq(spec, 0, 1) == 4.0

@@ -20,6 +20,7 @@ from qfock.derivations import (
     NCPoly,
     Q_COMMUTATOR,
     Q_SQRT,
+    _fdq_coeffs,
     commutator_check,
     conjugate_variables,
     derive,
@@ -39,6 +40,12 @@ from qfock.derivations import (
 )
 from qfock.errors import AlphabetError, CapacityError
 from qfock.operators import right_annihilation
+
+from dense_oracle import (
+    doubling_by_evaluation,
+    leibniz_by_prefix_suffix,
+    right_mult_by_products,
+)
 
 
 def random_poly(ctx, rng, deg, n_terms=4):
@@ -432,3 +439,58 @@ def test_doubling_tag_returns_doubled_vector():
     target = out.ctx.global_index((3, 2))
     assert out.data[target] == pytest.approx(1.0)
     assert np.abs(np.delete(out.data, target)).max() < 1e-12
+
+
+def test_doubling_requires_degree_within_truncation():
+    ctx = make_context(2, 0.3, 2)
+    with pytest.raises(CapacityError):
+        derive(NCPoly({(1, 2, 1): 1.0}), 1, DOUBLING, ctx)
+
+
+def test_q_truncated_cap_above_truncation_raises():
+    ctx = make_context(2, 0.3, 3)
+    with pytest.raises(ValueError):
+        derive(NCPoly.x(1), 1, q_truncated(ctx.L + 1), ctx)
+
+
+# ---- relabelling against direct evaluation ----------------------------------------
+
+RELABEL_CONFIGS = [(1, 0.2, 4), (2, 0.1, 5), (2, -0.45, 5), (3, 0.37, 4)]
+
+
+def relabel_polys(ctx, seed):
+    """Random complex polynomials of degree L, each with a top-degree monomial."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(3):
+        top = tuple(int(x) for x in rng.integers(1, ctx.N + 1, size=ctx.L))
+        out.append(random_poly(ctx, rng, ctx.L, n_terms=6) + NCPoly.from_word(top, 1 - 0.5j))
+    return out
+
+
+@pytest.mark.parametrize("N, q, L", RELABEL_CONFIGS)
+def test_doubling_by_priming_matches_doubled_alphabet_evaluation(N, q, L):
+    ctx = make_context(N, q, L)
+    for P in relabel_polys(ctx, 11):
+        for j in range(1, N + 1):
+            got = derive(P, j, DOUBLING, ctx)
+            ref = doubling_by_evaluation(P, j, ctx)
+            assert got.ctx.compatible(ref.ctx)
+            assert np.linalg.norm(got.data - ref.data) <= 1e-13 * np.linalg.norm(ref.data)
+
+
+@pytest.mark.parametrize("N, q, L", RELABEL_CONFIGS)
+def test_right_mult_by_reversal_matches_right_field_products(N, q, L):
+    ctx = make_context(N, q, L)
+    for P in relabel_polys(ctx, 12):
+        got = poly_right_mult(P, ctx)
+        ref = right_mult_by_products(P, ctx)
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("N, q, L", RELABEL_CONFIGS)
+def test_leibniz_sum_equals_prefix_suffix_loop(N, q, L):
+    ctx = make_context(N, q, L)
+    for P in relabel_polys(ctx, 13):
+        for j in range(1, N + 1):
+            assert np.array_equal(_fdq_coeffs(P, j, ctx), leibniz_by_prefix_suffix(P, j, ctx))

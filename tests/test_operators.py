@@ -33,6 +33,8 @@ from qfock.operators import (
     wick_matrix,
 )
 
+from dense_oracle import mirror_by_words
+
 
 # ---- tiny dict-based reference implementation (the oracle) ----------------------
 
@@ -180,6 +182,14 @@ def test_right_annihilation_matches_mirror_formula():
                 right_annihilation(i, ctx).mat - right_annihilation_mirror(i, ctx).mat
             ).max()
             assert d < 1e-10
+
+
+@pytest.mark.parametrize("N, q, L", [(1, 0.2, 4), (2, 0.1, 5), (2, -0.45, 5), (3, 0.37, 4)])
+def test_mirror_by_reversal_matches_word_by_word_formula(N, q, L):
+    ctx = make_context(N, q, L)
+    for i in range(1, N + 1):
+        got = right_annihilation_mirror(i, ctx).mat
+        assert np.abs(got - mirror_by_words(i, ctx)).max() <= 1e-15
 
 
 def test_left_right_operators_commute_below_top():
