@@ -150,9 +150,7 @@ def _suite_gram(ctx, rng) -> list[dict]:
     checks = []
     for n in range(0, min(ctx.L, 4) + 1):
         block = fock.gram(n, ctx)
-        eye_res = np.abs(
-            block.b.entries @ block.gamma.entries @ block.b.entries - np.eye(ctx.N**n)
-        ).max()
+        eye_res = np.abs(block.b @ block.gamma @ block.b - np.eye(ctx.N**n)).max()
         checks.append(_check(f"b_gamma_b_identity_level_{n}", eye_res, 1e-9))
         checks.append(
             {
@@ -410,7 +408,7 @@ def cmd_gram(args: argparse.Namespace) -> int:
     rows = []
     for n in range(ctx.L + 1):
         block = fock.gram(n, ctx)
-        B, gamma, eye = block.b.entries, block.gamma.entries, np.eye(ctx.N**n)
+        B, gamma, eye = block.b, block.gamma, np.eye(ctx.N**n)
         bgb = np.abs(B @ gamma @ B - eye).max()
         # all q-inner products of the level vectors of orthonormal_vectors,
         # the columns of the real B: B^T . Gamma_n . B

@@ -141,7 +141,7 @@ def xi_as_hs(ctx: FockContext, Q: int | None = None) -> HSElement:
         for n in range(Q + 1):
             block = gram(n, ctx)
             s = ctx.level_slice(n)
-            C[s, s] = (ctx.q**n) * (block.b.entries @ block.b.entries)
+            C[s, s] = (ctx.q**n) * (block.b @ block.b)
         return HSElement(ctx, C[:, _rev_perm(ctx)])
 
     return ctx.memo(("xi_hs", Q), build)

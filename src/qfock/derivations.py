@@ -40,7 +40,12 @@ from .deformation import (
     _xi_sqrt_right,
     _xi_spectral_range,
 )
-from .errors import AlphabetError, CapacityError, SquareRootUnavailableError
+from .errors import (
+    AlphabetError,
+    CapacityError,
+    HomogeneityError,
+    SquareRootUnavailableError,
+)
 from .fock import FockContext, GradedVector, _rev_perm, make_context, metric, norm_q, q_inner
 from .operators import (
     FockOperator,
@@ -70,7 +75,6 @@ __all__ = [
     "fisher_estimate",
     "lipschitz_norms",
     "equivalence_check",
-    "bimodule_form_discrepancy",
     "wick_poly",
     "vector_to_poly",
     "poly_vector",
@@ -343,8 +347,6 @@ def number_check(xi: GradedVector, eta: GradedVector, ctx: FockContext) -> dict:
         if not levels:
             return None
         if len(levels) > 1:
-            from .errors import HomogeneityError
-
             raise HomogeneityError(f"input supported on several levels {levels}")
         return levels[0]
 
@@ -410,35 +412,6 @@ def lipschitz_norms(cv: GradedVector) -> list[float]:
 
 
 # ---- norm equivalences -----------------------------------------------------------
-
-
-def bimodule_form_discrepancy(
-    P: NCPoly, Q: NCPoly, R: NCPoly, k: int, ctx: FockContext
-) -> float:
-    """Gap between the doubling form and the square-root form under a left
-    multiplier R: ``|<R hat(P), R hat(Q)> - <R tilde(P), R tilde(Q)>|``.
-
-    The R = 1 instance is an asserted identity; for general R the value is
-    reported for the record only (its vanishing rests on an external
-    stochastic-integration argument, not re-derived here).
-    """
-    deg = max(P.degree, Q.degree) + R.degree
-    dctx = _doubled_context(ctx, max(deg, 1))
-    hatP = _prime(poly_vector(P, ctx), k, dctx)
-    hatQ = _prime(poly_vector(Q, ctx), k, dctx)
-    Rop_doubled = poly_operator(R, dctx).mat
-    lhs = q_inner(
-        GradedVector(dctx, Rop_doubled @ hatP.data),
-        GradedVector(dctx, Rop_doubled @ hatQ.data),
-        dctx,
-    )
-    TP = derive(P, k, FDQ, ctx)
-    TQ = derive(Q, k, FDQ, ctx)
-    Rop = poly_operator(R, ctx).mat
-    RTP = HSElement(ctx, Rop @ TP.coeffs)
-    RTQ = HSElement(ctx, Rop @ TQ.coeffs)
-    rhs = hs_inner(RTP, hs_mult(RTQ, xi_as_hs(ctx)))
-    return abs(complex(lhs) - complex(rhs))
 
 
 def equivalence_check(P: NCPoly, ctx: FockContext, trunc_q: int | None = None) -> dict:

@@ -50,8 +50,8 @@ class GramBlock:
     """Level-``n`` Gram matrix, its inverse square root, and its smallest eigenvalue."""
 
     n: int
-    gamma: symgroup.WordMatrix
-    b: symgroup.WordMatrix
+    gamma: np.ndarray
+    b: np.ndarray
     min_eig: float
 
 
@@ -226,7 +226,7 @@ def _gram_eig(n: int, ctx: FockContext) -> tuple[np.ndarray, np.ndarray, np.ndar
         if n == 0:
             gamma = np.ones((1, 1))
         else:
-            gamma = symgroup.pq_direct(n, ctx).entries
+            gamma = symgroup.pq_direct(n, ctx)
         w, U = np.linalg.eigh(gamma)
         min_eig = float(w.min())
         if min_eig <= _EIG_FLOOR:
@@ -253,12 +253,7 @@ def gram(n: int, ctx: FockContext) -> GramBlock:
     def build():
         gamma, w, U = _gram_eig(n, ctx)
         b = (U * w**-0.5) @ U.T
-        return GramBlock(
-            n,
-            symgroup.WordMatrix(n, ctx.N, gamma),
-            symgroup.WordMatrix(n, ctx.N, b),
-            float(w.min()),
-        )
+        return GramBlock(n, gamma, b, float(w.min()))
 
     return ctx.memo(("gram", n), build)
 
@@ -304,7 +299,7 @@ def q_inner(v: GradedVector, w: GradedVector, ctx: FockContext | None = None) ->
         wn = w.level(n)
         if not vn.any() or not wn.any():
             continue
-        total += np.vdot(vn, gram(n, ctx).gamma.entries @ wn)
+        total += np.vdot(vn, gram(n, ctx).gamma @ wn)
     return complex(total)
 
 
@@ -323,6 +318,6 @@ def orthonormal_vectors(n: int, ctx: FockContext) -> list[GradedVector]:
     out = []
     for i in range(ctx.N**n):
         v = GradedVector.zero(ctx)
-        v.level(n)[:] = block.b.entries[:, i]
+        v.level(n)[:] = block.b[:, i]
         out.append(v)
     return out

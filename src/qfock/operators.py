@@ -44,7 +44,6 @@ __all__ = [
     "right_wick_stack",
     "trace_state",
     "op_norm",
-    "hs_norm",
     "c_q",
     "bozejko_check",
     "BozejkoReport",
@@ -402,13 +401,6 @@ def op_norm(A: FockOperator) -> float:
     """
     M = A.mat
     return _metric_norm(A.ctx, M.real, M.imag if np.iscomplexobj(M) else None)
-
-
-def hs_norm(A: FockOperator) -> float:
-    """Hilbert-Schmidt norm of A over any orthonormal basis of the metric."""
-    m = metric(A.ctx)
-    sym = m["Gh"] @ A.mat @ m["Gih"]
-    return float(np.linalg.norm(sym))
 
 
 def c_q(q: float) -> float:

@@ -26,15 +26,11 @@ _PQ_CHUNK = 1 << 15
 
 __all__ = [
     "Permutation",
-    "WordMatrix",
-    "inversions",
     "cycle_perm",
     "perm_action",
     "pq_direct",
     "mn_matrix",
     "pq_recursive",
-    "mn_inverse",
-    "mn_inverse_readings",
 ]
 
 
@@ -60,29 +56,6 @@ class Permutation:
         return Permutation(tuple(range(1, n + 1)))
 
 
-@dataclass(frozen=True)
-class WordMatrix:
-    """Dense square matrix over the length-``n`` word basis (dimension N**n)."""
-
-    n: int
-    N: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        d = self.N**self.n
-        if self.entries.shape != (d, d):
-            raise ValueError(
-                f"entries shape {self.entries.shape} does not match N^n = {d}"
-            )
-
-
-def inversions(p: Permutation) -> int:
-    """Number of pairs i < j with p(i) > p(j)."""
-    im = p.images
-    n = len(im)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if im[i] > im[j])
-
-
 def cycle_perm(k: int, l: int, n: int) -> Permutation:
     """The cycle (k -> l): sends k+i to k+i+1 for 0 <= i <= l-k-1 and l to k.
 
@@ -104,7 +77,7 @@ def _letters(n: int, N: int) -> np.ndarray:
     return np.stack([(idx // N**t) % N for t in range(n)], axis=1)
 
 
-def perm_action(p: Permutation, ctx) -> WordMatrix:
+def perm_action(p: Permutation, ctx) -> np.ndarray:
     """0/1 matrix of the position shuffle w -> (w[p(1)], ..., w[p(n)]).
 
     Note the action is contravariant: the matrix of ``p`` followed by ``s``
@@ -123,11 +96,12 @@ def perm_action(p: Permutation, ctx) -> WordMatrix:
     tgt = letters[:, [p(t + 1) - 1 for t in range(n)]] @ powers
     M = np.zeros((d, d))
     M[tgt, np.arange(d)] = 1.0
-    return WordMatrix(n, N, M)
+    return M
 
 
-def pq_direct(n: int, ctx) -> WordMatrix:
-    """Sum over all of S_n of q^inversions(p) times the word action of p.
+def pq_direct(n: int, ctx) -> np.ndarray:
+    """Sum over all of S_n of q^inv(p) times the word action of p, inv(p) the
+    number of pairs i < j with p(i) > p(j).
 
     Vectorized over the group, but each entry still adds its terms one at a
     time in ``itertools.permutations`` order (``np.add.at`` is unbuffered and
@@ -163,19 +137,18 @@ def pq_direct(n: int, ctx) -> WordMatrix:
         for t in range(1, n):
             flat += place[t, chunk[:, t]]
         np.add.at(M.reshape(-1), flat.reshape(-1), np.repeat(weights[s : s + step], d))
-    return WordMatrix(n, N, M)
+    return M
 
 
-def mn_matrix(n: int, ctx) -> WordMatrix:
+def mn_matrix(n: int, ctx) -> np.ndarray:
     """sum_{k=1..n} q^(k-1) * action of the cycle (1 -> k)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    N, q = ctx.N, ctx.q
-    d = N**n
+    d = ctx.N**n
     M = np.zeros((d, d))
     for k in range(1, n + 1):
-        M += q ** (k - 1) * perm_action(cycle_perm(1, k, n), ctx).entries
-    return WordMatrix(n, N, M)
+        M += ctx.q ** (k - 1) * perm_action(cycle_perm(1, k, n), ctx)
+    return M
 
 
 def _embed_tail(prev: np.ndarray, N: int) -> np.ndarray:
@@ -184,7 +157,7 @@ def _embed_tail(prev: np.ndarray, N: int) -> np.ndarray:
     return np.kron(prev, np.eye(N))
 
 
-def pq_recursive(n: int, ctx) -> WordMatrix:
+def pq_recursive(n: int, ctx) -> np.ndarray:
     """The inversion-weighted S_n sum built level by level.
 
     Group-algebra identity: the S_n sum factors as (embedded S_{n-1} sum,
@@ -195,84 +168,5 @@ def pq_recursive(n: int, ctx) -> WordMatrix:
     check_dim(N**n, f"word matrix at level {n}", ctx.cap_override)
     P = np.ones((1, 1))
     for m in range(1, n + 1):
-        P = mn_matrix(m, ctx).entries @ _embed_tail(P, N)
-    return WordMatrix(n, N, P)
-
-
-def _cycle_factor(coef: float, k: int, l: int, n: int, ctx) -> np.ndarray:
-    return np.eye(ctx.N**n) - coef * perm_action(cycle_perm(k, l, n), ctx).entries
-
-
-def _mn_inverse_factorwise(n: int, ctx) -> np.ndarray:
-    """Product formula for mn_matrix(n)**-1, factor-wise inverses.
-
-    In the group algebra the inverse is
-    ``[prod_{j=n-1..1} (1 - q^j (1->j+1))] * [prod_{j=n-2..0} (1 - q^{n-j} (2->n-j))^{-1}]``
-    with the inverse applied to each factor of the second product.  The matrix
-    version below runs both products in ascending j and in swapped order,
-    again because the word action is contravariant.
-    """
-    q = ctx.q
-    d = ctx.N**n
-    left = np.eye(d)
-    for j in range(0, n - 1):
-        left = left @ np.linalg.inv(_cycle_factor(q ** (n - j), 2, n - j, n, ctx))
-    right = np.eye(d)
-    for j in range(1, n):
-        right = right @ _cycle_factor(q**j, 1, j + 1, n, ctx)
-    return left @ right
-
-
-def mn_inverse(n: int, ctx) -> WordMatrix:
-    """Inverse of mn_matrix(n), via the validated product formula.
-
-    The product formula is used as an accelerator and its output is always
-    residual-checked against ``mn_matrix(n) @ result = I``; on residual above
-    1e-8 the direct linear solve is returned instead.
-    """
-    if not (-1.0 < ctx.q < 1.0):
-        raise ValueError(f"|q| must be < 1, got q = {ctx.q}")
-    N = ctx.N
-    d = N**n
-    check_dim(d, f"word matrix at level {n}", ctx.cap_override)
-    Mn = mn_matrix(n, ctx).entries
-    inv = _mn_inverse_factorwise(n, ctx)
-    residual = np.abs(Mn @ inv - np.eye(d)).max()
-    if residual > 1e-8:
-        import warnings
-
-        warnings.warn(
-            f"product-formula inverse left residual {residual:.3e} at n={n}, "
-            f"q={ctx.q}; falling back to direct inversion"
-        )
-        inv = np.linalg.solve(Mn, np.eye(d))
-    return WordMatrix(n, N, inv)
-
-
-def mn_inverse_readings(n: int, ctx) -> dict[str, float]:
-    """Residuals of the candidate parenthesizations of the inverse formula.
-
-    The printed formula has unbalanced parentheses; two readings make sense:
-    ``factorwise`` inverts each factor of the second product, ``wholeprod``
-    inverts the second product as a single matrix.  Returns
-    ``max |mn_matrix @ candidate - I|`` for each.
-    """
-    q = ctx.q
-    d = ctx.N**n
-    Mn = mn_matrix(n, ctx).entries
-    eye = np.eye(d)
-
-    factorwise = _mn_inverse_factorwise(n, ctx)
-
-    whole = np.eye(d)
-    for j in range(0, n - 1):
-        whole = whole @ _cycle_factor(q ** (n - j), 2, n - j, n, ctx)
-    right = np.eye(d)
-    for j in range(1, n):
-        right = right @ _cycle_factor(q**j, 1, j + 1, n, ctx)
-    wholeprod = np.linalg.inv(whole) @ right
-
-    return {
-        "factorwise": float(np.abs(Mn @ factorwise - eye).max()),
-        "wholeprod": float(np.abs(Mn @ wholeprod - eye).max()),
-    }
+        P = mn_matrix(m, ctx) @ _embed_tail(P, N)
+    return P

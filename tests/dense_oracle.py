@@ -13,6 +13,11 @@ end evaluate each of them directly instead: primed monomials on the doubled
 alphabet's field operators (applied to word dictionaries, which keeps the
 doubled context's dense matrices out of the tests), products of right field
 operators, the mirror formula word by word, and prefix/suffix vacuum images.
+
+Last come the group-algebra and norm identities that the library does not
+use but the tests check: the inversion count, the product formula for the
+inverse of the cycle sum M_n and its two readings, the Hilbert-Schmidt norm
+of an operator and the doubling form under a left multiplier.
 """
 from __future__ import annotations
 
@@ -20,9 +25,11 @@ import math
 
 import numpy as np
 
-from qfock.deformation import xi_as_hs
-from qfock.fock import GradedVector, make_context, metric
+from qfock.deformation import HSElement, hs_inner, hs_mult, xi_as_hs
+from qfock.derivations import FDQ, _doubled_context, _prime, derive, poly_operator, poly_vector
+from qfock.fock import GradedVector, make_context, metric, q_inner
 from qfock.operators import gaussian, left_wick_stack, right_gaussian, right_wick_stack
+from qfock.symgroup import Permutation, cycle_perm, mn_matrix, perm_action
 
 
 def dense_action(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -169,3 +176,93 @@ def leibniz_by_prefix_suffix(P, j: int, ctx) -> np.ndarray:
             if w[m - 1] == j:
                 C += c * np.outer(prefix[m - 1], suffix[m])
     return C
+
+
+def inversions(p: Permutation) -> int:
+    """Number of pairs i < j with p(i) > p(j)."""
+    im = p.images
+    n = len(im)
+    return sum(1 for i in range(n) for j in range(i + 1, n) if im[i] > im[j])
+
+
+def _cycle_factor(coef: float, k: int, l: int, n: int, ctx) -> np.ndarray:
+    return np.eye(ctx.N**n) - coef * perm_action(cycle_perm(k, l, n), ctx)
+
+
+def _cycle_products(n: int, ctx) -> tuple[list[np.ndarray], np.ndarray]:
+    """The factors of the second product of the inverse formula, and the
+    first product, in the matrix order of :func:`mn_inverse`."""
+    q = ctx.q
+    second = [_cycle_factor(q ** (n - j), 2, n - j, n, ctx) for j in range(0, n - 1)]
+    first = np.eye(ctx.N**n)
+    for j in range(1, n):
+        first = first @ _cycle_factor(q**j, 1, j + 1, n, ctx)
+    return second, first
+
+
+def mn_inverse(n: int, ctx) -> np.ndarray:
+    """The product formula for mn_matrix(n)**-1, factor-wise inverses.
+
+    In the group algebra the inverse is
+    ``[prod_{j=n-1..1} (1 - q^j (1->j+1))] * [prod_{j=n-2..0} (1 - q^{n-j} (2->n-j))^{-1}]``
+    with the inverse applied to each factor of the second product.  The matrix
+    version runs both products in ascending j and in swapped order, because
+    the word action is contravariant.
+    """
+    second, first = _cycle_products(n, ctx)
+    left = np.eye(ctx.N**n)
+    for F in second:
+        left = left @ np.linalg.inv(F)
+    return left @ first
+
+
+def mn_inverse_readings(n: int, ctx) -> dict[str, float]:
+    """Residuals of the candidate parenthesizations of the inverse formula.
+
+    The printed formula has unbalanced parentheses; two readings make sense:
+    ``factorwise`` inverts each factor of the second product (that is
+    :func:`mn_inverse`), ``wholeprod`` inverts the second product as a single
+    matrix.  Returns ``max |mn_matrix @ candidate - I|`` for each.
+    """
+    second, first = _cycle_products(n, ctx)
+    whole = np.eye(ctx.N**n)
+    for F in second:
+        whole = whole @ F
+    wholeprod = np.linalg.inv(whole) @ first
+    Mn = mn_matrix(n, ctx)
+    eye = np.eye(ctx.N**n)
+    return {
+        "factorwise": float(np.abs(Mn @ mn_inverse(n, ctx) - eye).max()),
+        "wholeprod": float(np.abs(Mn @ wholeprod - eye).max()),
+    }
+
+
+def hs_norm(A) -> float:
+    """Hilbert-Schmidt norm of the Fock operator A over any orthonormal basis
+    of the metric."""
+    m = metric(A.ctx)
+    return float(np.linalg.norm(m["Gh"] @ A.mat @ m["Gih"]))
+
+
+def bimodule_form_discrepancy(P, Q, R, k: int, ctx) -> float:
+    """Gap between the doubling form and the square-root form under a left
+    multiplier R: ``|<R hat(P), R hat(Q)> - <R tilde(P), R tilde(Q)>|``.
+
+    The R = 1 instance is an identity; for general R its vanishing rests on
+    an external stochastic-integration argument, not re-derived here.
+    """
+    deg = max(P.degree, Q.degree) + R.degree
+    dctx = _doubled_context(ctx, max(deg, 1))
+    hatP = _prime(poly_vector(P, ctx), k, dctx)
+    hatQ = _prime(poly_vector(Q, ctx), k, dctx)
+    Rop_doubled = poly_operator(R, dctx).mat
+    lhs = q_inner(
+        GradedVector(dctx, Rop_doubled @ hatP.data),
+        GradedVector(dctx, Rop_doubled @ hatQ.data),
+        dctx,
+    )
+    Rop = poly_operator(R, ctx).mat
+    RTP = HSElement(ctx, Rop @ derive(P, k, FDQ, ctx).coeffs)
+    RTQ = HSElement(ctx, Rop @ derive(Q, k, FDQ, ctx).coeffs)
+    rhs = hs_inner(RTP, hs_mult(RTQ, xi_as_hs(ctx)))
+    return abs(complex(lhs) - complex(rhs))

@@ -21,13 +21,14 @@ from qfock.deformation import (
 )
 from qfock.errors import NonConvergenceWarning, SquareRootUnavailableError
 from qfock.fock import metric, q_inner
-from qfock.operators import c_q, gaussian, hs_norm, wick_matrix
+from qfock.operators import c_q, gaussian
 
 from dense_oracle import (
     dense_action,
     dense_sym_action,
     dense_top,
     dense_xi_sqrt_right,
+    hs_norm,
     lr_action,
 )
 

@@ -42,6 +42,7 @@ from qfock.errors import AlphabetError, CapacityError
 from qfock.operators import right_annihilation
 
 from dense_oracle import (
+    bimodule_form_discrepancy,
     doubling_by_evaluation,
     leibniz_by_prefix_suffix,
     right_mult_by_products,
@@ -419,8 +420,6 @@ def test_bimodule_form_under_left_multipliers_recorded():
     # the unit-multiplier instance is an asserted identity; general left
     # multipliers are recorded, not asserted (the underlying identity rests on
     # an external argument).  observed: no discrepancy at truncation.
-    from qfock.derivations import bimodule_form_discrepancy
-
     ctx = make_context(2, 0.3, 5)
     P = NCPoly({(1, 2): 1.0, (2,): 0.5})
     Q = NCPoly({(2, 1): 1.0, (1,): -0.25})

@@ -60,7 +60,7 @@ def test_make_context_capacity(monkeypatch):
 def test_cap_override_reaches_level_gram(monkeypatch):
     # the context's override beats the environment cap in the S_n sum too
     monkeypatch.setenv("QFOCK_SIZE_CAP", "5")
-    assert gram(3, make_context(2, 0.1, 3, cap_override=100)).gamma.entries.shape == (8, 8)
+    assert gram(3, make_context(2, 0.1, 3, cap_override=100)).gamma.shape == (8, 8)
 
 
 def test_q_inner_swap_words():
@@ -125,12 +125,12 @@ def test_q_inner_sesquilinear():
 
 def test_gram_level_one_identity():
     ctx = make_context(3, 0.4, 3)
-    assert np.array_equal(gram(1, ctx).gamma.entries, np.eye(3))
+    assert np.array_equal(gram(1, ctx).gamma, np.eye(3))
 
 
 def test_gram_level_two_entries():
     ctx = make_context(2, 0.4, 3)
-    g = gram(2, ctx).gamma.entries
+    g = gram(2, ctx).gamma
     assert g[ctx.word_index((1, 2)), ctx.word_index((2, 1))] == pytest.approx(0.4)
     assert g[ctx.word_index((1, 1)), ctx.word_index((1, 1))] == pytest.approx(1.4)
 
@@ -143,7 +143,7 @@ def test_gram_inverse_sqrt_identity(N, L, q):
         block = gram(n, ctx)
         assert block.min_eig > 0
         eye = np.eye(N**n)
-        res = np.abs(block.b.entries @ block.gamma.entries @ block.b.entries - eye)
+        res = np.abs(block.b @ block.gamma @ block.b - eye)
         assert res.max() < 1e-9
 
 
@@ -199,7 +199,7 @@ def test_gram_matches_word_operator_traces():
 
     ctx = make_context(2, -0.4, 5)
     n = 2
-    g = gram(n, ctx).gamma.entries
+    g = gram(n, ctx).gamma
     for a in range(4):
         for b in range(4):
             u = ctx.index_word(n, a)

@@ -25,7 +25,6 @@ from qfock.operators import (
     FockOperator,
     _level_stack,
     _wick_sum,
-    hs_norm,
     left_wick_stack,
     right_annihilation_mirror,
     right_gaussian,
@@ -33,7 +32,7 @@ from qfock.operators import (
     wick_matrix,
 )
 
-from dense_oracle import mirror_by_words
+from dense_oracle import hs_norm, mirror_by_words
 
 
 # ---- tiny dict-based reference implementation (the oracle) ----------------------

@@ -11,14 +11,13 @@ from qfock.symgroup import (
     Permutation,
     _letters,
     cycle_perm,
-    inversions,
-    mn_inverse,
-    mn_inverse_readings,
     mn_matrix,
     perm_action,
     pq_direct,
     pq_recursive,
 )
+
+from dense_oracle import inversions, mn_inverse, mn_inverse_readings
 
 
 def ctx(N=2, q=0.3, L=6):
@@ -68,13 +67,13 @@ def test_cycle_perm_rejects_bad_range():
 
 def test_perm_action_identity():
     c = ctx()
-    M = perm_action(Permutation.identity(2), c).entries
+    M = perm_action(Permutation.identity(2), c)
     assert np.array_equal(M, np.eye(4))
 
 
 def test_perm_action_swap_sends_12_to_21():
     c = ctx()
-    M = perm_action(Permutation((2, 1)), c).entries
+    M = perm_action(Permutation((2, 1)), c)
     src = c.word_index((1, 2))
     tgt = c.word_index((2, 1))
     assert M[tgt, src] == 1.0
@@ -83,23 +82,23 @@ def test_perm_action_swap_sends_12_to_21():
 
 def test_perm_action_is_orthogonal():
     c = ctx()
-    M = perm_action(Permutation((3, 1, 2)), c).entries
+    M = perm_action(Permutation((3, 1, 2)), c)
     assert np.allclose(M @ M.T, np.eye(8))
 
 
 def test_pq_direct_level_one_is_identity():
     c = ctx()
-    assert np.array_equal(pq_direct(1, c).entries, np.eye(2))
+    assert np.array_equal(pq_direct(1, c), np.eye(2))
 
 
 def test_pq_direct_scalar_alphabet():
     c = make_context(1, 0.3, 6)
-    assert np.allclose(pq_direct(2, c).entries, [[1 + 0.3]])
+    assert np.allclose(pq_direct(2, c), [[1 + 0.3]])
 
 
 def test_pq_direct_swap_entry_is_q():
     c = ctx()
-    M = pq_direct(2, c).entries
+    M = pq_direct(2, c)
     assert M[c.word_index((1, 2)), c.word_index((2, 1))] == pytest.approx(0.3)
 
 
@@ -129,52 +128,52 @@ def pq_loop(n: int, c) -> np.ndarray:
 )
 def test_pq_direct_bitwise_equals_permutation_loop(N, n, q):
     c = make_context(N, q, n)
-    assert np.array_equal(pq_direct(n, c).entries, pq_loop(n, c))
+    assert np.array_equal(pq_direct(n, c), pq_loop(n, c))
 
 
 @pytest.mark.parametrize("q", [-0.9, -0.5, -0.1, 0.0, 0.1, 0.5, 0.9])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_pq_direct_symmetric_psd(q, n):
     c = make_context(2, q, 5)
-    M = pq_direct(n, c).entries
+    M = pq_direct(n, c)
     assert np.abs(M - M.T).max() < 1e-14
     assert np.linalg.eigvalsh(M).min() > 0
 
 
 def test_mn_matrix_small():
     c = ctx()
-    assert np.array_equal(mn_matrix(1, c).entries, np.eye(2))
-    swap = perm_action(Permutation((2, 1)), c).entries
-    assert np.allclose(mn_matrix(2, c).entries, np.eye(4) + 0.3 * swap)
+    assert np.array_equal(mn_matrix(1, c), np.eye(2))
+    swap = perm_action(Permutation((2, 1)), c)
+    assert np.allclose(mn_matrix(2, c), np.eye(4) + 0.3 * swap)
     c1 = make_context(1, 0.3, 6)
-    assert np.allclose(mn_matrix(3, c1).entries, [[1 + 0.3 + 0.09]])
+    assert np.allclose(mn_matrix(3, c1), [[1 + 0.3 + 0.09]])
 
 
 @pytest.mark.parametrize("q", [-0.9, -0.5, -0.1, 0.0, 0.5, 0.9])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_recursion_matches_direct_sum(q, n):
     c = make_context(2, q, 6)
-    diff = np.abs(pq_recursive(n, c).entries - pq_direct(n, c).entries).max()
+    diff = np.abs(pq_recursive(n, c) - pq_direct(n, c)).max()
     assert diff < 1e-12
 
 
 def test_mn_inverse_scalar():
     c = make_context(1, 0.3, 6)
-    assert np.allclose(mn_inverse(2, c).entries, [[1 / 1.3]])
+    assert np.allclose(mn_inverse(2, c), [[1 / 1.3]])
 
 
 def test_mn_inverse_swap_block():
     # oracle: direct inversion of the 2-block
     c = ctx()
-    swap = perm_action(Permutation((2, 1)), c).entries
+    swap = perm_action(Permutation((2, 1)), c)
     expected = (np.eye(4) - 0.3 * swap) / (1 - 0.09)
-    assert np.allclose(mn_inverse(2, c).entries, expected, atol=1e-12)
+    assert np.allclose(mn_inverse(2, c), expected, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_mn_inverse_is_inverse(n):
     c = ctx()
-    prod = mn_matrix(n, c).entries @ mn_inverse(n, c).entries
+    prod = mn_matrix(n, c) @ mn_inverse(n, c)
     assert np.abs(prod - np.eye(2**n)).max() < 1e-10
 
 
@@ -203,6 +202,6 @@ def test_word_matrices_take_the_context_cap_override(monkeypatch):
         lambda: pq_recursive(3, c),
         lambda: mn_inverse(3, c),
     ):
-        assert build().entries.shape == (8, 8)
+        assert build().shape == (8, 8)
     with pytest.raises(CapacityError, match="cap 5"):
         pq_direct(3, plain)
