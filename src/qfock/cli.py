@@ -470,8 +470,7 @@ def cmd_conjugate(args: argparse.Namespace) -> int:
         cvs = dv.conjugate_variables(df.HSElement(ctx, U))
         row = [n, df.neumann_residual(ctx, U), *map(fock.norm_q, cvs)]
         row.append(dv.fisher_estimate(cvs))
-        for v in cvs:
-            row += dv.lipschitz_norms(v)
+        row += [cell for table_row in dv.lipschitz_norms(cvs) for cell in table_row]
         rows.append(row)
     _emit(csv_table(header, rows, banner=banner), args.out)
     return 0

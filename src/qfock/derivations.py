@@ -401,14 +401,27 @@ def fisher_estimate(cvs: list[GradedVector]) -> float:
     return sum(norm_q(v) ** 2 for v in cvs)
 
 
-def lipschitz_norms(cv: GradedVector) -> list[float]:
+def lipschitz_norms(cvs: list[GradedVector]) -> list[list[float]]:
     """Doubled-space operator norms of the free difference quotients
-    ``d_k xi`` of one conjugate variable, k = 1..N: the computable proxy of
-    their von Neumann tensor norms.  No extrapolation beyond the truncation
-    is claimed."""
-    ctx = cv.ctx
-    P = vector_to_poly(cv)
-    return [doubled_op_norm(derive(P, k, FDQ, ctx)) for k in range(1, ctx.N + 1)]
+    ``d_k xi_j``, as the N x N table ``[j - 1][k - 1]``: the computable proxy
+    of their von Neumann tensor norms.  No extrapolation beyond the
+    truncation is claimed.
+
+    Contract: ``cvs`` is ``conjugate_variables(U)`` for a letter-invariant U
+    (every partial sum of :func:`~qfock.deformation.neumann_series` is one,
+    and so is the element of :func:`~qfock.deformation.xi_inverse_neumann`).
+    A letter relabelling sigma leaves every Gram block unchanged, so it is a
+    unitary of the truncated space that fixes U; then ``xi_sigma(j) = sigma
+    xi_j`` and ``d_sigma(k) xi_sigma(j) = (sigma (x) sigma)(d_k xi_j)``,
+    whose norm is that of ``d_k xi_j``.  The table therefore takes one value
+    on its diagonal and one off it, and only ``cvs[0]`` is read: the norms
+    of ``d_1 xi_1`` and, when N >= 2, of ``d_2 xi_1``.
+    """
+    ctx = cvs[0].ctx
+    P = vector_to_poly(cvs[0])
+    diag = doubled_op_norm(derive(P, 1, FDQ, ctx))
+    off = doubled_op_norm(derive(P, 2, FDQ, ctx)) if ctx.N > 1 else None
+    return [[diag if j == k else off for k in range(ctx.N)] for j in range(ctx.N)]
 
 
 # ---- norm equivalences -----------------------------------------------------------

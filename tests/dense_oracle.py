@@ -14,6 +14,8 @@ alphabet's field operators (applied to word dictionaries, which keeps the
 doubled context's dense matrices out of the tests), products of right field
 operators, the mirror formula word by word, and prefix/suffix vacuum images.
 
+The letter relabelling of the graded basis serves the symmetry tests.
+
 Last come the group-algebra and norm identities that the library does not
 use but the tests check: the inversion count, the product formula for the
 inverse of the cycle sum M_n and its two readings, the Hilbert-Schmidt norm
@@ -91,6 +93,18 @@ def dense_top(S: np.ndarray, hermitian: bool = False) -> float:
     )
     top = eigsh(normal, k=1, which="LA", v0=v0, return_eigenvectors=False)[0]
     return math.sqrt(top)
+
+
+def letter_relabelling(sigma: tuple[int, ...], ctx) -> np.ndarray:
+    """The letter permutation ``a -> sigma[a - 1]`` on the graded basis:
+    ``perm[i]`` is the index of the relabelled word of basis word i, so a
+    vector v goes to ``w`` with ``w[perm] = v`` and a coefficient matrix C
+    is invariant when ``C[np.ix_(perm, perm)] == C``."""
+    perm = np.empty(ctx.dim, dtype=int)
+    for n in range(ctx.L + 1):
+        for idx, w in enumerate(ctx.words(n)):
+            perm[ctx.level_offset(n) + idx] = ctx.global_index(tuple(sigma[a - 1] for a in w))
+    return perm
 
 
 def _field_on_words(vec: dict, i: int, q: float) -> dict:

@@ -244,7 +244,7 @@ def test_criterion_10_semicircular_degeneration():
     for j, v in enumerate(cvs, start=1):
         worst = max(worst, np.abs(v.data - GradedVector.from_word(ctx, (j,)).data).max())
     fisher = fisher_estimate(cvs)
-    lip = lipschitz_norms(conjugate_variables(xi_inverse_neumann(ctx, 4).element)[0])[0]
+    lip = lipschitz_norms(conjugate_variables(xi_inverse_neumann(ctx, 4).element))[0][0]
     report(
         10,
         "free-case degeneration is exact",

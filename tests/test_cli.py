@@ -169,6 +169,14 @@ def test_conjugate_free_case(capsys):
         assert float(line.split(",")[fisher_col]) == pytest.approx(2.0)
 
 
+def test_conjugate_single_letter_has_one_lipschitz_column(capsys):
+    code, out, _ = run(["conjugate", "--n", "1", "--q", "0.05", "--level", "3", "--terms", "2"], capsys)
+    assert code == 0
+    header, *lines = out.strip().split("\r\n")
+    assert header == "n,u_residual,cv_norm_1,fisher,lipschitz_11"
+    assert all(len(line.split(",")) == 5 for line in lines)
+
+
 def test_conjugate_warning_banner():
     # a real process, so the engine's warning reaches stderr; the condition
     # is reported there once and in the CSV banner
@@ -490,17 +498,28 @@ def test_commands_reject_flags_they_ignore(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("N", [2, 3])
-def test_conjugate_columns_match_oracles(capsys, N):
+@pytest.mark.parametrize(
+    "N, q",
+    [
+        pytest.param(2, 0.05, id="2"),
+        pytest.param(3, 0.05, id="3"),
+        pytest.param(
+            2, -0.1, id="2-q-0.1",
+            marks=pytest.mark.filterwarnings("ignore::qfock.errors.NonConvergenceWarning"),
+        ),
+    ],
+)
+def test_conjugate_columns_match_oracles(capsys, N, q):
     # u_residual is the residual that xi_inverse_neumann reports, and every
     # lipschitz_jk cell is the top singular value of the dense doubled-space
     # action of d_k xi_j, which the matrix-free Lanczos approaches from below
-    ctx = make_context(N, 0.05, 3)
+    ctx = make_context(N, q, 3)
     code, out, _ = run(
-        ["conjugate", "--n", str(N), "--q", "0.05", "--level", "3", "--terms", "6"], capsys
+        ["conjugate", "--n", str(N), "--q", str(q), "--level", "3", "--terms", "6"], capsys
     )
     assert code == 0
-    header, *lines = out.strip().split("\r\n")
+    # a q < 0 run outside the convergence guarantee opens with a banner line
+    header, *lines = [ln for ln in out.strip().split("\r\n") if not ln.startswith("#")]
     rows = [dict(zip(header.split(","), map(float, ln.split(",")))) for ln in lines]
     assert [row["n"] for row in rows] == [1, 2, 3, 4, 5, 6]
     assert [row["u_residual"] for row in rows] == xi_inverse_neumann(ctx, 6).residuals

@@ -1,4 +1,5 @@
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from dense_oracle import (
     dense_top,
     dense_xi_sqrt_right,
     hs_norm,
+    letter_relabelling,
     lr_action,
 )
 
@@ -353,6 +355,23 @@ def test_neumann_warns_outside_guarantee():
     ctx = make_context(2, 0.75, 3)
     with pytest.warns(NonConvergenceWarning):
         xi_inverse_neumann(ctx, 2)
+
+
+# Relabelling the letters leaves every Gram block unchanged, so it is a
+# unitary of the truncated space that fixes Xi, and with it every power of
+# D = Xi - 1 and every partial sum.  The coefficients are moved, not
+# recomputed, so only the roundoff of the series products separates them:
+# tolerance 1e-13 relative to the largest coefficient.
+@pytest.mark.filterwarnings("ignore::qfock.errors.NonConvergenceWarning")
+@pytest.mark.parametrize("q", [-0.1, 0.1, 0.3])
+@pytest.mark.parametrize("N, L", [(2, 4), (3, 3)])
+def test_xi_and_partial_sums_are_letter_invariant(N, L, q):
+    ctx = make_context(N, q, L)
+    elements = [xi_as_hs(ctx).coeffs] + [U for _, _, U in neumann_series(ctx, 6)]
+    for sigma in permutations(range(1, N + 1)):
+        perm = letter_relabelling(sigma, ctx)
+        for C in elements:
+            assert np.abs(C[np.ix_(perm, perm)] - C).max() <= 1e-13 * np.abs(C).max(), sigma
 
 
 # ---- norms, positivity, square roots ------------------------------------------------

@@ -1,3 +1,5 @@
+from itertools import islice, permutations
+
 import numpy as np
 import pytest
 
@@ -43,8 +45,11 @@ from qfock.operators import right_annihilation
 
 from dense_oracle import (
     bimodule_form_discrepancy,
+    dense_sym_action,
+    dense_top,
     doubling_by_evaluation,
     leibniz_by_prefix_suffix,
+    letter_relabelling,
     right_mult_by_products,
 )
 
@@ -329,22 +334,75 @@ def test_fisher_free_case():
 
 def test_lipschitz_free_case():
     ctx = make_context(2, 0.0, 4)
-    xi_1 = conjugate_variables(xi_inverse_neumann(ctx, 3).element)[0]
-    assert lipschitz_norms(xi_1)[0] == pytest.approx(1.0, abs=1e-10)
-    P = vector_to_poly(xi_1)
+    cvs = conjugate_variables(xi_inverse_neumann(ctx, 3).element)
+    assert lipschitz_norms(cvs)[0][0] == pytest.approx(1.0, abs=1e-10)
+    P = vector_to_poly(cvs[0])
     assert hs_norm_of(derive(P, 1, FDQ, ctx)) == pytest.approx(1.0, abs=1e-10)
     assert hs_norm_of(derive(P, 2, FDQ, ctx)) < 1e-12
+    # xi_j = X_j: d_k xi_j is 1 (x) 1 on the diagonal and vanishes off it
+    for ctx in (ctx, make_context(3, 0.0, 3)):
+        table = lipschitz_norms(conjugate_variables(xi_inverse_neumann(ctx, 3).element))
+        for j, row in enumerate(table):
+            for k, cell in enumerate(row):
+                if j == k:
+                    assert cell == pytest.approx(1.0, abs=1e-10)
+                else:
+                    assert cell == 0.0
 
 
 def test_lipschitz_norms_nonnegative_and_bounded():
     ctx = make_context(2, 0.05, 4)
     vals = [
-        lipschitz_norms(conjugate_variables(HSElement(ctx, U))[0])[0]
+        lipschitz_norms(conjugate_variables(HSElement(ctx, U)))[0][0]
         for n, _, U in neumann_series(ctx, 6)
         if n in (2, 4, 6)
     ]
     assert all(v >= 0 for v in vals)
     assert max(vals) - min(vals) < 0.1  # uniformly bounded in series order
+
+
+# The letter relabelling is a unitary that fixes every partial sum U, so
+# xi_sigma(j) = sigma xi_j; coefficients are moved, not recomputed, so the
+# tolerance is roundoff: 1e-13 relative to the largest coefficient.
+@pytest.mark.filterwarnings("ignore::qfock.errors.NonConvergenceWarning")
+@pytest.mark.parametrize("q", [-0.1, 0.1, 0.3])
+@pytest.mark.parametrize("N, L", [(2, 4), (3, 3)])
+def test_conjugate_variables_are_letter_equivariant(N, L, q):
+    ctx = make_context(N, q, L)
+    for _, _, U in neumann_series(ctx, 6):
+        cvs = [v.data for v in conjugate_variables(HSElement(ctx, U))]
+        tol = 1e-13 * max(np.abs(v).max() for v in cvs)
+        for sigma in permutations(range(1, N + 1)):
+            perm = letter_relabelling(sigma, ctx)
+            for j, v in enumerate(cvs):
+                moved = np.empty_like(v)
+                moved[perm] = v
+                assert np.abs(cvs[sigma[j] - 1] - moved).max() <= tol, (sigma, j)
+
+
+@pytest.mark.filterwarnings("ignore::qfock.errors.NonConvergenceWarning")
+@pytest.mark.parametrize("N, q, L", [(2, -0.1, 3), (3, 0.05, 3), (3, -0.1, 3)])
+def test_lipschitz_orbits_match_every_dense_top(N, q, L):
+    # lipschitz_norms computes one norm per orbit of (j, k) under letter
+    # relabelling.  Every member's own dense top must agree with its orbit's,
+    # and the returned value must sit in the Lanczos window of each.  (At
+    # L <= 2 the off-diagonal orbit vanishes in exact arithmetic, so its tops
+    # are roundoff and cannot agree relatively.)
+    ctx = make_context(N, q, L)
+    for n, _, U in islice(neumann_series(ctx, 4), 1, None):
+        cvs = conjugate_variables(HSElement(ctx, U))
+        table = lipschitz_norms(cvs)
+        tops = [
+            [dense_top(dense_sym_action(ctx, derive(P, k, FDQ, ctx).coeffs)) for k in range(1, N + 1)]
+            for P in map(vector_to_poly, cvs)
+        ]
+        for j in range(N):
+            for k in range(N):
+                rj, rk = (0, 0) if j == k else (0, 1)
+                assert tops[j][k] == pytest.approx(tops[rj][rk], rel=1e-12, abs=0.0), (n, j, k)
+                assert table[j][k] == table[rj][rk], (n, j, k)
+                top, cell = tops[j][k], table[j][k]
+                assert top * (1 - 1e-10) <= cell <= top * (1 + 1e-12), (n, j, k)
 
 
 # ---- norm equivalences -----------------------------------------------------------------------
