@@ -75,7 +75,6 @@ __all__ = [
     "fisher_estimate",
     "lipschitz_norms",
     "equivalence_check",
-    "wick_poly",
     "vector_to_poly",
     "poly_vector",
     "poly_operator",
@@ -141,24 +140,47 @@ class NCPoly:
     __rmul__ = __mul__
 
 
-def _word_vector(w: tuple[int, ...], ctx: FockContext) -> np.ndarray:
-    """Vacuum image of the monomial product, exact for len(w) <= L."""
-    if len(w) > ctx.L:
+def _coefficients(P: NCPoly, ctx: FockContext) -> list[np.ndarray]:
+    """P's monomial coefficients by level: entry n holds the coefficient of
+    each length-n word at its index within the level."""
+    if P.degree > ctx.L:
         raise CapacityError(
-            f"monomial degree {len(w)} exceeds truncation level {ctx.L}"
+            f"polynomial degree {P.degree} exceeds truncation level {ctx.L}"
         )
-    v = np.zeros(ctx.dim, dtype=complex)
-    v[0] = 1.0
-    for letter in reversed(w):
-        v = gaussian(letter, ctx).mat @ v
-    return v
+    out = [np.zeros(ctx.N**n, dtype=complex) for n in range(P.degree + 1)]
+    for w, c in P.terms.items():
+        out[len(w)][ctx.word_index(w)] = c
+    return out
+
+
+def _monomials(n: int, ctx: FockContext) -> np.ndarray:
+    """Vacuum images of the level-n monomials, one column per word: column
+    w is X_w Omega, exact for n <= L.
+
+    Column (i, t) is the field operator of letter i applied to column t of
+    level n - 1 (the first letter is the least significant digit).  The
+    block is exactly the identity on level n's rows and exactly zero above
+    them and on the rows of the other parity, so the blocks of all levels
+    form a unit upper triangular change of basis from monomials to words.
+    """
+
+    def build():
+        if n == 0:
+            T = np.zeros((ctx.dim, 1))
+            T[0, 0] = 1.0
+            return T
+        below = _monomials(n - 1, ctx)
+        G = [gaussian(i, ctx).mat @ below for i in range(1, ctx.N + 1)]
+        return np.stack(G, axis=-1).reshape(ctx.dim, ctx.N**n)
+
+    return ctx.memo(("monomials", n), build)
 
 
 def poly_vector(P: NCPoly, ctx: FockContext) -> GradedVector:
     """P applied to the vacuum; a linear isomorphism for degree <= L."""
     v = np.zeros(ctx.dim, dtype=complex)
-    for w, c in P.terms.items():
-        v += c * _word_vector(w, ctx)
+    for n, c in enumerate(_coefficients(P, ctx)):
+        v += _monomials(n, ctx) @ c
     return GradedVector(ctx, v)
 
 
@@ -180,33 +202,18 @@ def poly_right_mult(P: NCPoly, ctx: FockContext) -> np.ndarray:
     return poly_operator(reversed_P, ctx).mat[np.ix_(rev, rev)]
 
 
-def wick_poly(w: tuple[int, ...], ctx: FockContext) -> NCPoly:
-    """Monomial expansion of the word operator (three-term recursion)."""
-    w = tuple(w)
-
-    def build():
-        if len(w) == 0:
-            return NCPoly.one()
-        tail = w[1:]
-        P = NCPoly.x(w[0]) * wick_poly(tail, ctx)
-        for j in range(2, len(w) + 1):
-            if w[0] == w[j - 1]:
-                hatted = tail[: j - 2] + tail[j - 1 :]
-                P = P - (ctx.q ** (j - 2)) * wick_poly(hatted, ctx)
-        return P
-
-    return ctx.memo(("poly", w), build)
-
-
 def vector_to_poly(v: GradedVector) -> NCPoly:
-    """The polynomial whose vacuum image is v (via the word-operator basis)."""
+    """The polynomial whose vacuum image is v: back substitution through
+    the monomial blocks, from the top level down."""
     ctx = v.ctx
-    out = NCPoly.zero()
-    for n in range(ctx.L + 1):
-        coeffs = v.level(n)
-        for idx in np.flatnonzero(np.abs(coeffs) > 0):
-            out = out + coeffs[idx] * wick_poly(ctx.index_word(n, idx), ctx)
-    return out
+    r = v.data.copy()
+    terms = {}
+    for n in range(ctx.L, -1, -1):
+        c = r[ctx.level_slice(n)]
+        cut = ctx.level_offset(n)
+        r[:cut] -= _monomials(n, ctx)[:cut] @ c
+        terms.update((ctx.index_word(n, i), c[i]) for i in np.flatnonzero(c))
+    return NCPoly(terms)
 
 
 # ---- derivation tags ----------------------------------------------------------
@@ -235,16 +242,20 @@ def q_truncated(Q: int) -> DerivationTag:
 
 
 def _fdq_coeffs(P: NCPoly, j: int, ctx: FockContext) -> np.ndarray:
-    """Leibniz sum: split each monomial at every letter equal to j."""
-    if P.degree > ctx.L:
-        raise CapacityError(
-            f"polynomial degree {P.degree} exceeds truncation level {ctx.L}"
-        )
+    """Leibniz sum: every monomial split at each occurrence of letter j, as
+    (prefix image) (x) (suffix image), one product per level and position.
+
+    The monomials of level n with letter j at position k + 1 have prefix
+    index ``t % N**k`` and suffix index ``t // N**(k + 1)``, so their
+    coefficients are a slice of the level's coefficients reshaped to
+    (suffix, letter, prefix).
+    """
+    N = ctx.N
     C = np.zeros((ctx.dim, ctx.dim), dtype=complex)
-    for w, c in P.terms.items():
-        for m, letter in enumerate(w):
-            if letter == j:
-                C += c * np.outer(_word_vector(w[:m], ctx), _word_vector(w[m + 1 :], ctx))
+    for n, c in enumerate(_coefficients(P, ctx)):
+        for k in range(n):
+            S = c.reshape(N ** (n - k - 1), N, N**k)[:, j - 1, :]
+            C += _monomials(k, ctx) @ S.T @ _monomials(n - k - 1, ctx).T
     return C
 
 

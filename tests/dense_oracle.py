@@ -7,12 +7,14 @@ actions are built as dense dim**2 x dim**2 matrices, whose row/column
 affordable up to dim 63 or so (a 3969-square float matrix is 126 MB).
 
 The library builds the doubling derivation by priming letters, right
-multiplication and the right-delete mirror by word reversal, and the
-Leibniz sum from one monomial evaluator per split.  The functions at the
-end evaluate each of them directly instead: primed monomials on the doubled
+multiplication and the right-delete mirror by word reversal, and both the
+change of basis between monomials and word operators and the Leibniz sum
+from its level blocks of monomial vacuum images.  The functions at the end
+evaluate each of them directly instead: primed monomials on the doubled
 alphabet's field operators (applied to word dictionaries, which keeps the
 doubled context's dense matrices out of the tests), products of right field
-operators, the mirror formula word by word, and prefix/suffix vacuum images.
+operators, the mirror formula word by word, the three-term recursion of the
+word operators, and prefix/suffix vacuum images.
 
 The letter relabelling of the graded basis serves the symmetry tests.
 
@@ -28,7 +30,15 @@ import math
 import numpy as np
 
 from qfock.deformation import HSElement, hs_inner, hs_mult, xi_as_hs
-from qfock.derivations import FDQ, _doubled_context, _prime, derive, poly_operator, poly_vector
+from qfock.derivations import (
+    FDQ,
+    NCPoly,
+    _doubled_context,
+    _prime,
+    derive,
+    poly_operator,
+    poly_vector,
+)
 from qfock.fock import GradedVector, make_context, metric, q_inner
 from qfock.operators import gaussian, left_wick_stack, right_gaussian, right_wick_stack
 from qfock.symgroup import Permutation, cycle_perm, mn_matrix, perm_action
@@ -165,6 +175,32 @@ def mirror_by_words(i: int, ctx) -> np.ndarray:
     return M
 
 
+def wick_poly(w: tuple[int, ...], ctx) -> NCPoly:
+    """Monomial expansion of the word operator of w by the three-term
+    recursion: the word operator of (i, u) is X_i times that of u, minus
+    q^m times that of u without its letter m (counted from 0) for every
+    occurrence of i in u."""
+    if not w:
+        return NCPoly.one()
+    i, u = w[0], tuple(w[1:])
+    P = NCPoly.x(i) * wick_poly(u, ctx)
+    for m, letter in enumerate(u):
+        if letter == i:
+            P = P - ctx.q**m * wick_poly(u[:m] + u[m + 1 :], ctx)
+    return P
+
+
+def wick_expansion(v: GradedVector) -> NCPoly:
+    """The polynomial whose vacuum image is v, as the sum of the recursion's
+    expansions of its words."""
+    out = NCPoly.zero()
+    for n in range(v.ctx.L + 1):
+        coeffs = v.level(n)
+        for idx in np.flatnonzero(coeffs):
+            out = out + coeffs[idx] * wick_poly(v.ctx.index_word(n, idx), v.ctx)
+    return out
+
+
 def leibniz_by_prefix_suffix(P, j: int, ctx) -> np.ndarray:
     """Free difference quotient coefficients: for each monomial, the vacuum
     images of all its prefixes and suffixes, then one outer product per
@@ -190,6 +226,16 @@ def leibniz_by_prefix_suffix(P, j: int, ctx) -> np.ndarray:
             if w[m - 1] == j:
                 C += c * np.outer(prefix[m - 1], suffix[m])
     return C
+
+
+def dense_fdq_top(v: GradedVector, k: int) -> float:
+    """Top singular value of the dense doubled-space action of d_k P, where
+    P is the polynomial with vacuum image v: the recursion's expansion, the
+    prefix/suffix Leibniz loop and a full decomposition, none of them the
+    library's change of basis or its Lanczos norm."""
+    ctx = v.ctx
+    C = HSElement(ctx, leibniz_by_prefix_suffix(wick_expansion(v), k, ctx)).coeffs
+    return dense_top(dense_sym_action(ctx, C))
 
 
 def inversions(p: Permutation) -> int:

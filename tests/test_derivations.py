@@ -23,6 +23,7 @@ from qfock.derivations import (
     Q_COMMUTATOR,
     Q_SQRT,
     _fdq_coeffs,
+    _monomials,
     commutator_check,
     conjugate_variables,
     derive,
@@ -38,19 +39,19 @@ from qfock.derivations import (
     q_truncated,
     real_structure,
     vector_to_poly,
-    wick_poly,
 )
 from qfock.errors import AlphabetError, CapacityError
 from qfock.operators import right_annihilation
 
 from dense_oracle import (
     bimodule_form_discrepancy,
-    dense_sym_action,
-    dense_top,
+    dense_fdq_top,
     doubling_by_evaluation,
     leibniz_by_prefix_suffix,
     letter_relabelling,
     right_mult_by_products,
+    wick_expansion,
+    wick_poly,
 )
 
 
@@ -77,16 +78,39 @@ def random_hs(ctx, rng, leg_cap):
 
 def test_wick_poly_examples():
     ctx = make_context(2, 0.3, 4)
-    assert wick_poly((1,), ctx).terms == {(1,): 1.0}
-    p = wick_poly((1, 1), ctx)
+    assert vector_to_poly(GradedVector.from_word(ctx, (1,))).terms == {(1,): 1.0}
+    p = vector_to_poly(GradedVector.from_word(ctx, (1, 1)))
     assert p.terms == {(1, 1): 1.0, (): -1.0}
 
 
 def test_wick_poly_vacuum_roundtrip():
     ctx = make_context(2, -0.4, 4)
     for w in [(1,), (2, 1), (1, 1, 2), (2, 2, 1, 1)]:
-        v = poly_vector(wick_poly(w, ctx), ctx)
+        v = poly_vector(vector_to_poly(GradedVector.from_word(ctx, w)), ctx)
         assert np.abs(v.data - GradedVector.from_word(ctx, w).data).max() < 1e-12
+
+
+def poly_gap(P, Q) -> float:
+    """Largest coefficient difference of two polynomials."""
+    words = P.terms.keys() | Q.terms.keys()
+    return max((abs(P.terms.get(w, 0) - Q.terms.get(w, 0)) for w in words), default=0.0)
+
+
+# Back substitution and the recursion order their sums differently, so the
+# tolerance is roundoff: 1e-13 relative to the largest coefficient.  At q = 0
+# every coefficient is an integer and the two agree exactly.
+@pytest.mark.parametrize("N, q, L", [(1, 0.3, 5), (2, -0.4, 4), (3, 0.37, 3), (2, 0.0, 4)])
+def test_vector_to_poly_matches_wick_recursion(N, q, L):
+    ctx = make_context(N, q, L)
+    for n in range(L + 1):
+        for w in ctx.words(n):
+            got = vector_to_poly(GradedVector.from_word(ctx, w))
+            ref = wick_poly(w, ctx)
+            if q == 0:
+                assert got.terms == ref.terms, w
+            else:
+                scale = max(abs(c) for c in ref.terms.values())
+                assert poly_gap(got, ref) <= 1e-13 * scale, w
 
 
 def test_vector_to_poly_roundtrip():
@@ -98,6 +122,31 @@ def test_vector_to_poly_roundtrip():
     assert np.abs(back.data - v.data).max() < 1e-10
 
 
+@pytest.mark.parametrize("N, q, L", [(1, 0.3, 5), (2, -0.4, 4), (3, 0.37, 3)])
+def test_poly_vector_roundtrip(N, q, L):
+    # complex polynomials of degree L back from their vacuum images, within
+    # 1e-13 of the largest coefficient
+    ctx = make_context(N, q, L)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        P = random_poly(ctx, rng, L, n_terms=8)
+        back = vector_to_poly(poly_vector(P, ctx))
+        assert poly_gap(back, P) <= 1e-13 * max(abs(c) for c in P.terms.values())
+
+
+@pytest.mark.parametrize("N, q, L", [(1, 0.3, 5), (2, -0.4, 4), (3, 0.37, 3)])
+def test_monomial_blocks_are_unit_upper_triangular(N, q, L):
+    ctx = make_context(N, q, L)
+    for n in range(L + 1):
+        T = _monomials(n, ctx)
+        assert T.shape == (ctx.dim, N**n)
+        s = ctx.level_slice(n)
+        assert np.array_equal(T[s], np.eye(N**n))
+        assert not T[s.stop :].any()
+        for m in range((n + 1) % 2, n, 2):
+            assert not T[ctx.level_slice(m)].any(), (n, m)
+
+
 def test_poly_star_reverses_words():
     P = NCPoly({(1, 2): 1.0 + 2.0j})
     assert P.star().terms == {(2, 1): 1.0 - 2.0j}
@@ -105,8 +154,12 @@ def test_poly_star_reverses_words():
 
 def test_poly_degree_cap():
     ctx = make_context(2, 0.3, 3)
+    P = NCPoly.from_word((1, 1, 1, 1))
     with pytest.raises(CapacityError):
-        poly_vector(NCPoly.from_word((1, 1, 1, 1)), ctx)
+        poly_vector(P, ctx)
+    for tag in (FDQ, Q_COMMUTATOR, Q_SQRT, q_truncated(2), DOUBLING):
+        with pytest.raises(CapacityError):
+            derive(P, 1, tag, ctx)
 
 
 # ---- generator values ----------------------------------------------------------------
@@ -384,7 +437,9 @@ def test_conjugate_variables_are_letter_equivariant(N, L, q):
 @pytest.mark.parametrize("N, q, L", [(2, -0.1, 3), (3, 0.05, 3), (3, -0.1, 3)])
 def test_lipschitz_orbits_match_every_dense_top(N, q, L):
     # lipschitz_norms computes one norm per orbit of (j, k) under letter
-    # relabelling.  Every member's own dense top must agree with its orbit's,
+    # relabelling.  Every member's own dense top (from the recursion's
+    # expansion and the prefix/suffix Leibniz loop, independently of the
+    # library's change of basis) must agree with its orbit's,
     # and the returned value must sit in the Lanczos window of each.  (At
     # L <= 2 the off-diagonal orbit vanishes in exact arithmetic, so its tops
     # are roundoff and cannot agree relatively.)
@@ -392,10 +447,7 @@ def test_lipschitz_orbits_match_every_dense_top(N, q, L):
     for n, _, U in islice(neumann_series(ctx, 4), 1, None):
         cvs = conjugate_variables(HSElement(ctx, U))
         table = lipschitz_norms(cvs)
-        tops = [
-            [dense_top(dense_sym_action(ctx, derive(P, k, FDQ, ctx).coeffs)) for k in range(1, N + 1)]
-            for P in map(vector_to_poly, cvs)
-        ]
+        tops = [[dense_fdq_top(v, k) for k in range(1, N + 1)] for v in cvs]
         for j in range(N):
             for k in range(N):
                 rj, rk = (0, 0) if j == k else (0, 1)
@@ -550,4 +602,19 @@ def test_leibniz_sum_equals_prefix_suffix_loop(N, q, L):
     ctx = make_context(N, q, L)
     for P in relabel_polys(ctx, 13):
         for j in range(1, N + 1):
-            assert np.array_equal(_fdq_coeffs(P, j, ctx), leibniz_by_prefix_suffix(P, j, ctx))
+            got = _fdq_coeffs(P, j, ctx)
+            ref = leibniz_by_prefix_suffix(P, j, ctx)
+            assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_fdq_of_conjugate_variable_keeps_oracle_zero_pattern():
+    # The Lanczos norms trim the doubled space to the coefficient support, so
+    # d_k xi_1 must carry exactly the oracle's zeros at every series order
+    # (the conjugate-series configuration).
+    ctx = make_context(2, 0.05, 4)
+    for n, _, U in neumann_series(ctx, 20):
+        xi = conjugate_variables(HSElement(ctx, U))[0]
+        P, ref = vector_to_poly(xi), wick_expansion(xi)
+        for k in (1, 2):
+            got = derive(P, k, FDQ, ctx).coeffs
+            assert np.array_equal(got == 0, leibniz_by_prefix_suffix(ref, k, ctx) == 0), (n, k)
