@@ -2,7 +2,6 @@
 
 from .fock import FockContext, GradedVector, GramBlock, gram, make_context, orthonormal_vectors, q_inner
 from .operators import (
-    FockOperator,
     adjoint,
     annihilation,
     bozejko_check,
@@ -13,7 +12,7 @@ from .operators import (
     right_annihilation,
     right_creation,
     trace_state,
-    wick_word,
+    wick_matrix,
 )
 from .deformation import (
     ConstantsReport,

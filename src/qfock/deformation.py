@@ -35,7 +35,7 @@ from .errors import (
     SquareRootUnavailableError,
 )
 from .fock import FockContext, _rev_perm, gram, metric
-from .operators import FockOperator, _power, c_q, left_wick_stack, right_wick_stack
+from .operators import _power, c_q, left_wick_stack, right_wick_stack
 
 __all__ = [
     "HSElement",
@@ -112,7 +112,7 @@ def _level_cap(ctx: FockContext, Q: int | None) -> int:
     return Q
 
 
-def xi_multiplier(ctx: FockContext, Q: int | None = None) -> FockOperator:
+def xi_multiplier(ctx: FockContext, Q: int | None = None) -> np.ndarray:
     """Graded multiplier: q**n on level n for n <= Q, zero above Q.
 
     ``Q = None`` means the full truncation (Q = L).  At q = 0 this is the
@@ -122,7 +122,7 @@ def xi_multiplier(ctx: FockContext, Q: int | None = None) -> FockOperator:
     diag = np.zeros(ctx.dim)
     for n in range(Q + 1):
         diag[ctx.level_slice(n)] = ctx.q**n
-    return FockOperator(ctx, np.diag(diag), grading_shift=0)
+    return np.diag(diag)
 
 
 def xi_as_hs(ctx: FockContext, Q: int | None = None) -> HSElement:
@@ -147,7 +147,7 @@ def xi_as_hs(ctx: FockContext, Q: int | None = None) -> HSElement:
     return ctx.memo(("xi_hs", Q), build)
 
 
-def multiplier_of(T: HSElement) -> FockOperator:
+def multiplier_of(T: HSElement) -> np.ndarray:
     """The operator on the truncated space obtained by tracing against the
     second leg: ``(a (x) b) -> a <reversed b, .>``.
 
@@ -157,7 +157,7 @@ def multiplier_of(T: HSElement) -> FockOperator:
     ctx = T.ctx
     G = metric(ctx)["G"]
     rev = _rev_perm(ctx)
-    return FockOperator(ctx, T.coeffs[:, rev] @ G)
+    return T.coeffs[:, rev] @ G
 
 
 # ---- actions on the doubled space -------------------------------------------

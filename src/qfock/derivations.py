@@ -48,7 +48,6 @@ from .errors import (
 )
 from .fock import FockContext, GradedVector, _rev_perm, make_context, metric, norm_q, q_inner
 from .operators import (
-    FockOperator,
     creation,
     gaussian,
     left_wick_stack,
@@ -170,7 +169,7 @@ def _monomials(n: int, ctx: FockContext) -> np.ndarray:
             T[0, 0] = 1.0
             return T
         below = _monomials(n - 1, ctx)
-        G = [gaussian(i, ctx).mat @ below for i in range(1, ctx.N + 1)]
+        G = [gaussian(i, ctx) @ below for i in range(1, ctx.N + 1)]
         return np.stack(G, axis=-1).reshape(ctx.dim, ctx.N**n)
 
     return ctx.memo(("monomials", n), build)
@@ -184,14 +183,14 @@ def poly_vector(P: NCPoly, ctx: FockContext) -> GradedVector:
     return GradedVector(ctx, v)
 
 
-def poly_operator(P: NCPoly, ctx: FockContext) -> FockOperator:
+def poly_operator(P: NCPoly, ctx: FockContext) -> np.ndarray:
     M = np.zeros((ctx.dim, ctx.dim), dtype=complex)
     for w, c in P.terms.items():
         term = np.eye(ctx.dim)
         for letter in w:
-            term = term @ gaussian(letter, ctx).mat
+            term = term @ gaussian(letter, ctx)
         M += c * term
-    return FockOperator(ctx, M)
+    return M
 
 
 def poly_right_mult(P: NCPoly, ctx: FockContext) -> np.ndarray:
@@ -199,7 +198,7 @@ def poly_right_mult(P: NCPoly, ctx: FockContext) -> np.ndarray:
     every monomial reversed, conjugated by word reversal."""
     rev = _rev_perm(ctx)
     reversed_P = NCPoly({w[::-1]: c for w, c in P.terms.items()})
-    return poly_operator(reversed_P, ctx).mat[np.ix_(rev, rev)]
+    return poly_operator(reversed_P, ctx)[np.ix_(rev, rev)]
 
 
 def vector_to_poly(v: GradedVector) -> NCPoly:
@@ -324,9 +323,9 @@ def commutator_check(P: NCPoly, j: int, ctx: FockContext) -> float:
             f"commutator check needs L >= deg + 1 = {deg + 1}, have L = {ctx.L}"
         )
     T = derive(P, j, Q_COMMUTATOR, ctx)
-    lhs = multiplier_of(T).mat
-    Pop = poly_operator(P, ctx).mat
-    r = right_creation(j, ctx).mat
+    lhs = multiplier_of(T)
+    Pop = poly_operator(P, ctx)
+    r = right_creation(j, ctx)
     rhs = Pop @ r - r @ Pop
     cut = ctx.level_offset(K + 1)
     m = metric(ctx)
@@ -391,7 +390,7 @@ def dq_star(T: HSElement, j: int, ctx: FockContext) -> GradedVector:
     if not (1 <= j <= ctx.N):
         raise AlphabetError(f"letter {j} outside 1..{ctx.N}")
     C = T.coeffs
-    rows = C @ creation(j, ctx).mat.T - right_annihilation(j, ctx).mat @ C
+    rows = C @ creation(j, ctx).T - right_annihilation(j, ctx) @ C
     A = left_wick_stack(ctx)
     d = ctx.dim
     out = A.transpose(1, 0, 2).reshape(d, d * d) @ rows.reshape(d * d)

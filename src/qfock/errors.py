@@ -10,7 +10,8 @@ from __future__ import annotations
 import os
 
 DEFAULT_DIM_CAP = 4096
-# dense Wick stacks hold dim**3 floats; beyond this, build operators one by one
+# dense Wick stacks hold dim**3 floats; a fixed limit that neither
+# QFOCK_SIZE_CAP nor a cap override raises
 DEFAULT_STACK_DIM_CAP = 192
 MAX_PERM_LENGTH = 8
 

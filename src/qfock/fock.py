@@ -66,11 +66,16 @@ class FockContext:
     def memo(self, key, build):
         """The value stored under ``key``, else ``build()`` stored and
         returned.  The first stored value wins, so concurrent callers get the
-        same object; a build that raises stores nothing."""
+        same object; a build that raises stores nothing.  An array value is
+        stored read-only: callers share it, so writing into it would change
+        every later result of the context."""
         try:
             return self._memo[key]
         except KeyError:
-            return self._memo.setdefault(key, build())
+            value = build()
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            return self._memo.setdefault(key, value)
 
     # ---- basis bookkeeping -------------------------------------------------
 

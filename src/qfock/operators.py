@@ -1,5 +1,9 @@
 """Operators on the truncated deformed Fock space.
 
+Every operator is the plain ``(dim, dim)`` array of its matrix in the graded
+word basis; the functions that need the deformed metric (:func:`adjoint`,
+:func:`op_norm`) take the context.  Memoized operators are read-only arrays.
+
 All operators here are compressions to levels 0..L: a raising operator maps
 the top level to 0, and products of compressed operators lose the paths that
 would cross the truncation boundary.  Consequences, stated once and relied on
@@ -29,7 +33,6 @@ from .errors import (
 from .fock import FockContext, GradedVector, _rev_perm, metric, norm_q
 
 __all__ = [
-    "FockOperator",
     "creation",
     "annihilation",
     "right_creation",
@@ -38,7 +41,6 @@ __all__ = [
     "gaussian",
     "right_gaussian",
     "adjoint",
-    "wick_word",
     "wick_matrix",
     "left_wick_stack",
     "right_wick_stack",
@@ -54,71 +56,12 @@ _C_Q_TOL = 1e-15
 _C_Q_MAX_FACTORS = 10**6
 
 
-@dataclass
-class FockOperator:
-    """Dense matrix over the full graded word basis, tagged with its context.
-
-    ``grading_shift``, when set, asserts that only blocks mapping level n to
-    level n + shift are nonzero (0 = block diagonal); it is a validation tag,
-    not a behavioral switch.
-    """
-
-    ctx: FockContext
-    mat: np.ndarray
-    grading_shift: int | None = None
-
-    def __post_init__(self):
-        d = self.ctx.dim
-        if self.mat.shape != (d, d):
-            raise ValueError(f"matrix shape {self.mat.shape} does not match context dim {d}")
-        if self.grading_shift is not None:
-            self.validate_grading()
-
-    def validate_grading(self) -> None:
-        s = self.grading_shift
-        for n_in in range(self.ctx.L + 1):
-            for n_out in range(self.ctx.L + 1):
-                if n_out == n_in + s:
-                    continue
-                block = self.mat[self.ctx.level_slice(n_out), self.ctx.level_slice(n_in)]
-                # the compressed-away top block (L -> 0) is allowed to be zero only
-                if np.abs(block).max(initial=0.0) > 0.0:
-                    raise ValueError(
-                        f"grading_shift={s} but block ({n_in} -> {n_out}) is nonzero"
-                    )
-
-    def apply(self, v: GradedVector) -> GradedVector:
-        self.ctx.require_compatible(v.ctx)
-        return GradedVector(self.ctx, self.mat @ v.data)
-
-    def __matmul__(self, other: "FockOperator") -> "FockOperator":
-        self.ctx.require_compatible(other.ctx)
-        return FockOperator(self.ctx, self.mat @ other.mat)
-
-    def __add__(self, other: "FockOperator") -> "FockOperator":
-        self.ctx.require_compatible(other.ctx)
-        return FockOperator(self.ctx, self.mat + other.mat)
-
-    def __sub__(self, other: "FockOperator") -> "FockOperator":
-        self.ctx.require_compatible(other.ctx)
-        return FockOperator(self.ctx, self.mat - other.mat)
-
-    def __mul__(self, c: complex) -> "FockOperator":
-        return FockOperator(self.ctx, self.mat * c)
-
-    __rmul__ = __mul__
-
-    @staticmethod
-    def identity(ctx: FockContext) -> "FockOperator":
-        return FockOperator(ctx, np.eye(ctx.dim), grading_shift=0)
-
-
 def _check_letter(i: int, ctx: FockContext) -> None:
     if not (1 <= i <= ctx.N):
         raise AlphabetError(f"letter {i} outside 1..{ctx.N}")
 
 
-def creation(i: int, ctx: FockContext) -> FockOperator:
+def creation(i: int, ctx: FockContext) -> np.ndarray:
     """Prepend letter ``i``; the top level is compressed away (mapped to 0)."""
     _check_letter(i, ctx)
 
@@ -130,12 +73,12 @@ def creation(i: int, ctx: FockContext) -> FockOperator:
             # prepending shifts existing letters to higher digits
             tgt = (i - 1) + N * np.arange(N**n) + ctx.level_offset(n + 1)
             M[tgt, src] = 1.0
-        return FockOperator(ctx, M, grading_shift=+1)
+        return M
 
     return ctx.memo(("crea", i), build)
 
 
-def annihilation(i: int, ctx: FockContext) -> FockOperator:
+def annihilation(i: int, ctx: FockContext) -> np.ndarray:
     """Delete letter ``i``: the word w maps to sum_k q^(k-1) [w_k = i] (w minus k)."""
     _check_letter(i, ctx)
 
@@ -152,59 +95,53 @@ def annihilation(i: int, ctx: FockContext) -> FockOperator:
                         continue
                     shorter = w[: k - 1] + w[k:]
                     M[off_tgt + ctx.word_index(shorter), off_src + idx] += q ** (k - 1)
-        return FockOperator(ctx, M, grading_shift=-1)
+        return M
 
     return ctx.memo(("anni", i), build)
 
 
-def right_creation(i: int, ctx: FockContext) -> FockOperator:
+def right_creation(i: int, ctx: FockContext) -> np.ndarray:
     """Append letter ``i``: :func:`creation` conjugated by word reversal."""
     _check_letter(i, ctx)
-
-    def build():
-        rev = _rev_perm(ctx)
-        return FockOperator(ctx, creation(i, ctx).mat[np.ix_(rev, rev)], grading_shift=+1)
-
-    return ctx.memo(("rcrea", i), build)
+    rev = _rev_perm(ctx)
+    return ctx.memo(("rcrea", i), lambda: creation(i, ctx)[np.ix_(rev, rev)])
 
 
-def right_annihilation(i: int, ctx: FockContext) -> FockOperator:
+def right_annihilation(i: int, ctx: FockContext) -> np.ndarray:
     """Adjoint of :func:`right_creation` in the deformed metric."""
     _check_letter(i, ctx)
-    return ctx.memo(("ranni", i), lambda: adjoint(right_creation(i, ctx)))
+    return ctx.memo(("ranni", i), lambda: adjoint(right_creation(i, ctx), ctx))
 
 
-def right_annihilation_mirror(i: int, ctx: FockContext) -> FockOperator:
+def right_annihilation_mirror(i: int, ctx: FockContext) -> np.ndarray:
     """Mirror formula sum_k q^(n-k) [w_k = i] (w minus k): :func:`annihilation`
     conjugated by word reversal, as :func:`right_creation` is built; a
     cross-check of :func:`right_annihilation` only."""
     _check_letter(i, ctx)
     rev = _rev_perm(ctx)
-    return FockOperator(ctx, annihilation(i, ctx).mat[np.ix_(rev, rev)], grading_shift=-1)
+    return annihilation(i, ctx)[np.ix_(rev, rev)]
 
 
-def gaussian(i: int, ctx: FockContext) -> FockOperator:
+def gaussian(i: int, ctx: FockContext) -> np.ndarray:
     """Field operator: creation(i) + annihilation(i); self-adjoint in the metric."""
-    return ctx.memo(
-        ("gauss", i),
-        lambda: FockOperator(ctx, creation(i, ctx).mat + annihilation(i, ctx).mat),
-    )
+    return ctx.memo(("gauss", i), lambda: creation(i, ctx) + annihilation(i, ctx))
 
 
-def right_gaussian(i: int, ctx: FockContext) -> FockOperator:
-    return ctx.memo(
-        ("rgauss", i),
-        lambda: FockOperator(
-            ctx, right_creation(i, ctx).mat + right_annihilation(i, ctx).mat
-        ),
-    )
+def right_gaussian(i: int, ctx: FockContext) -> np.ndarray:
+    return ctx.memo(("rgauss", i), lambda: right_creation(i, ctx) + right_annihilation(i, ctx))
 
 
-def adjoint(A: FockOperator) -> FockOperator:
+def _check_shape(A: np.ndarray, ctx: FockContext) -> None:
+    d = ctx.dim
+    if A.shape != (d, d):
+        raise ValueError(f"matrix shape {A.shape} does not match context dim {d}")
+
+
+def adjoint(A: np.ndarray, ctx: FockContext) -> np.ndarray:
     """The unique B with <A x, y> = <x, B y> in the deformed metric."""
-    m = metric(A.ctx)
-    shift = -A.grading_shift if A.grading_shift is not None else None
-    return FockOperator(A.ctx, m["Gi"] @ A.mat.conj().T @ m["G"], grading_shift=shift)
+    _check_shape(A, ctx)
+    m = metric(ctx)
+    return m["Gi"] @ A.conj().T @ m["G"]
 
 
 # ---- word operators ---------------------------------------------------------
@@ -238,7 +175,7 @@ def wick_matrix(w: tuple[int, ...], ctx: FockContext) -> np.ndarray:
     def build():
         if len(w) == 0:
             return np.eye(ctx.dim)
-        head = gaussian(w[0], ctx).mat @ wick_matrix(w[1:], ctx)
+        head = gaussian(w[0], ctx) @ wick_matrix(w[1:], ctx)
         return _wick_step(w, head, lambda h: wick_matrix(h, ctx), ctx.q)
 
     return ctx.memo(("L", w), build) if len(w) <= _WICK_CACHE_MAX_LEN else build()
@@ -263,11 +200,11 @@ def _stack(ctx: FockContext, side: str, m: int) -> np.ndarray:
         S[0] = np.eye(d)
         if m:
             # level 1: the field operators, exactly their products with the unit
-            S[1 : ctx.N + 1] = [field(i, ctx).mat for i in range(1, ctx.N + 1)]
+            S[1 : ctx.N + 1] = [field(i, ctx) for i in range(1, ctx.N + 1)]
         for n in range(2, m + 1):
             for idx in range(ctx.N**n):
                 w = ctx.index_word(n, idx)
-                X = field(w[0], ctx).mat
+                X = field(w[0], ctx)
                 # the tail w_2.. has index idx // N one level down
                 tail = S[ctx.level_offset(n - 1) + idx // ctx.N]
                 head = S[ctx.level_offset(n) + idx]
@@ -288,16 +225,13 @@ def _level_stack(n: int, ctx: FockContext) -> np.ndarray:
     return _stack(ctx, "L", min(ctx.L, _WICK_CACHE_MAX_LEN))[ctx.level_slice(n)]
 
 
-def wick_word(w: tuple[int, ...], ctx: FockContext) -> FockOperator:
-    return FockOperator(ctx, wick_matrix(w, ctx))
-
-
 def _wick_stack(ctx: FockContext, side: str) -> np.ndarray:
     d = ctx.dim
     if d > DEFAULT_STACK_DIM_CAP:
         raise CapacityError(
             f"dense word-operator stack needs {d}^3 floats (dim {d} > "
-            f"{DEFAULT_STACK_DIM_CAP}); use per-word operators instead"
+            f"{DEFAULT_STACK_DIM_CAP}); {DEFAULT_STACK_DIM_CAP} is a fixed limit "
+            f"on the dim^3 stack, which neither QFOCK_SIZE_CAP nor --cap-override raises"
         )
     return _stack(ctx, side, ctx.L)
 
@@ -316,13 +250,13 @@ def right_wick_stack(ctx: FockContext) -> np.ndarray:
 # ---- state, norms, inequality harness ---------------------------------------
 
 
-def trace_state(A: FockOperator) -> complex:
+def trace_state(A: np.ndarray) -> complex:
     """Vacuum expectation <vacuum, A vacuum> in the deformed metric.
 
     The level-0 Gram block is 1 and levels are orthogonal, so this is the
     (0, 0) matrix entry.
     """
-    return complex(A.mat[0, 0])
+    return complex(A[0, 0])
 
 
 def _parity_metric(ctx: FockContext) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -388,7 +322,7 @@ def _metric_norm(ctx: FockContext, re: np.ndarray, im: np.ndarray | None = None)
     return max(norms)
 
 
-def op_norm(A: FockOperator) -> float:
+def op_norm(A: np.ndarray, ctx: FockContext) -> float:
     """Largest singular value of A with respect to the deformed metric.
 
     That is the top singular value of ``Gh A Gih``.  When A keeps the parity
@@ -399,8 +333,8 @@ def op_norm(A: FockOperator) -> float:
     is taken whole.  Each value comes from the smaller Gram matrix of the
     block (:func:`_sandwich_norm`).
     """
-    M = A.mat
-    return _metric_norm(A.ctx, M.real, M.imag if np.iscomplexobj(M) else None)
+    _check_shape(A, ctx)
+    return _metric_norm(ctx, A.real, A.imag if np.iscomplexobj(A) else None)
 
 
 def c_q(q: float) -> float:

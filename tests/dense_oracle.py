@@ -155,7 +155,7 @@ def right_mult_by_products(P, ctx) -> np.ndarray:
     for w, c in P.terms.items():
         term = np.eye(ctx.dim)
         for letter in reversed(w):
-            term = term @ right_gaussian(letter, ctx).mat
+            term = term @ right_gaussian(letter, ctx)
         M += c * term
     return M
 
@@ -217,11 +217,11 @@ def leibniz_by_prefix_suffix(P, j: int, ctx) -> np.ndarray:
         for m in range(1, n + 1):
             u = e0
             for letter in reversed(w[:m]):
-                u = gaussian(letter, ctx).mat @ u
+                u = gaussian(letter, ctx) @ u
             prefix.append(u)
         suffix = [None] * n + [e0]
         for m in range(n - 1, -1, -1):
-            suffix[m] = gaussian(w[m], ctx).mat @ suffix[m + 1]
+            suffix[m] = gaussian(w[m], ctx) @ suffix[m + 1]
         for m in range(1, n + 1):
             if w[m - 1] == j:
                 C += c * np.outer(prefix[m - 1], suffix[m])
@@ -297,11 +297,11 @@ def mn_inverse_readings(n: int, ctx) -> dict[str, float]:
     }
 
 
-def hs_norm(A) -> float:
-    """Hilbert-Schmidt norm of the Fock operator A over any orthonormal basis
-    of the metric."""
-    m = metric(A.ctx)
-    return float(np.linalg.norm(m["Gh"] @ A.mat @ m["Gih"]))
+def hs_norm(A: np.ndarray, ctx) -> float:
+    """Hilbert-Schmidt norm of the operator A over any orthonormal basis of
+    the metric of ctx."""
+    m = metric(ctx)
+    return float(np.linalg.norm(m["Gh"] @ A @ m["Gih"]))
 
 
 def bimodule_form_discrepancy(P, Q, R, k: int, ctx) -> float:
@@ -315,13 +315,13 @@ def bimodule_form_discrepancy(P, Q, R, k: int, ctx) -> float:
     dctx = _doubled_context(ctx, max(deg, 1))
     hatP = _prime(poly_vector(P, ctx), k, dctx)
     hatQ = _prime(poly_vector(Q, ctx), k, dctx)
-    Rop_doubled = poly_operator(R, dctx).mat
+    Rop_doubled = poly_operator(R, dctx)
     lhs = q_inner(
         GradedVector(dctx, Rop_doubled @ hatP.data),
         GradedVector(dctx, Rop_doubled @ hatQ.data),
         dctx,
     )
-    Rop = poly_operator(R, ctx).mat
+    Rop = poly_operator(R, ctx)
     RTP = HSElement(ctx, Rop @ derive(P, k, FDQ, ctx).coeffs)
     RTQ = HSElement(ctx, Rop @ derive(Q, k, FDQ, ctx).coeffs)
     rhs = hs_inner(RTP, hs_mult(RTQ, xi_as_hs(ctx)))

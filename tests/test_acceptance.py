@@ -115,8 +115,8 @@ def test_criterion_04_adjoint_identities():
         i = 1 + trial % 2
         x = GradedVector(ctx, rng.standard_normal(ctx.dim) + 1j * rng.standard_normal(ctx.dim))
         y = GradedVector(ctx, rng.standard_normal(ctx.dim) + 1j * rng.standard_normal(ctx.dim))
-        lhs = q_inner(creation(i, ctx).apply(x), y, ctx)
-        rhs = q_inner(x, annihilation(i, ctx).apply(y), ctx)
+        lhs = q_inner(GradedVector(ctx, creation(i, ctx) @ x.data), y, ctx)
+        rhs = q_inner(x, GradedVector(ctx, annihilation(i, ctx) @ y.data), ctx)
         worst_ladder = max(worst_ladder, abs(lhs - rhs))
     worst_dual = 0.0
     cut = ctx.level_offset(3)  # tensor-square legs of level <= 2: exact range
@@ -196,8 +196,8 @@ def test_criterion_07_partial_trace():
         P = NCPoly(terms)
         j = 1 + trial % 2
         lhs = partial_tau(P, j, ctx)
-        rhs = right_annihilation(j, ctx).apply(poly_vector(P, ctx))
-        worst = max(worst, np.abs(lhs.data - rhs.data).max())
+        rhs = right_annihilation(j, ctx) @ poly_vector(P, ctx).data
+        worst = max(worst, np.abs(lhs.data - rhs).max())
     report(7, "right-leg trace equals the right-delete action", worst < 1e-10, f"worst={worst:.2e}")
 
 
@@ -295,7 +295,8 @@ def test_criterion_13_field_norm_bound():
     for q in (-0.9, -0.5, 0.0, 0.5, 0.9):
         for N in (1, 2, 3):
             for L in (3, 4, 5):
-                nx = op_norm(gaussian(1, make_context(N, q, L)))
+                ctx = make_context(N, q, L)
+                nx = op_norm(gaussian(1, ctx), ctx)
                 bound = 2.0 / (1.0 - abs(q))
                 ok &= nx < bound
     report(13, "field operator norms below the closed-form bound", ok)

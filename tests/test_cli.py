@@ -480,6 +480,24 @@ def test_verify_names_minimum_level(capsys, suite, level, need):
     assert f"needs truncation level >= {need}, got {level}" in err
 
 
+def test_conjugate_names_minimum_level(capsys):
+    # at L = 0 there is no level for a conjugate variable to live on
+    argv = ["conjugate", "--n", "2", "--q", "0.1", "--level", "0", "--terms", "2"]
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert "command 'conjugate' needs truncation level >= 1, got 0" in err
+
+
+@pytest.mark.parametrize("extra", [[], ["--cap-override", "100000"]])
+def test_stack_cap_is_a_fixed_limit(capsys, monkeypatch, extra):
+    monkeypatch.setenv("QFOCK_SIZE_CAP", "100000")
+    argv = ["xi", "--n", "2", "--q", "0.1", "--level", "7", "--trunc-q", "6", *extra]
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert "(dim 255 > 192); 192 is a fixed limit on the dim^3 stack" in err
+    assert "neither QFOCK_SIZE_CAP nor --cap-override raises" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -37,7 +37,7 @@ from dense_oracle import (
 
 def test_xi_multiplier_free_case_is_vacuum_projection():
     ctx = make_context(2, 0.0, 3)
-    M = xi_multiplier(ctx).mat
+    M = xi_multiplier(ctx)
     expected = np.zeros((ctx.dim, ctx.dim))
     expected[0, 0] = 1.0
     assert np.array_equal(M, expected)
@@ -49,15 +49,15 @@ def test_xi_multiplier_scales_levels():
     for n in range(5):
         w = (1,) * n if n else ()
         v = GradedVector.from_word(ctx, w)
-        out = xi_multiplier(ctx).apply(v)
-        assert np.allclose(out.data, q**n * v.data)
+        out = xi_multiplier(ctx) @ v.data
+        assert np.allclose(out, q**n * v.data)
 
 
 def test_xi_multiplier_level_cap():
     q = 0.35
     ctx = make_context(2, q, 4)
-    out = xi_multiplier(ctx, Q=2).apply(GradedVector.from_word(ctx, (1, 1, 1)))
-    assert np.abs(out.data).max() == 0.0
+    out = xi_multiplier(ctx, Q=2) @ GradedVector.from_word(ctx, (1, 1, 1)).data
+    assert np.abs(out).max() == 0.0
 
 
 def test_xi_multiplier_hs_norm():
@@ -65,7 +65,7 @@ def test_xi_multiplier_hs_norm():
     ctx = make_context(N, q, 4)
     for Q in (2, 4):
         expected = math.sqrt(sum(q ** (2 * n) * N**n for n in range(Q + 1)))
-        assert hs_norm(xi_multiplier(ctx, Q)) == pytest.approx(expected, rel=1e-12)
+        assert hs_norm(xi_multiplier(ctx, Q), ctx) == pytest.approx(expected, rel=1e-12)
 
 
 def test_xi_as_hs_level_zero_is_unit():
@@ -88,23 +88,23 @@ def test_xi_as_hs_orthonormal_coefficient_scalar_alphabet():
 def test_multiplier_of_xi_as_hs_roundtrip():
     for q in (-0.4, 0.0, 0.5):
         ctx = make_context(2, q, 4)
-        M = multiplier_of(xi_as_hs(ctx)).mat
-        assert np.abs(M - xi_multiplier(ctx).mat).max() < 1e-12
+        M = multiplier_of(xi_as_hs(ctx))
+        assert np.abs(M - xi_multiplier(ctx)).max() < 1e-12
 
 
 def test_multiplier_of_roundtrip_with_level_cap():
     ctx = make_context(2, 0.45, 4)
     for Q in (0, 1, 2, 3):
-        M = multiplier_of(xi_as_hs(ctx, Q)).mat
-        assert np.abs(M - xi_multiplier(ctx, Q).mat).max() < 1e-12
+        M = multiplier_of(xi_as_hs(ctx, Q))
+        assert np.abs(M - xi_multiplier(ctx, Q)).max() < 1e-12
 
 
 def test_xi_as_hs_contracts_like_multiplier():
     ctx = make_context(2, 0.45, 4)
     rng = np.random.default_rng(0)
     v = rng.standard_normal(ctx.dim) + 1j * rng.standard_normal(ctx.dim)
-    got = multiplier_of(xi_as_hs(ctx)).mat @ v
-    expected = xi_multiplier(ctx).mat @ v
+    got = multiplier_of(xi_as_hs(ctx)) @ v
+    expected = xi_multiplier(ctx) @ v
     assert np.abs(got - expected).max() < 1e-10
 
 
@@ -164,7 +164,7 @@ def test_lr_action_single_tensor_factor():
     C = np.zeros((ctx.dim, ctx.dim))
     C[ctx.global_index((1,)), 0] = 1.0  # X_1 (x) 1
     M = lr_action(HSElement(ctx, C))
-    expected = np.kron(gaussian(1, ctx).mat, np.eye(ctx.dim))
+    expected = np.kron(gaussian(1, ctx), np.eye(ctx.dim))
     assert np.allclose(M, expected, atol=1e-12)
 
 
@@ -495,7 +495,7 @@ def test_extreme_eig_free_case_breaks_down_early():
 
     ctx = make_context(2, 0.0, 4)
     d = ctx.dim
-    P = xi_multiplier(ctx).mat
+    P = xi_multiplier(ctx)
     M = np.kron(P, P)
     for which in ("SA", "LA", "LM"):
         matvec, calls = _counted(lambda v: (P @ v.reshape(d, d) @ P).reshape(-1))
@@ -634,17 +634,17 @@ def test_truncation_tail_vanishes_monotonically():
 @pytest.mark.parametrize("q", [0.0, 0.3, 0.7])
 def test_multiplier_psd_for_nonnegative_q(q):
     ctx = make_context(2, q, 3)
-    assert np.linalg.eigvalsh(xi_multiplier(ctx).mat).min() >= 0.0
+    assert np.linalg.eigvalsh(xi_multiplier(ctx)).min() >= 0.0
 
 
 def test_multiplier_signed_spectrum_negative_q():
     q = -0.4
     ctx = make_context(2, q, 3)
-    eigs = np.linalg.eigvalsh(xi_multiplier(ctx).mat)
+    eigs = np.linalg.eigvalsh(xi_multiplier(ctx))
     assert eigs.min() < 0  # the multiplier itself is signed for q < 0
     # hs property: squared trace norm is the finite geometric-type sum
     expected = math.sqrt(sum(q ** (2 * n) * 2**n for n in range(4)))
-    assert hs_norm(xi_multiplier(ctx)) == pytest.approx(expected, rel=1e-12)
+    assert hs_norm(xi_multiplier(ctx), ctx) == pytest.approx(expected, rel=1e-12)
 
 
 def test_doubled_action_positive_moderate_negative_q():

@@ -195,7 +195,7 @@ def test_norm_q_positive():
 def test_gram_matches_word_operator_traces():
     # independent route: the level Gram entry is the trace of the adjoint of
     # one word operator against another
-    from qfock.operators import adjoint, trace_state, wick_word
+    from qfock.operators import adjoint, trace_state, wick_matrix
 
     ctx = make_context(2, -0.4, 5)
     n = 2
@@ -204,7 +204,7 @@ def test_gram_matches_word_operator_traces():
         for b in range(4):
             u = ctx.index_word(n, a)
             v = ctx.index_word(n, b)
-            tr = trace_state(adjoint(wick_word(u, ctx)) @ wick_word(v, ctx))
+            tr = trace_state(adjoint(wick_matrix(u, ctx), ctx) @ wick_matrix(v, ctx))
             assert tr == pytest.approx(g[a, b], abs=1e-12)
 
 
@@ -246,7 +246,7 @@ def test_minimal_context_operations():
     assert ctx.dim == 2
     x = gaussian(1, ctx)
     assert trace_state(x @ x) == pytest.approx(1.0)
-    assert op_norm(x) < 2.0 / 0.5
+    assert op_norm(x, ctx) < 2.0 / 0.5
     assert doubled_op_norm(unit_hs(ctx)) == pytest.approx(1.0)
     cvs = conjugate_variables(xi_inverse_neumann(ctx, 3).element)
     assert np.isfinite(cvs[0].data).all()
@@ -266,3 +266,19 @@ def test_gram_cache_is_write_once_under_threads():
         sys.setswitchinterval(interval)
     final = ctx.memo(("gram", 4), lambda: pytest.fail("level-4 block not memoized"))
     assert all(b is final for b in blocks)
+
+
+def test_memoized_arrays_are_read_only():
+    # callers share the memo's arrays, so an in-place update must fail
+    # instead of changing every later result of the context
+    from qfock.derivations import _monomials
+    from qfock.operators import gaussian, left_wick_stack
+
+    ctx = make_context(2, 0.3, 3)
+    x = gaussian(1, ctx)
+    for A in (x, left_wick_stack(ctx), _monomials(2, ctx)):
+        with pytest.raises(ValueError, match="read-only"):
+            A += 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            A[0, 0] = 1.0
+    assert gaussian(1, ctx) is x and x[0, 0] == 0.0

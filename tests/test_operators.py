@@ -17,19 +17,18 @@ from qfock import (
     right_annihilation,
     right_creation,
     trace_state,
-    wick_word,
+    wick_matrix,
 )
 from qfock.errors import AlphabetError, HomogeneityError
 from qfock.fock import metric, norm_q
+from qfock.deformation import xi_multiplier
 from qfock.operators import (
-    FockOperator,
     _level_stack,
     _wick_sum,
     left_wick_stack,
     right_annihilation_mirror,
     right_gaussian,
     right_wick_stack,
-    wick_matrix,
 )
 
 from dense_oracle import hs_norm, mirror_by_words
@@ -85,6 +84,10 @@ def ref_q_inner(a: dict, b: dict, q: float):
     return total
 
 
+def apply(A: np.ndarray, v: GradedVector) -> GradedVector:
+    return GradedVector(v.ctx, A @ v.data)
+
+
 def to_graded(ctx, vec: dict) -> GradedVector:
     g = GradedVector.zero(ctx)
     for w, c in vec.items():
@@ -97,26 +100,26 @@ def to_graded(ctx, vec: dict) -> GradedVector:
 
 def test_creation_on_vacuum():
     ctx = make_context(2, 0.3, 4)
-    v = creation(1, ctx).apply(GradedVector.vacuum(ctx))
+    v = apply(creation(1, ctx), GradedVector.vacuum(ctx))
     assert np.allclose(v.data, GradedVector.from_word(ctx, (1,)).data)
 
 
 def test_annihilation_double_letter():
     ctx = make_context(2, 0.3, 4)
-    v = annihilation(1, ctx).apply(GradedVector.from_word(ctx, (1, 1)))
+    v = apply(annihilation(1, ctx), GradedVector.from_word(ctx, (1, 1)))
     target = (1 + 0.3) * GradedVector.from_word(ctx, (1,)).data
     assert np.allclose(v.data, target)
 
 
 def test_annihilation_orthogonal_letter():
     ctx = make_context(2, 0.3, 4)
-    v = annihilation(2, ctx).apply(GradedVector.from_word(ctx, (1, 1)))
+    v = apply(annihilation(2, ctx), GradedVector.from_word(ctx, (1, 1)))
     assert np.abs(v.data).max() == 0.0
 
 
 def test_annihilation_kills_vacuum():
     ctx = make_context(2, 0.3, 4)
-    v = annihilation(1, ctx).apply(GradedVector.vacuum(ctx))
+    v = apply(annihilation(1, ctx), GradedVector.vacuum(ctx))
     assert np.abs(v.data).max() == 0.0
 
 
@@ -134,7 +137,7 @@ def test_gaussian_matches_reference():
         word = tuple(int(x) for x in rng.integers(1, 3, size=4))
         got = GradedVector.vacuum(ctx)
         for letter in reversed(word):
-            got = gaussian(letter, ctx).apply(got)
+            got = apply(gaussian(letter, ctx), got)
         expected = to_graded(ctx, ref_apply_word(word, q))
         assert np.abs(got.data - expected.data).max() < 1e-12
 
@@ -144,7 +147,7 @@ def test_gaussian_matches_reference():
 
 def test_right_creation_on_vacuum():
     ctx = make_context(2, 0.3, 4)
-    v = right_creation(1, ctx).apply(GradedVector.vacuum(ctx))
+    v = apply(right_creation(1, ctx), GradedVector.vacuum(ctx))
     assert np.allclose(v.data, GradedVector.from_word(ctx, (1,)).data)
 
 
@@ -154,9 +157,9 @@ def test_right_annihilation_examples():
     q = 0.3
     ctx = make_context(2, q, 4)
     r1 = right_annihilation(1, ctx)
-    v = r1.apply(GradedVector.from_word(ctx, (2, 1)))
+    v = apply(r1, GradedVector.from_word(ctx, (2, 1)))
     assert np.allclose(v.data, GradedVector.from_word(ctx, (2,)).data)
-    v = r1.apply(GradedVector.from_word(ctx, (1, 2)))
+    v = apply(r1, GradedVector.from_word(ctx, (1, 2)))
     assert np.allclose(v.data, q * GradedVector.from_word(ctx, (2,)).data)
 
 
@@ -168,8 +171,8 @@ def test_right_annihilation_is_true_adjoint():
     for _ in range(10):
         x = GradedVector(ctx, rng.standard_normal(ctx.dim) + 0j)
         y = GradedVector(ctx, rng.standard_normal(ctx.dim) + 0j)
-        lhs = q_inner(rc.apply(x), y, ctx)
-        rhs = q_inner(x, ra.apply(y), ctx)
+        lhs = q_inner(apply(rc, x), y, ctx)
+        rhs = q_inner(x, apply(ra, y), ctx)
         assert abs(lhs - rhs) < 1e-10
 
 
@@ -177,9 +180,7 @@ def test_right_annihilation_matches_mirror_formula():
     for q in (-0.5, 0.0, 0.45):
         ctx = make_context(2, q, 4)
         for i in (1, 2):
-            d = np.abs(
-                right_annihilation(i, ctx).mat - right_annihilation_mirror(i, ctx).mat
-            ).max()
+            d = np.abs(right_annihilation(i, ctx) - right_annihilation_mirror(i, ctx)).max()
             assert d < 1e-10
 
 
@@ -187,16 +188,13 @@ def test_right_annihilation_matches_mirror_formula():
 def test_mirror_by_reversal_matches_word_by_word_formula(N, q, L):
     ctx = make_context(N, q, L)
     for i in range(1, N + 1):
-        got = right_annihilation_mirror(i, ctx).mat
+        got = right_annihilation_mirror(i, ctx)
         assert np.abs(got - mirror_by_words(i, ctx)).max() <= 1e-15
 
 
 def test_left_right_operators_commute_below_top():
     ctx = make_context(2, 0.3, 5)
-    comm = (
-        creation(1, ctx).mat @ right_creation(2, ctx).mat
-        - right_creation(2, ctx).mat @ creation(1, ctx).mat
-    )
+    comm = creation(1, ctx) @ right_creation(2, ctx) - right_creation(2, ctx) @ creation(1, ctx)
     cut = ctx.level_offset(ctx.L - 1)
     assert np.abs(comm[:, :cut]).max() == 0.0
 
@@ -206,14 +204,14 @@ def test_left_right_operators_commute_below_top():
 
 def test_gaussian_on_vacuum():
     ctx = make_context(2, 0.3, 4)
-    v = gaussian(1, ctx).apply(GradedVector.vacuum(ctx))
+    v = apply(gaussian(1, ctx), GradedVector.vacuum(ctx))
     assert np.allclose(v.data, GradedVector.from_word(ctx, (1,)).data)
 
 
 def test_gaussian_squared_on_vacuum():
     ctx = make_context(2, 0.3, 4)
     x = gaussian(1, ctx)
-    v = x.apply(x.apply(GradedVector.vacuum(ctx)))
+    v = apply(x, apply(x, GradedVector.vacuum(ctx)))
     target = GradedVector.from_word(ctx, (1, 1)).data + GradedVector.vacuum(ctx).data
     assert np.allclose(v.data, target)
 
@@ -221,27 +219,27 @@ def test_gaussian_squared_on_vacuum():
 @pytest.mark.parametrize("q", [-0.7, -0.2, 0.0, 0.2, 0.7])
 def test_field_norm_strictly_below_bound(q):
     ctx = make_context(2, q, 5)
-    assert op_norm(gaussian(1, ctx)) < 2.0 / (1.0 - abs(q))
+    assert op_norm(gaussian(1, ctx), ctx) < 2.0 / (1.0 - abs(q))
 
 
 def test_adjoint_of_creation_is_annihilation():
     ctx = make_context(2, 0.35, 4)
     for i in (1, 2):
-        d = np.abs(adjoint(creation(i, ctx)).mat - annihilation(i, ctx).mat).max()
+        d = np.abs(adjoint(creation(i, ctx), ctx) - annihilation(i, ctx)).max()
         assert d < 1e-10
 
 
 def test_gaussian_self_adjoint():
     ctx = make_context(2, -0.35, 4)
-    d = np.abs(adjoint(gaussian(1, ctx)).mat - gaussian(1, ctx).mat).max()
+    d = np.abs(adjoint(gaussian(1, ctx), ctx) - gaussian(1, ctx)).max()
     assert d < 1e-10
 
 
 def test_adjoint_is_involution():
     ctx = make_context(2, 0.35, 4)
     rng = np.random.default_rng(2)
-    A = FockOperator(ctx, rng.standard_normal((ctx.dim, ctx.dim)))
-    d = np.abs(adjoint(adjoint(A)).mat - A.mat).max()
+    A = rng.standard_normal((ctx.dim, ctx.dim))
+    d = np.abs(adjoint(adjoint(A, ctx), ctx) - A).max()
     assert d < 1e-10
 
 
@@ -253,14 +251,14 @@ def test_adjoint_contract_many_operators():
         annihilation(2, ctx),
         right_creation(2, ctx),
         gaussian(1, ctx),
-        wick_word((1, 2), ctx),
+        wick_matrix((1, 2), ctx),
     ]
     for A in ops:
-        B = adjoint(A)
+        B = adjoint(A, ctx)
         for _ in range(5):
             x = GradedVector(ctx, rng.standard_normal(ctx.dim) + 0j)
             y = GradedVector(ctx, rng.standard_normal(ctx.dim) + 0j)
-            assert abs(q_inner(A.apply(x), y, ctx) - q_inner(x, B.apply(y), ctx)) < 1e-10
+            assert abs(q_inner(apply(A, x), y, ctx) - q_inner(x, apply(B, y), ctx)) < 1e-10
 
 
 # ---- word operators --------------------------------------------------------------
@@ -268,13 +266,13 @@ def test_adjoint_contract_many_operators():
 
 def test_wick_single_letter_is_field():
     ctx = make_context(2, 0.3, 4)
-    assert np.allclose(wick_word((1,), ctx).mat, gaussian(1, ctx).mat)
+    assert np.allclose(wick_matrix((1,), ctx), gaussian(1, ctx))
 
 
 def test_wick_double_letter():
     ctx = make_context(2, 0.3, 4)
-    x = gaussian(1, ctx).mat
-    assert np.allclose(wick_word((1, 1), ctx).mat, x @ x - np.eye(ctx.dim))
+    x = gaussian(1, ctx)
+    assert np.allclose(wick_matrix((1, 1), ctx), x @ x - np.eye(ctx.dim))
 
 
 @pytest.mark.parametrize("N", [2, 3])
@@ -284,7 +282,7 @@ def test_wick_vacuum_property(N):
     for n in range(1, 5):
         for _ in range(4):
             w = tuple(int(x) for x in rng.integers(1, N + 1, size=n))
-            v = wick_word(w, ctx).apply(GradedVector.vacuum(ctx))
+            v = apply(wick_matrix(w, ctx), GradedVector.vacuum(ctx))
             assert np.abs(v.data - GradedVector.from_word(ctx, w).data).max() < 1e-12
 
 
@@ -396,29 +394,32 @@ def test_moments_independent_of_truncation():
 
 def test_op_norm_identity():
     ctx = make_context(2, 0.3, 3)
-    assert op_norm(FockOperator.identity(ctx)) == pytest.approx(1.0)
+    assert op_norm(np.eye(ctx.dim), ctx) == pytest.approx(1.0)
 
 
 def test_creation_isometry_free_case():
     ctx = make_context(2, 0.0, 4)
-    assert op_norm(creation(1, ctx)) == pytest.approx(1.0, abs=1e-12)
+    assert op_norm(creation(1, ctx), ctx) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_op_norm_compression_monotone():
     q = 0.4
-    norms = [op_norm(gaussian(1, make_context(2, q, L))) for L in (2, 3, 4, 5)]
+    norms = []
+    for L in (2, 3, 4, 5):
+        ctx = make_context(2, q, L)
+        norms.append(op_norm(gaussian(1, ctx), ctx))
     for a, b in zip(norms, norms[1:]):
         assert a <= b + 1e-12
 
 
-def _dense_op_norm(A: FockOperator) -> float:
-    m = metric(A.ctx)
-    return float(np.linalg.svd(m["Gh"] @ A.mat @ m["Gih"], compute_uv=False)[0])
+def _dense_op_norm(A: np.ndarray, ctx) -> float:
+    m = metric(ctx)
+    return float(np.linalg.svd(m["Gh"] @ A @ m["Gih"], compute_uv=False)[0])
 
 
-def _psi(ctx, n: int, coeffs: np.ndarray) -> FockOperator:
+def _psi(ctx, n: int, coeffs: np.ndarray) -> np.ndarray:
     re, im = _wick_sum(np.stack([coeffs.real, coeffs.imag]), n, ctx)
-    return FockOperator(ctx, re + 1j * im)
+    return re + 1j * im
 
 
 @pytest.fixture
@@ -444,26 +445,26 @@ def test_op_norm_parity_blocks_match_full_svd(N, q, L, sandwich_shapes):
     ctx = make_context(N, q, L)
     rng = np.random.default_rng(5)
     ops = [creation(1, ctx), annihilation(N, ctx), gaussian(1, ctx)]
-    ops += [wick_word(w, ctx) for w in [(1,), (1, 1), (N, 1, 1), (1, N, 1, N)] if len(w) <= L]
+    ops += [wick_matrix(w, ctx) for w in [(1,), (1, 1), (N, 1, 1), (1, N, 1, N)] if len(w) <= L]
     for n in range(1, min(4, L) + 1):
         c = rng.standard_normal(N**n) + 1j * rng.standard_normal(N**n)
         ops.append(_psi(ctx, n, c))
     for A in ops:
         sandwich_shapes.clear()
-        assert op_norm(A) == pytest.approx(_dense_op_norm(A), rel=1e-13, abs=0)
+        assert op_norm(A, ctx) == pytest.approx(_dense_op_norm(A, ctx), rel=1e-13, abs=0)
         assert len(sandwich_shapes) == 2 and (ctx.dim, ctx.dim) not in sandwich_shapes
 
 
 def test_op_norm_mixed_parity_takes_whole_matrix(sandwich_shapes):
     ctx = make_context(2, 0.3, 4)
-    A = FockOperator.identity(ctx) + creation(1, ctx)
-    assert op_norm(A) == pytest.approx(_dense_op_norm(A), rel=1e-13, abs=0)
+    A = np.eye(ctx.dim) + creation(1, ctx)
+    assert op_norm(A, ctx) == pytest.approx(_dense_op_norm(A, ctx), rel=1e-13, abs=0)
     assert sandwich_shapes == [(ctx.dim, ctx.dim)]
 
 
 def test_hs_norm_of_identity():
     ctx = make_context(2, 0.3, 2)
-    assert hs_norm(FockOperator.identity(ctx)) == pytest.approx(np.sqrt(ctx.dim))
+    assert hs_norm(np.eye(ctx.dim), ctx) == pytest.approx(np.sqrt(ctx.dim))
 
 
 # ---- product constant and the norm inequality ---------------------------------------
@@ -533,7 +534,7 @@ def test_linear_wick_sum_matches_word_by_word(N, q, L, kind):
             c[rng.random(N**n) < 0.7] = 0.0
             c[0] = 1.0
         want = sum(c[i] * wick_matrix(ctx.index_word(n, i), ctx) for i in range(N**n))
-        got = _psi(ctx, n, c).mat
+        got = _psi(ctx, n, c)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -553,7 +554,7 @@ def _right_word_matrix(w, ctx):
     # in swapped order: psi_(w_2..) Y_(w_1) minus the paired shorter words
     if not w:
         return np.eye(ctx.dim)
-    M = _right_word_matrix(w[1:], ctx) @ right_gaussian(w[0], ctx).mat
+    M = _right_word_matrix(w[1:], ctx) @ right_gaussian(w[0], ctx)
     for j in range(2, len(w) + 1):
         if w[0] == w[j - 1]:
             M = M - ctx.q ** (j - 2) * _right_word_matrix(w[1 : j - 1] + w[j:], ctx)
@@ -596,7 +597,7 @@ def test_single_word_requests_do_not_build_a_level():
     tracemalloc.start()
     try:
         for w in [(1,), (1, 1), (1, 2), (2, 1, 1)]:
-            wick_word(w, ctx)
+            wick_matrix(w, ctx)
         allocated, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -606,16 +607,50 @@ def test_single_word_requests_do_not_build_a_level():
 
 def test_right_gaussian_commutes_with_left():
     ctx = make_context(2, 0.3, 5)
-    a = gaussian(1, ctx).mat
-    b = right_gaussian(2, ctx).mat
+    a = gaussian(1, ctx)
+    b = right_gaussian(2, ctx)
     cut = ctx.level_offset(ctx.L - 1)
     assert np.abs((a @ b - b @ a)[:, :cut]).max() < 1e-12
 
 
+def nonzero_blocks_off_shift(A: np.ndarray, shift: int, ctx) -> list[tuple[int, int]]:
+    """The level blocks (n_in, n_out) with n_out != n_in + shift in which A
+    has a nonzero entry."""
+    return [
+        (n_in, n_out)
+        for n_in in range(ctx.L + 1)
+        for n_out in range(ctx.L + 1)
+        if n_out != n_in + shift
+        and np.abs(A[ctx.level_slice(n_out), ctx.level_slice(n_in)]).max(initial=0.0) > 0.0
+    ]
+
+
 def test_grading_tag_validation():
     ctx = make_context(2, 0.3, 3)
-    with pytest.raises(ValueError, match="grading_shift"):
-        FockOperator(ctx, np.eye(ctx.dim), grading_shift=+1)
-    # block-diagonal matrices carry tag 0
-    FockOperator(ctx, np.eye(ctx.dim), grading_shift=0)
-    FockOperator(ctx, creation(1, ctx).mat, grading_shift=+1)
+    assert nonzero_blocks_off_shift(np.eye(ctx.dim), +1, ctx) == [(n, n) for n in range(4)]
+    # block-diagonal matrices have shift 0
+    assert nonzero_blocks_off_shift(np.eye(ctx.dim), 0, ctx) == []
+    assert nonzero_blocks_off_shift(creation(1, ctx), +1, ctx) == []
+
+
+@pytest.mark.parametrize("q", [-0.4, 0.0, 0.3])
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_builders_vanish_outside_their_level_shift(N, q):
+    ctx = make_context(N, q, 3)
+    built = [(xi_multiplier(ctx), 0)]
+    for i in range(1, N + 1):
+        built += [(creation(i, ctx), +1), (right_creation(i, ctx), +1)]
+        built += [(annihilation(i, ctx), -1), (right_annihilation(i, ctx), -1)]
+        built += [(right_annihilation_mirror(i, ctx), -1)]
+    for A, shift in built:
+        assert nonzero_blocks_off_shift(A, shift, ctx) == []
+        assert nonzero_blocks_off_shift(adjoint(A, ctx), -shift, ctx) == []
+
+
+@pytest.mark.parametrize("shape", [(14, 14), (15, 14), (15,)])
+def test_metric_functions_reject_a_wrong_shape(shape):
+    ctx = make_context(2, 0.3, 3)
+    with pytest.raises(ValueError, match="does not match context dim 15"):
+        adjoint(np.zeros(shape), ctx)
+    with pytest.raises(ValueError, match="does not match context dim 15"):
+        op_norm(np.zeros(shape), ctx)
