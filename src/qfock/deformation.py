@@ -35,7 +35,14 @@ from .errors import (
     SquareRootUnavailableError,
 )
 from .fock import FockContext, _rev_perm, gram, metric
-from .operators import _power, c_q, left_wick_stack, right_wick_stack
+from .operators import (
+    _parity_metric,
+    _parity_support,
+    _power,
+    c_q,
+    left_wick_stack,
+    right_wick_stack,
+)
 
 __all__ = [
     "HSElement",
@@ -222,26 +229,117 @@ def hs_norm_of(T: HSElement) -> float:
     return float(math.sqrt(max(hs_inner(T, T).real, 0.0)))
 
 
-def _sym_stack(ctx: FockContext) -> np.ndarray:
+# The doubled-space norms run one Lanczos per parity sector from this dim on;
+# below it the extra GEMMs and runs cost more than the smaller matvecs save.
+# Per norm, one basis class -> the parity classes (2 cores, OpenBLAS 0.3.31,
+# best of 5): at dim 31, (N, q, L) = (2, 0.05, 4), d_1 xi_1 19.7 -> 22.2 ms
+# and d_2 xi_1 10.6 -> 14.6 ms (the residual 9.3 -> 7.3 ms), and at
+# (5, 0.02, 2) the residual 5.9 -> 10.5 ms; at dim 40, (3, 0.05, 3), the
+# residual 16.1 -> 9.4 ms, d_1 xi_1 30.8 -> 29.3 ms and d_2 xi_1 24.8 ->
+# 22.1 ms; at dim 63, (2, 0.05, 5), the residual 88 -> 54 ms and d_1 xi_1
+# 260 -> 156 ms.
+_SECTOR_MIN_DIM = 40
+
+
+def _basis_split(ctx: FockContext) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Classes of the graded basis for the doubled-space kernel, as
+    ``(indices, Gh block, Gih block)``: the even and the odd levels
+    (:func:`~qfock.operators._parity_metric`) from ``_SECTOR_MIN_DIM`` on,
+    else one class holding the whole basis.
+
+    A word operator of length n moves level parity by n, so with the parity
+    classes its (x, y) block is nonzero only for words of class ``x ^ y``;
+    with one class that holds for every word as well."""
+    if ctx.dim >= _SECTOR_MIN_DIM:
+        return _parity_metric(ctx)
+    m = metric(ctx)
+    return ((np.arange(ctx.dim), m["Gh"], m["Gih"]),)
+
+
+def _sym_blocks(ctx: FockContext) -> list[np.ndarray]:
     """Left word-operator stack conjugated into metric-orthonormal
-    coordinates, ``Ah_u = S A_u S^-1`` with ``S = G**(1/2)``, indexed
-    ``(u, i, k)``: the doubled metric becomes the standard one, so operator
-    norms are plain singular values, and sandwiching once per context avoids
-    any dim**2 square matrix products.  Right multiplication by a word is the
-    word reversal P times left multiplication by the reversed word times P,
-    and P commutes with every Gram block, so the sandwiched right operators
-    are ``P Ah_(rev v) P`` and need no stack of their own.  Stored in the
-    contraction layout ``A2[i, k*d + u]`` of :func:`_sym_action` and
+    coordinates, ``Ah_u = S A_u S^-1`` with ``S = G**(1/2)``, kept as its
+    blocks between the basis classes of :func:`_basis_split`: entry
+    ``x * k + y`` (k classes) is ``Ah_u[x, y] = Gh_x A_u[x, y] Gih_y`` over
+    the words u of class ``x ^ y``, indexed ``(u, i, k)``.  With one class
+    that is the whole stack; with the parity classes, the only nonzero half
+    of it (8.5 MB instead of 16.4 MB at dim 127).  The doubled metric
+    becomes the standard one, so operator norms are plain singular values,
+    and sandwiching once per context avoids any dim**2 square matrix
+    products.  Right multiplication by a word is the word reversal P times
+    left multiplication by the reversed word times P, and P commutes with
+    every Gram block, so the sandwiched right operators are
+    ``P Ah_(rev v) P`` and need no stack of their own.  Each block is stored
+    in the contraction layout ``A2[i, k*m + u]`` of :func:`_sym_action` and
     returned as a view of it.
     """
 
     def build():
-        m = metric(ctx)
-        Gh, Gih = m["Gh"][None, :, :], m["Gih"][None, :, :]
-        Ah = np.matmul(np.matmul(Gh, left_wick_stack(ctx)), Gih)
-        return np.ascontiguousarray(Ah.transpose(1, 2, 0))
+        A, split = left_wick_stack(ctx), _basis_split(ctx)
+        out = []
+        for x, (rows, Gh, _) in enumerate(split):
+            for y, (cols, _, Gih) in enumerate(split):
+                S = A if len(split) == 1 else A[np.ix_(split[x ^ y][0], rows, cols)]
+                Ah = np.matmul(np.matmul(Gh[None, :, :], S), Gih[None, :, :])
+                out.append(np.ascontiguousarray(Ah.transpose(1, 2, 0)))
+        return tuple(out)
 
-    return ctx.memo("sym_stack", build).transpose(2, 0, 1)
+    return [b.transpose(2, 0, 1) for b in ctx.memo("sym_blocks", build)]
+
+
+def _sectors(ctx: FockContext) -> list[list[tuple[int, int]]]:
+    """The sectors of the doubled space, as lists of its blocks ``(x, y)``,
+    ``V[class x, class y]``: with the parity classes, S0 = {EE, OO} and
+    S1 = {EO, OE}, each kept by the action of an element whose words have
+    even total length |u| + |v| and swapped by one whose words have odd total
+    length; with one class, the whole space."""
+    if len(_basis_split(ctx)) == 1:
+        return [[(0, 0)]]
+    return [[(0, 0), (1, 1)], [(0, 1), (1, 0)]]
+
+
+def _gather(ctx: FockContext, blocks, V: np.ndarray) -> np.ndarray:
+    """The doubled-space matrix V as a vector over ``blocks``: their
+    flattened entries, one block after the other."""
+    split = _basis_split(ctx)
+    return np.concatenate([V[np.ix_(split[x][0], split[y][0])].ravel() for x, y in blocks])
+
+
+def _scatter(ctx: FockContext, blocks, v: np.ndarray, V: np.ndarray) -> None:
+    """Write the vector v over ``blocks`` into their entries of V (the
+    inverse of :func:`_gather`)."""
+    split, off = _basis_split(ctx), 0
+    for x, y in blocks:
+        rows, cols = split[x][0], split[y][0]
+        V[np.ix_(rows, cols)] = v[off : off + rows.size * cols.size].reshape(rows.size, cols.size)
+        off += rows.size * cols.size
+
+
+def _start(ctx: FockContext, blocks) -> np.ndarray:
+    """The seeded Gaussian start vector of the whole doubled space, restricted
+    to ``blocks``: a constant vector is invariant under letter relabelling
+    and word reversal, so its Krylov space never leaves that symmetric
+    sector and misses extremes that lie outside it."""
+    d = ctx.dim
+    return _gather(ctx, blocks, np.random.default_rng(0).standard_normal(d * d).reshape(d, d))
+
+
+def _runs(ctx: FockContext, C: np.ndarray, normal: bool):
+    """``(blocks, image blocks)`` of the Lanczos runs for an operator built on
+    the coefficients C: the action of C itself, or with ``normal`` its normal
+    operator.  One run per sector (:func:`_sectors`) when that operator keeps
+    each: C of even total word length, whose action maps each sector into
+    itself, or the normal operator of a C of odd total length, whose action
+    maps each sector into the other.  One run over both sectors concatenated
+    otherwise."""
+    sectors = _sectors(ctx)
+    even, odd = _parity_support(ctx, (C,))
+    if not odd:
+        return [(s, s) for s in sectors]
+    if normal and not even:
+        return list(zip(sectors, sectors[::-1]))
+    whole = [b for s in sectors for b in s]
+    return [(whole, whole)]
 
 
 def _star(ctx: FockContext, C: np.ndarray) -> np.ndarray:
@@ -255,43 +353,77 @@ def _star(ctx: FockContext, C: np.ndarray) -> np.ndarray:
     return C[np.ix_(rev, rev)].conj()
 
 
-def _sym_action(ctx: FockContext, C: np.ndarray):
+def _sym_action(ctx: FockContext, C: np.ndarray, ins, outs):
     """Matrix-free left action of C in metric-orthonormal coordinates with
-    the words of its second leg reversed, as a map on flattened doubled-space
-    vectors: ``M: V -> sum_{u,v} C[u, rev v] . Ah_u @ V @ Ah_v^T``.  Since
-    ``Bh_v = P Ah_(rev v) P`` (:func:`_sym_stack`), the true action
+    the words of its second leg reversed, from vectors over the doubled-space
+    blocks ``ins`` to vectors over ``outs`` (:func:`_gather`):
+    ``M: V -> sum_{u,v} C[u, rev v] . Ah_u @ V @ Ah_v^T``.  Since
+    ``Bh_v = P Ah_(rev v) P`` (:func:`_sym_blocks`), the true action
     ``V -> sum_{u,v} C[u,v] . Ah_u @ V @ Bh_v^T`` is ``J M J`` for the
-    orthogonal involution ``J: V -> V P``; M has its singular values and
-    spectrum.
+    orthogonal involution ``J: V -> V P``, which keeps every block; M has
+    its singular values and spectrum.
 
-    M is two plain GEMMs, ``A2 @ (V @ Wh).reshape(-1, d)``, with
-    ``A2[i, k*d + u] = Ah_u[i, k]`` and ``Wh[l, u*d + j] = sum_v C[u, rev v]
-    Ah_v[j, l]`` built once, here; ``V @ Wh`` is already laid out as the
-    right operand, so a matvec copies nothing.  Only the word operators in
-    the nonzero row and column range of the reversed coefficients take part
-    (``A2`` is a view of the stored stack when the rows span every word).  A
-    complex ``V @ Wh`` meets the real ``A2`` through its interleaved real
-    view; a complex V against real coefficients runs as its two real parts.
+    Block (a, b) of V reaches block (a', b') through the words u of class
+    ``a ^ a'`` and v of class ``b ^ b'`` alone: ``A2 @ (V_ab @ Wh).reshape(-1,
+    d_b')``, with ``A2[i, k*m + u] = Ah_u[a', a][i, k]`` and ``Wh[l, u*d_b' +
+    j] = sum_v C[u, rev v] Ah_v[b', b][j, l]`` built once, here.  Each output
+    block is one GEMM over the inputs that reach it, their ``A2`` side by
+    side against their ``V_ab @ Wh`` stacked, each written in place: with one
+    basis class, two plain GEMMs over the whole space that copy nothing.
+    Only the words in the nonzero row and column range of the reversed
+    coefficients of the two classes take part (``A2`` is a view of the
+    stored block when the rows span every word of the class and one input
+    reaches the output).  A complex ``V_ab @ Wh`` meets the real ``A2``
+    through its interleaved real view; a complex V against real coefficients
+    runs as its two real parts.
     """
-    d = ctx.dim
-    Ah = _sym_stack(ctx)
+    split, Ah = _basis_split(ctx), _sym_blocks(ctx)
+    k, n = len(split), [idx.size for idx, _, _ in split]
     C = C[:, _rev_perm(ctx)]
-    lo, hi = _support(C)
-    clo, chi = _support(C.T)
-    A2 = Ah[lo:hi].transpose(1, 2, 0).reshape(d, -1)
-    # a (words, d*d) view of the stored layout; matmul reads it in place
-    # where tensordot would copy a trimmed word range
-    W = C[lo:hi, clo:chi] @ Ah[clo:chi].reshape(chi - clo, d * d)
-    Wh = W.reshape(-1, d, d).transpose(2, 0, 1).reshape(d, -1)
+    offsets = np.cumsum([0] + [n[a] * n[b] for a, b in ins]).tolist()
+    # weighted stacks by (class of u, output column class, input column
+    # class): a run over both sectors meets each one from two input blocks
+    weighted, terms = {}, []
+    for a2, b2 in outs:
+        lefts, rights, rows = [], [], 0
+        for o0, o1, (a, b) in zip(offsets, offsets[1:], ins):
+            if (a ^ a2, b2, b) not in weighted:
+                sub = C[np.ix_(split[a ^ a2][0], split[b ^ b2][0])]
+                lo, hi = _support(sub)
+                clo, chi = _support(sub.T)
+                # a (words, d_b' * d_b) view of the stored layout; matmul
+                # reads it in place where tensordot would copy a trimmed range
+                W = sub[lo:hi, clo:chi] @ Ah[b2 * k + b][clo:chi].reshape(chi - clo, n[b2] * n[b])
+                Wh = W.reshape(-1, n[b2], n[b]).transpose(2, 0, 1).reshape(n[b], -1)
+                weighted[a ^ a2, b2, b] = lo, hi, Wh
+            lo, hi, Wh = weighted[a ^ a2, b2, b]
+            if lo < hi:
+                lefts.append(Ah[a2 * k + a][lo:hi].transpose(1, 2, 0).reshape(n[a2], -1))
+                # the input's entries of v, and its rows of the stacked product
+                rights.append((o0, o1, (n[a], n[b]), Wh, rows, rows + n[a] * (hi - lo)))
+                rows += n[a] * (hi - lo)
+        # with no input reaching the block, an empty product: zeros
+        A2 = lefts[0] if len(lefts) == 1 else np.concatenate([np.empty((n[a2], 0)), *lefts], axis=1)
+        terms.append((A2, rights, rows, n[b2]))
+    real = not np.iscomplexobj(C)
 
-    def gemms(V: np.ndarray) -> np.ndarray:
-        return _real_gemm(A2, (V @ Wh).reshape(-1, d))
+    def blocks_apply(v: np.ndarray) -> np.ndarray:
+        parts = []
+        for A2, rights, rows, cols in terms:
+            if len(rights) == 1:
+                ((o0, o1, shape, Wh, _, _),) = rights
+                P = (v[o0:o1].reshape(shape) @ Wh).reshape(-1, cols)
+            else:
+                P = np.empty((rows, cols), dtype=np.result_type(v, C))
+                for o0, o1, shape, Wh, r0, r1 in rights:
+                    np.matmul(v[o0:o1].reshape(shape), Wh, out=P[r0:r1].reshape(shape[0], -1))
+            parts.append(_real_gemm(A2, P).reshape(-1))
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def apply(v: np.ndarray) -> np.ndarray:
-        V = v.reshape(d, d)
-        if np.iscomplexobj(V) and not np.iscomplexobj(Wh):
-            return (gemms(V.real) + 1j * gemms(V.imag)).reshape(-1)
-        return gemms(V).reshape(-1)
+        if real and np.iscomplexobj(v):
+            return blocks_apply(v.real) + 1j * blocks_apply(v.imag)
+        return blocks_apply(v)
 
     return apply
 
@@ -354,26 +486,36 @@ def _lanczos(matvec, v: np.ndarray, dtype):
     )
 
 
-def _extreme_eig(matvec, d2: int, dtype, which: str) -> float:
-    """Extreme eigenvalue of a self-adjoint operator on the doubled space:
-    ``which`` is "LA" (largest), "SA" (smallest) or "LM" (largest modulus).
+def _extreme_eig(matvec, v: np.ndarray, dtype, which: str) -> float:
+    """Extreme eigenvalue of a self-adjoint operator on (a sector of) the
+    doubled space: ``which`` is "LA" (largest), "SA" (smallest) or "LM"
+    (largest modulus).
 
-    :func:`_lanczos` from one seeded Gaussian start vector: a constant vector
-    is invariant under letter relabelling and word reversal, so its Krylov
-    space never leaves that symmetric sector and misses extremes that lie
-    outside it.  The wanted Ritz value ``theta`` is tested with ARPACK's
-    rule, ``|beta * s_last| <= _LANCZOS_TOL * max(|theta|, eps**(2/3) *
-    max|Ritz value|)``; ARPACK's floor is ``eps**(2/3)`` itself, which would
-    accept any Ritz value of an operator whose norm lies below it.  Ritz
-    values are exact once the Krylov space is exhausted.
+    :func:`_lanczos` from the start vector v (:func:`_start`).  The wanted
+    Ritz value ``theta`` is tested with ARPACK's rule, ``|beta * s_last| <=
+    _LANCZOS_TOL * max(|theta|, eps**(2/3) * max|Ritz value|)``; ARPACK's
+    floor is ``eps**(2/3)`` itself, which would accept any Ritz value of an
+    operator whose norm lies below it.  Ritz values are exact once the Krylov
+    space is exhausted.
     """
-    v = np.random.default_rng(0).standard_normal(d2)
     for theta, S, beta, _, exhausted in _lanczos(matvec, v, dtype):
         top = int(np.abs(theta).argmax())
         i = {"LA": -1, "SA": 0, "LM": top}[which]
         floor = _EPS ** (2 / 3) * abs(theta[top])
         if exhausted or beta * abs(S[-1, i]) <= _LANCZOS_TOL * max(abs(theta[i]), floor):
             return float(theta[i])
+
+
+def _sym_extremes(ctx: FockContext, C: np.ndarray, which: tuple[str, ...]) -> list[list[float]]:
+    """The extreme eigenvalues ``which`` (:func:`_extreme_eig`) of the
+    symmetrized action ``(M + M^H) / 2`` of C, the action of ``(C + C*) / 2``,
+    for each of its Lanczos runs (:func:`_runs`)."""
+    Cs = (C + _star(ctx, C)) / 2
+    out = []
+    for blocks, _ in _runs(ctx, Cs, normal=False):
+        sym, v = _sym_action(ctx, Cs, blocks, blocks), _start(ctx, blocks)
+        out.append([_extreme_eig(sym, v, Cs.dtype, w) for w in which])
+    return out
 
 
 def _lanczos_sqrt(matvec, b: np.ndarray) -> np.ndarray:
@@ -397,36 +539,38 @@ def doubled_op_norm(T: HSElement, hermitian: bool = False) -> float:
     """Operator norm of the left action of T on the doubled space, in the
     deformed metric of the tensor-square trace.
 
-    Matrix-free: the action is applied through the one metric-orthonormal
-    stack with the weighted stack built once per call, and the adjoint action
-    is the forward action of the star element.  The top singular value is the
-    square root of the top eigenvalue of the normal operator.  Pass
-    ``hermitian=True`` for elements known to be self-adjoint (polynomials in
-    the deformation operator): the largest |eigenvalue| of the symmetrized
-    action ``(M + M^T) / 2`` is then computed instead.
+    Matrix-free: the action is applied through the metric-orthonormal stack
+    blocks with the weighted stacks built once per Lanczos run, and the
+    adjoint action is the forward action of the star element.  The top
+    singular value is the square root of the top eigenvalue of the normal
+    operator.  Pass ``hermitian=True`` for elements known to be self-adjoint
+    (polynomials in the deformation operator): the largest |eigenvalue| of
+    the symmetrized action ``(M + M^H) / 2`` is then computed instead, for
+    real and complex coefficients alike.  Where the operator keeps the parity
+    sectors of the doubled space (:func:`_runs`), each sector has its own
+    Lanczos run and the norm is the larger of their values.
     """
-    ctx = T.ctx
-    d2 = ctx.dim**2
-    C = T.coeffs
+    ctx, C = T.ctx, T.coeffs
     if not np.abs(C).max():
         return 0.0
-    if hermitian and not np.iscomplexobj(C):
-        sym = _sym_action(ctx, (C + _star(ctx, C)) / 2)
-        return abs(_extreme_eig(sym, d2, float, "LM"))
-    fwd, adj = _sym_action(ctx, C), _sym_action(ctx, _star(ctx, C))
-    top = _extreme_eig(lambda v: adj(fwd(v)), d2, C.dtype, "LA")
-    return math.sqrt(max(top, 0.0))
+    if hermitian:
+        return max(abs(lm) for (lm,) in _sym_extremes(ctx, C, ("LM",)))
+    star, tops = _star(ctx, C), []
+    for blocks, image in _runs(ctx, C, normal=True):
+        fwd, adj = _sym_action(ctx, C, blocks, image), _sym_action(ctx, star, image, blocks)
+        tops.append(_extreme_eig(lambda v: adj(fwd(v)), _start(ctx, blocks), C.dtype, "LA"))
+    return math.sqrt(max(max(tops), 0.0))
 
 
 def _xi_spectral_range(ctx: FockContext) -> tuple[float, float]:
     """(min, max) eigenvalue of the symmetrized doubled-space action of the
     deformation operator: the action of the hermitian shortcut of
-    :func:`doubled_op_norm`, at both ends of its spectrum."""
+    :func:`doubled_op_norm`, at both ends of its spectrum (over both parity
+    sectors, which it keeps)."""
 
     def build():
-        C = xi_as_hs(ctx).coeffs
-        sym = _sym_action(ctx, (C + _star(ctx, C)) / 2)
-        return tuple(_extreme_eig(sym, ctx.dim**2, C.dtype, w) for w in ("SA", "LA"))
+        ends = _sym_extremes(ctx, xi_as_hs(ctx).coeffs, ("SA", "LA"))
+        return min(lo for lo, _ in ends), max(hi for _, hi in ends)
 
     return ctx.memo("spec_range", build)
 
@@ -441,7 +585,8 @@ def _xi_sqrt_right(ctx: FockContext, C: np.ndarray) -> np.ndarray:
     word reversal), so its right action has the spectrum of
     :func:`_xi_spectral_range`, and the root is unavailable when the lower
     end lies below ``-_SQRT_NEG_TOL``.  The root is applied matrix-free by
-    :func:`_lanczos_sqrt` on the symmetrized left action of ``X^T``; that
+    :func:`_lanczos_sqrt` on the symmetrized left action of ``X^T``, once
+    per parity sector of the doubled space, which that action keeps; the
     action comes with its second leg reversed (:func:`_sym_action`), so the
     reversal goes once onto the columns of the start matrix and once onto
     those of the result.
@@ -454,10 +599,13 @@ def _xi_sqrt_right(ctx: FockContext, C: np.ndarray) -> np.ndarray:
         )
     m, rev = metric(ctx), _rev_perm(ctx)
     X = xi_as_hs(ctx).coeffs
-    sym = _sym_action(ctx, ((X + _star(ctx, X)) / 2).T)
-    b = (m["Gh"] @ C @ m["Gh"]).T[:, rev].reshape(-1)
-    Y = _lanczos_sqrt(sym, b).reshape(ctx.dim, ctx.dim)[:, rev].T
-    return m["Gih"] @ Y @ m["Gih"]
+    Xs = ((X + _star(ctx, X)) / 2).T
+    B = (m["Gh"] @ C @ m["Gh"]).T[:, rev]
+    Y = np.zeros_like(B)
+    for blocks, _ in _runs(ctx, Xs, normal=False):
+        sym = _sym_action(ctx, Xs, blocks, blocks)
+        _scatter(ctx, blocks, _lanczos_sqrt(sym, _gather(ctx, blocks, B)), Y)
+    return m["Gih"] @ Y[:, rev].T @ m["Gih"]
 
 
 # ---- explicit constants ------------------------------------------------------

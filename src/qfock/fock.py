@@ -18,6 +18,7 @@ build that raises stores nothing.
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +56,24 @@ class GramBlock:
     min_eig: float
 
 
+def _freeze(value) -> None:
+    """Make the arrays of ``value`` read-only: the value itself, or those it
+    holds in tuples, lists, dict values and dataclass fields, at any depth.
+    A context met on the way (the one of an element, a doubled context) is
+    left alone: its memo freezes its own values."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            _freeze(item)
+    elif isinstance(value, dict):
+        for item in value.values():
+            _freeze(item)
+    elif dataclasses.is_dataclass(value) and not isinstance(value, (type, FockContext)):
+        for f in dataclasses.fields(value):
+            _freeze(getattr(value, f.name))
+
+
 @dataclass(eq=False)
 class FockContext:
     N: int
@@ -66,15 +85,14 @@ class FockContext:
     def memo(self, key, build):
         """The value stored under ``key``, else ``build()`` stored and
         returned.  The first stored value wins, so concurrent callers get the
-        same object; a build that raises stores nothing.  An array value is
-        stored read-only: callers share it, so writing into it would change
-        every later result of the context."""
+        same object; a build that raises stores nothing.  The arrays of a
+        value are stored read-only (:func:`_freeze`): callers share them, so
+        writing into one would change every later result of the context."""
         try:
             return self._memo[key]
         except KeyError:
             value = build()
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
+            _freeze(value)
             return self._memo.setdefault(key, value)
 
     # ---- basis bookkeeping -------------------------------------------------

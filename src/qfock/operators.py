@@ -259,7 +259,7 @@ def trace_state(A: np.ndarray) -> complex:
     return complex(A[0, 0])
 
 
-def _parity_metric(ctx: FockContext) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _parity_metric(ctx: FockContext) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     """``(indices, Gh block, Gih block)`` for the even and then the odd
     levels (both metrics are block diagonal by level)."""
 
@@ -271,7 +271,7 @@ def _parity_metric(ctx: FockContext) -> list[tuple[np.ndarray, np.ndarray, np.nd
             idx = np.flatnonzero(level % 2 == parity)
             cut = np.ix_(idx, idx)
             out.append((idx, m["Gh"][cut], m["Gih"][cut]))
-        return out
+        return tuple(out)
 
     return ctx.memo("parity_metric", build)
 

@@ -58,27 +58,38 @@ def lr_action(T) -> np.ndarray:
     return dense_action(left_wick_stack(ctx), right_wick_stack(ctx), T.coeffs)
 
 
+def dense_sym_stacks(ctx) -> tuple[np.ndarray, np.ndarray]:
+    """The left and right word-operator stacks in metric-orthonormal
+    coordinates, ``G**(1/2) S G**(-1/2)``, sandwiched whole: no word
+    reversal and no parity blocks."""
+    m = metric(ctx)
+    return tuple(m["Gh"] @ S @ m["Gih"] for S in (left_wick_stack(ctx), right_wick_stack(ctx)))
+
+
 def dense_sym_action(ctx, C: np.ndarray, which: str = "left") -> np.ndarray:
     """Matrix of the left (or right) action of C in metric-orthonormal
-    coordinates, from both plain stacks sandwiched here: no word reversal."""
-    m = metric(ctx)
-    Ah, Bh = (m["Gh"] @ S @ m["Gih"] for S in (left_wick_stack(ctx), right_wick_stack(ctx)))
+    coordinates, from both stacks of :func:`dense_sym_stacks`."""
+    Ah, Bh = dense_sym_stacks(ctx)
     if which == "right":
         Ah, Bh = Bh, Ah
     return dense_action(Ah, Bh, C)
 
 
-def dense_xi_sqrt_right(ctx, C: np.ndarray) -> np.ndarray:
-    """Coefficients of C hit on the right by the PSD square root of the
-    deformation operator: ``eigh`` of the symmetrized dense right action,
-    eigenvalues clipped at 0, applied in metric-orthonormal coordinates."""
+def dense_xi_sqrt_right(ctx, *coeffs: np.ndarray) -> list[np.ndarray]:
+    """Each coefficient matrix C hit on the right by the PSD square root of
+    the deformation operator: one ``eigh`` of the symmetrized dense right
+    action, eigenvalues clipped at 0, applied in metric-orthonormal
+    coordinates."""
     d = ctx.dim
     S = dense_sym_action(ctx, xi_as_hs(ctx).coeffs, which="right")
     w, U = np.linalg.eigh((S + S.conj().T) / 2)
     m = metric(ctx)
-    v = (m["Gh"] @ C @ m["Gh"]).reshape(-1)
-    out = (U @ (np.sqrt(np.clip(w, 0.0, None)) * (U.conj().T @ v))).reshape(d, d)
-    return m["Gih"] @ out @ m["Gih"]
+    out = []
+    for C in coeffs:
+        v = (m["Gh"] @ C @ m["Gh"]).reshape(-1)
+        Y = (U @ (np.sqrt(np.clip(w, 0.0, None)) * (U.conj().T @ v))).reshape(d, d)
+        out.append(m["Gih"] @ Y @ m["Gih"])
+    return out
 
 
 def dense_top(S: np.ndarray, hermitian: bool = False) -> float:

@@ -27,6 +27,7 @@ from qfock.operators import c_q, gaussian
 from dense_oracle import (
     dense_action,
     dense_sym_action,
+    dense_sym_stacks,
     dense_top,
     dense_xi_sqrt_right,
     hs_norm,
@@ -179,6 +180,29 @@ def test_lr_action_right_factor_is_right_multiplication():
     assert np.allclose(M, expected, atol=1e-12)
 
 
+def _whole(ctx):
+    # the blocks of both sectors of the doubled space, one after the other
+    from qfock.deformation import _sectors
+
+    return [b for s in _sectors(ctx) for b in s]
+
+
+def _natural_action(ctx, C):
+    # the kernel over the whole doubled space, on vectors in the natural
+    # (dim, dim) order of the dense oracle
+    from qfock.deformation import _gather, _scatter, _sym_action
+
+    d, whole = ctx.dim, _whole(ctx)
+    apply = _sym_action(ctx, C, whole, whole)
+
+    def natural(v):
+        out = np.zeros((d, d), dtype=np.result_type(v, C))
+        _scatter(ctx, whole, apply(_gather(ctx, whole, v.reshape(d, d))), out)
+        return out.reshape(-1)
+
+    return natural
+
+
 def _supported_coeffs(ctx, support):
     # coefficients whose nonzero rows and columns span a prefix, a suffix, an
     # interior band, everything, or nothing of the word-operator basis
@@ -204,7 +228,7 @@ def _supported_coeffs(ctx, support):
 @pytest.mark.parametrize("N,q,L", [(2, 0.1, 4), (3, 0.1, 3)])
 @pytest.mark.parametrize("cplx", [False, True])
 def test_trimmed_actions_match_dense_oracle(N, q, L, support, cplx):
-    from qfock.deformation import _rev_perm, _sym_action
+    from qfock.deformation import _rev_perm
     from qfock.operators import left_wick_stack, right_wick_stack
 
     ctx = make_context(N, q, L)
@@ -231,16 +255,69 @@ def test_trimmed_actions_match_dense_oracle(N, q, L, support, cplx):
         P = np.matmul(V[None, :, :], W.transpose(0, 2, 1)).reshape(-1, d)
         untrimmed = (A_cat @ P.view(float)).view(complex) if cplx else A_cat @ P
         assert np.array_equal(out, untrimmed)
-    # the two-GEMM action in metric-orthonormal coordinates, for real and
+    # the block action in metric-orthonormal coordinates, for real and
     # complex coefficients on the same support; it comes with the words of
     # its second leg reversed, V -> (M (V P)) P for the true action M
     C = T.coeffs
     rev = _rev_perm(ctx)
     for coeffs in (C, C * (1 + 1j * rng.standard_normal(C.shape))):
-        out = _sym_action(ctx, coeffs)(V.reshape(-1))
+        out = _natural_action(ctx, coeffs)(V.reshape(-1))
         expected = dense_sym_action(ctx, coeffs) @ V[:, rev].reshape(-1)
         expected = expected.reshape(d, d)[:, rev].reshape(-1)
         assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.filterwarnings("ignore::qfock.errors.NonConvergenceWarning")
+@pytest.mark.parametrize("N,q,L", [(2, 0.05, 4), (3, 0.1, 3)])
+def test_even_elements_keep_each_parity_sector(N, q, L):
+    # Xi, the partial sum U_6, its residual Xi # U_6 - 1, d_1 xi_1, d_2 xi_1
+    # and the tail Xi - Xi_2 have words of even total length only: their
+    # dense action sends each parity sector of the doubled space (level
+    # parities of both legs equal, or different) into itself with exactly 0
+    # leaking out, so the norms run one Lanczos per sector
+    from qfock.deformation import _runs, _sectors
+    from qfock.derivations import FDQ, conjugate_variables, derive, vector_to_poly
+
+    ctx = make_context(N, q, L)
+    xi = xi_as_hs(ctx)
+    *_, (_, _, U) = neumann_series(ctx, 6)
+    H = lr_apply(xi, U)
+    H[0, 0] -= 1.0
+    P = vector_to_poly(conjugate_variables(HSElement(ctx, U))[0])
+    elements = [
+        xi.coeffs,
+        U,
+        H,
+        derive(P, 1, FDQ, ctx).coeffs,
+        derive(P, 2, FDQ, ctx).coeffs,
+        (xi - xi_as_hs(ctx, 2)).coeffs,
+    ]
+    level = np.repeat(np.arange(L + 1), ctx.level_dims)
+    sector = ((level[:, None] + level[None, :]) % 2).reshape(-1)
+    for C in elements:
+        M = dense_sym_action(ctx, C)
+        for s in (0, 1):
+            assert M[np.ix_(sector == s, sector == s)].any()
+            assert not M[np.ix_(sector != s, sector == s)].any()
+        for normal in (False, True):
+            assert _runs(ctx, C, normal) == [(b, b) for b in _sectors(ctx)]
+
+
+def test_runs_follow_the_parity_of_the_element():
+    # an element of odd total word length swaps the two sectors: its normal
+    # operator keeps each, its symmetrized action keeps neither; a mixed
+    # element takes one run over both sectors either way
+    from qfock.deformation import _runs, _sectors
+    from qfock.derivations import FDQ, NCPoly, derive
+
+    ctx = make_context(3, 0.1, 3)
+    s0, s1 = _sectors(ctx)
+    assert (s0, s1) == ([(0, 0), (1, 1)], [(0, 1), (1, 0)])
+    odd = derive(NCPoly({(1, 2): 1.0}), 1, FDQ, ctx).coeffs
+    mixed = derive(NCPoly({(1, 2): 1 + 1j, (1,): 0.5}), 1, FDQ, ctx).coeffs
+    assert _runs(ctx, odd, normal=True) == [(s0, s1), (s1, s0)]
+    for C, normal in [(odd, False), (mixed, False), (mixed, True)]:
+        assert _runs(ctx, C, normal) == [(s0 + s1, s0 + s1)]
 
 
 def test_sym_action_holds_no_reference_cycle():
@@ -250,16 +327,18 @@ def test_sym_action_holds_no_reference_cycle():
 
     from qfock.deformation import _sym_action
 
-    ctx = make_context(2, 0.1, 3)
-    d = ctx.dim
+    # one basis class at dim 15, the parity classes at dim 40
+    contexts = [make_context(2, 0.1, 3), make_context(3, 0.1, 3)]
     gc.collect()
     gc.disable()
     try:
-        for C in (xi_as_hs(ctx).coeffs.real, xi_as_hs(ctx).coeffs * 1j):
-            apply = _sym_action(ctx, C)
-            apply(np.ones(d * d) + 1j)
-            del apply
-            assert gc.collect() == 0
+        for ctx in contexts:
+            d = ctx.dim
+            for C in (xi_as_hs(ctx).coeffs.real, xi_as_hs(ctx).coeffs * 1j):
+                apply = _sym_action(ctx, C, _whole(ctx), _whole(ctx))
+                apply(np.ones(d * d) + 1j)
+                del apply
+                assert gc.collect() == 0
     finally:
         gc.enable()
 
@@ -382,23 +461,42 @@ def test_doubled_op_norm_of_unit():
     assert doubled_op_norm(unit_hs(ctx)) == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("kind", ["real", "complex", "hermitian", "top"])
+@pytest.mark.parametrize(
+    "kind",
+    [
+        "real",
+        "complex",
+        "hermitian",
+        "top",
+        "hermitian-complex",
+        "odd",
+        "odd-complex",
+        "odd-hermitian",
+    ],
+)
 @pytest.mark.parametrize("N,q,L", [(2, 0.3, 3), (2, -0.3, 4), (3, 0.1, 3), (2, 0.1, 5)])
 def test_doubled_op_norm_matches_dense_svd(N, q, L, kind):
+    # levels 0..2 on both legs mix both parities of the total word length;
+    # the top level alone keeps each parity sector of the doubled space, and
+    # an "odd" element (odd total length only) swaps the two sectors
     ctx = make_context(N, q, L)
     rng = np.random.default_rng(3)
     cut = ctx.level_offset(3)
-    C = np.zeros((ctx.dim, ctx.dim), dtype=complex if kind == "complex" else float)
+    cplx = kind.endswith("complex")
+    C = np.zeros((ctx.dim, ctx.dim), dtype=complex if cplx else float)
     if kind == "top":
         # supported on the top level only: the action skips every lower word
         top = ctx.level_slice(L)
         C[top, top] = rng.standard_normal((ctx.N**L, ctx.N**L))
     else:
         C[:cut, :cut] = rng.standard_normal((cut, cut))
-    if kind == "complex":
+    if cplx:
         C[:cut, :cut] += 1j * rng.standard_normal((cut, cut))
+    if kind.startswith("odd"):
+        level = np.repeat(np.arange(L + 1), ctx.level_dims)
+        C[(level[:, None] + level[None, :]) % 2 == 0] = 0
     T = HSElement(ctx, C)
-    hermitian = kind == "hermitian"
+    hermitian = "hermitian" in kind
     expected = dense_top(dense_sym_action(ctx, T.coeffs), hermitian)
     assert doubled_op_norm(T, hermitian=hermitian) == pytest.approx(expected, rel=1e-9)
 
@@ -427,7 +525,7 @@ def test_hermitian_norm_of_letter_symmetric_elements(N, q, L, kind):
     assert doubled_op_norm(T, hermitian=True) == pytest.approx(expected, rel=1e-9)
 
 
-@pytest.mark.parametrize("N,q,L", [(2, 0.3, 4), (2, -0.4, 4), (3, 0.1, 3)])
+@pytest.mark.parametrize("N,q,L", [(2, 0.3, 4), (2, -0.4, 4), (3, 0.1, 3), (6, 0.05, 2)])
 def test_xi_spectral_range_matches_dense(N, q, L):
     from qfock.deformation import _xi_spectral_range
 
@@ -473,15 +571,15 @@ def _sym_part(ctx, C):
 def test_extreme_eig_small_doubled_spaces(N, q, L, which):
     # doubled axes of at most 128 entries, once served by a dense
     # eigendecomposition: the deformation operator and a random element
-    from qfock.deformation import _extreme_eig, _sym_action
+    from qfock.deformation import _extreme_eig, _start, _sym_action
 
     ctx = make_context(N, q, L)
-    d2 = ctx.dim**2
-    assert d2 <= 128
+    assert ctx.dim**2 <= 128
     rng = np.random.default_rng(11)
+    whole = _whole(ctx)
     for C in (xi_as_hs(ctx).coeffs.real, rng.standard_normal((ctx.dim, ctx.dim))):
         Cs, M = _sym_part(ctx, C)
-        got = _extreme_eig(_sym_action(ctx, Cs), d2, float, which)
+        got = _extreme_eig(_sym_action(ctx, Cs, whole, whole), _start(ctx, whole), float, which)
         assert got == pytest.approx(_eig_oracle(M, which), rel=1e-12, abs=0)
 
 
@@ -491,20 +589,22 @@ def test_extreme_eig_free_case_breaks_down_early():
     # vector is exhausted after two steps.  SA = 0 lies below the floor
     # 1e-11 * eps**(2/3) of the convergence rule, so only that exhaustion can
     # end the run
-    from qfock.deformation import _extreme_eig, _sym_action, _xi_spectral_range
+    from qfock.deformation import _extreme_eig, _start, _sym_action, _xi_spectral_range
 
     ctx = make_context(2, 0.0, 4)
-    d = ctx.dim
+    d, whole = ctx.dim, _whole(ctx)
+    assert whole == [(0, 0)]  # one basis class: the natural order of P V P
     P = xi_multiplier(ctx)
     M = np.kron(P, P)
     for which in ("SA", "LA", "LM"):
         matvec, calls = _counted(lambda v: (P @ v.reshape(d, d) @ P).reshape(-1))
-        got = _extreme_eig(matvec, d * d, float, which)
+        got = _extreme_eig(matvec, _start(ctx, whole), float, which)
         assert got == pytest.approx(_eig_oracle(M, which), rel=1e-12, abs=1e-15)
         assert len(calls) == 2
     # as a tensor-square element it is the unit, whose action is the identity
-    matvec, calls = _counted(_sym_action(ctx, xi_as_hs(ctx).coeffs.real))
-    assert _extreme_eig(matvec, d * d, float, "SA") == pytest.approx(1.0, rel=1e-12, abs=0)
+    matvec, calls = _counted(_sym_action(ctx, xi_as_hs(ctx).coeffs.real, whole, whole))
+    got = _extreme_eig(matvec, _start(ctx, whole), float, "SA")
+    assert got == pytest.approx(1.0, rel=1e-12, abs=0)
     assert len(calls) == 1
     assert _xi_spectral_range(ctx) == pytest.approx((1.0, 1.0), rel=1e-12, abs=0)
 
@@ -513,13 +613,14 @@ def test_extreme_eig_free_case_breaks_down_early():
 def test_extreme_eig_negative_q_near_equal_ends(which):
     # Xi - 1 at small q < 0: the two ends of the spectrum have nearly equal
     # modulus, so LM must pick the right end
-    from qfock.deformation import _extreme_eig, _sym_action
+    from qfock.deformation import _extreme_eig, _start, _sym_action
 
     ctx = make_context(2, -0.002, 4)
     Cs, M = _sym_part(ctx, (xi_as_hs(ctx) - unit_hs(ctx)).coeffs.real)
     w = np.linalg.eigvalsh(M)
     assert w[0] < 0 < w[-1] and 0.95 < -w[0] / w[-1] < 1
-    got = _extreme_eig(_sym_action(ctx, Cs), ctx.dim**2, float, which)
+    whole = _whole(ctx)
+    got = _extreme_eig(_sym_action(ctx, Cs, whole, whole), _start(ctx, whole), float, which)
     assert got == pytest.approx(_eig_oracle(M, which), rel=1e-12, abs=0)
     if which == "LM":
         norm = doubled_op_norm(HSElement(ctx, Cs), hermitian=True)
@@ -541,7 +642,9 @@ def test_xi_spectral_range_where_its_lower_end_crosses_zero():
     assert hi == pytest.approx(w[-1], rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize("N,q,L", [(2, 0.3, 2), (2, 0.3, 3), (2, -0.3, 4)])
+@pytest.mark.parametrize(
+    "N,q,L", [(2, 0.3, 2), (2, 0.3, 3), (2, -0.3, 4), (3, 0.1, 3), (6, 0.05, 2)]
+)
 def test_doubled_op_norm_complex_non_hermitian(N, q, L):
     # the normal operator of a complex element, against eigvalsh of S^H S
     ctx = make_context(N, q, L)
@@ -565,19 +668,60 @@ def test_doubled_op_norm_of_tiny_element_keeps_relative_accuracy(hermitian):
     assert tiny == pytest.approx(1e-20 * ref, rel=1e-12, abs=0)
 
 
+def _block_cuts(ctx):
+    # (stored block, its (words, rows, columns) cut of a dim**3 stack)
+    from qfock.deformation import _basis_split, _sym_blocks
+
+    split = _basis_split(ctx)
+    blocks = iter(_sym_blocks(ctx))
+    return [
+        (next(blocks), np.ix_(split[x ^ y][0], rows, cols))
+        for x, (rows, _, _) in enumerate(split)
+        for y, (cols, _, _) in enumerate(split)
+    ]
+
+
+def _assembled_sym_stack(ctx):
+    # the sandwiched left stack, zero outside its stored blocks
+    d = ctx.dim
+    Ah = np.zeros((d, d, d))
+    for block, cut in _block_cuts(ctx):
+        Ah[cut] = block
+    return Ah
+
+
+@pytest.mark.parametrize("N,q,L", [(2, -0.3, 3), (3, 0.1, 3), (2, 0.1, 5)])
+def test_sym_blocks_are_the_nonzero_blocks_of_the_dense_stack(N, q, L):
+    # one block (the whole stack) below dim 40, the four parity blocks from
+    # it on; a word of length n moves level parity by n, so the dense stack
+    # is exactly zero outside the blocks
+    from qfock.deformation import _basis_split
+
+    ctx = make_context(N, q, L)
+    assert len(_basis_split(ctx)) == (1 if ctx.dim < 40 else 2)
+    Ah, _ = dense_sym_stacks(ctx)
+    outside = np.ones(Ah.shape, dtype=bool)
+    for block, cut in _block_cuts(ctx):
+        assert block.shape == Ah[cut].shape
+        scale = np.linalg.norm(Ah[cut], axis=(1, 2))
+        assert (np.linalg.norm(block - Ah[cut], axis=(1, 2)) <= 1e-12 * scale).all()
+        outside[cut] = False
+    assert not Ah[outside].any()
+
+
 def test_sym_stack_right_operators_are_reversed_left_ones():
     # right multiplication by a word is P (left multiplication by the
     # reversed word) P, and P commutes with the metric; in metric-orthonormal
     # coordinates the adjoint of a word operator is the operator of the
     # reversed word, a plain transpose
-    from qfock.deformation import _rev_perm, _sym_stack
+    from qfock.deformation import _rev_perm
     from qfock.operators import right_wick_stack
 
     for N, q, L in [(2, -0.3, 3), (3, 0.1, 3), (2, 0.1, 5)]:
         ctx = make_context(N, q, L)
         rev = _rev_perm(ctx)
         m = metric(ctx)
-        Ah = _sym_stack(ctx)
+        Ah = _assembled_sym_stack(ctx)
         Bh = m["Gh"] @ right_wick_stack(ctx) @ m["Gih"]
         scale = np.linalg.norm(Bh, axis=(1, 2))
         err = np.linalg.norm(Bh - Ah[rev][:, rev][:, :, rev], axis=(1, 2))
@@ -594,6 +738,22 @@ def test_doubled_norms_hold_one_sandwiched_stack():
     d = ctx.dim
     held = [a for v in ctx._memo.values() for a in (v if isinstance(v, tuple) else (v,))]
     assert sum(isinstance(a, np.ndarray) and a.size == d**3 for a in held) == 2
+
+
+def test_sector_norms_hold_half_a_sandwiched_stack():
+    # from dim 40 on only the nonzero parity blocks of the sandwiched stack
+    # are built: at dim 63, 0.96 MB of the 2.0 MB stack
+    from qfock.deformation import _sym_blocks
+
+    ctx = make_context(2, 0.1, 5)
+    doubled_op_norm(xi_as_hs(ctx) - unit_hs(ctx), hermitian=True)
+    doubled_op_norm(xi_as_hs(ctx) * 1j)
+    d, even, odd = ctx.dim, 1 + 4 + 16, 2 + 8 + 32
+    held = [a for v in ctx._memo.values() for a in (v if isinstance(v, tuple) else (v,))]
+    assert sum(isinstance(a, np.ndarray) and a.size == d**3 for a in held) == 1
+    sizes = [b.size for b in _sym_blocks(ctx)]
+    assert sizes == [even**3, even * odd * odd, odd * even * odd, odd * odd * even]
+    assert sum(sizes) * 8 == 963_144
 
 
 def test_lr_bound_one_sided_at_threshold():
@@ -656,10 +816,17 @@ def test_doubled_action_positive_moderate_negative_q():
     for N, q, L in [(2, 0.1, 5), (3, 0.1, 3), (2, 0.3, 4), (2, -0.4, 4)]:
         ctx = make_context(N, q, L)
         assert _xi_spectral_range(ctx)[0] > 0.0
-        P = NCPoly({(1, 2, 1): 1.0, (N, 2): -0.5, (1,): 0.25})
-        got = derive(P, 1, Q_SQRT, ctx).coeffs
-        expected = dense_xi_sqrt_right(ctx, derive(P, 1, FDQ, ctx).coeffs)
-        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+        # an element of even total word length, a complex one of mixed parity
+        # (both sectors of the doubled space) and one of odd total length
+        polys = [
+            NCPoly({(1, 2, 1): 1.0, (N, 2): -0.5, (1,): 0.25}),
+            NCPoly({(1, 2): 1 + 1j, (1,): 0.5}),
+            NCPoly({(1, 2): 1.0}),
+        ]
+        fdqs = [derive(P, 1, FDQ, ctx).coeffs for P in polys]
+        for P, expected in zip(polys, dense_xi_sqrt_right(ctx, *fdqs)):
+            got = derive(P, 1, Q_SQRT, ctx).coeffs
+            assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
     # a polynomial free of the letter has derivative 0, and so has its root image
     assert not derive(NCPoly.x(2), 1, Q_SQRT, ctx).coeffs.any()
 

@@ -282,3 +282,26 @@ def test_memoized_arrays_are_read_only():
         with pytest.raises(ValueError, match="read-only"):
             A[0, 0] = 1.0
     assert gaussian(1, ctx) is x and x[0, 0] == 0.0
+
+
+@pytest.mark.parametrize("N,q,L", [(2, 0.3, 3), (3, 0.1, 3)])
+def test_arrays_inside_memoized_values_are_read_only(N, q, L):
+    # arrays held in a memoized dict, dataclass or tuple are shared as well:
+    # the metric, a Gram block, the deformation element, the parity metric
+    # and the sandwiched stack blocks (one below dim 40, four from it on)
+    from qfock.deformation import _sym_blocks, xi_as_hs
+    from qfock.operators import _parity_metric
+
+    ctx = make_context(N, q, L)
+    arrays = [
+        *metric(ctx).values(),
+        gram(2, ctx).gamma,
+        gram(2, ctx).b,
+        xi_as_hs(ctx).coeffs,
+        *(a for part in _parity_metric(ctx) for a in part),
+        *_sym_blocks(ctx),
+    ]
+    assert len(_sym_blocks(ctx)) == (1 if ctx.dim < 40 else 4)
+    for A in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            A[(0,) * A.ndim] = 1
