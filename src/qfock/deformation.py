@@ -36,9 +36,10 @@ from .errors import (
 )
 from .fock import FockContext, _rev_perm, gram, metric
 from .operators import (
+    _grades,
     _parity_metric,
-    _parity_support,
     _power,
+    _sectors,
     c_q,
     left_wick_stack,
     right_wick_stack,
@@ -241,19 +242,12 @@ def hs_norm_of(T: HSElement) -> float:
 _SECTOR_MIN_DIM = 40
 
 
-def _basis_split(ctx: FockContext) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """Classes of the graded basis for the doubled-space kernel, as
-    ``(indices, Gh block, Gih block)``: the even and the odd levels
-    (:func:`~qfock.operators._parity_metric`) from ``_SECTOR_MIN_DIM`` on,
-    else one class holding the whole basis.
-
-    A word operator of length n moves level parity by n, so with the parity
-    classes its (x, y) block is nonzero only for words of class ``x ^ y``;
-    with one class that holds for every word as well."""
-    if ctx.dim >= _SECTOR_MIN_DIM:
-        return _parity_metric(ctx)
-    m = metric(ctx)
-    return ((np.arange(ctx.dim), m["Gh"], m["Gih"]),)
+def _basis_split(ctx: FockContext) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Classes of the graded basis for the doubled-space kernel: the
+    level-parity grading (:func:`~qfock.operators._parity_metric`), with the
+    even and the odd levels from ``_SECTOR_MIN_DIM`` on and its trivial form,
+    one class holding the whole basis, below it."""
+    return _parity_metric(ctx, 2 if ctx.dim >= _SECTOR_MIN_DIM else 1)
 
 
 def _sym_blocks(ctx: FockContext) -> list[np.ndarray]:
@@ -279,23 +273,12 @@ def _sym_blocks(ctx: FockContext) -> list[np.ndarray]:
         out = []
         for x, (rows, Gh, _) in enumerate(split):
             for y, (cols, _, Gih) in enumerate(split):
-                S = A if len(split) == 1 else A[np.ix_(split[x ^ y][0], rows, cols)]
+                S = A[np.ix_(split[x ^ y][0], rows, cols)]
                 Ah = np.matmul(np.matmul(Gh[None, :, :], S), Gih[None, :, :])
                 out.append(np.ascontiguousarray(Ah.transpose(1, 2, 0)))
         return tuple(out)
 
     return [b.transpose(2, 0, 1) for b in ctx.memo("sym_blocks", build)]
-
-
-def _sectors(ctx: FockContext) -> list[list[tuple[int, int]]]:
-    """The sectors of the doubled space, as lists of its blocks ``(x, y)``,
-    ``V[class x, class y]``: with the parity classes, S0 = {EE, OO} and
-    S1 = {EO, OE}, each kept by the action of an element whose words have
-    even total length |u| + |v| and swapped by one whose words have odd total
-    length; with one class, the whole space."""
-    if len(_basis_split(ctx)) == 1:
-        return [[(0, 0)]]
-    return [[(0, 0), (1, 1)], [(0, 1), (1, 0)]]
 
 
 def _gather(ctx: FockContext, blocks, V: np.ndarray) -> np.ndarray:
@@ -325,19 +308,18 @@ def _start(ctx: FockContext, blocks) -> np.ndarray:
 
 
 def _runs(ctx: FockContext, C: np.ndarray, normal: bool):
-    """``(blocks, image blocks)`` of the Lanczos runs for an operator built on
-    the coefficients C: the action of C itself, or with ``normal`` its normal
-    operator.  One run per sector (:func:`_sectors`) when that operator keeps
-    each: C of even total word length, whose action maps each sector into
-    itself, or the normal operator of a C of odd total length, whose action
-    maps each sector into the other.  One run over both sectors concatenated
-    otherwise."""
-    sectors = _sectors(ctx)
-    even, odd = _parity_support(ctx, (C,))
-    if not odd:
-        return [(s, s) for s in sectors]
-    if normal and not even:
-        return list(zip(sectors, sectors[::-1]))
+    """``(blocks, image blocks)`` of the Lanczos runs for the action of the
+    coefficients C, or with ``normal`` for its normal operator.  The action of
+    a C of one grade g (:func:`~qfock.operators._grades` over
+    :func:`_basis_split`) maps sector i (:func:`~qfock.operators._sectors`)
+    into sector ``i ^ g``: one run ``(sectors[i], sectors[i ^ g])`` per sector
+    for its normal operator, and for the action itself when g = 0.  One run
+    over all sectors concatenated otherwise."""
+    split = _basis_split(ctx)
+    sectors, grades = _sectors(len(split)), _grades(split, (C,))
+    if len(grades) == 1 and (normal or grades == {0}):
+        g = grades.pop()
+        return [(s, sectors[i ^ g]) for i, s in enumerate(sectors)]
     whole = [b for s in sectors for b in s]
     return [(whole, whole)]
 
@@ -546,9 +528,10 @@ def doubled_op_norm(T: HSElement, hermitian: bool = False) -> float:
     operator.  Pass ``hermitian=True`` for elements known to be self-adjoint
     (polynomials in the deformation operator): the largest |eigenvalue| of
     the symmetrized action ``(M + M^H) / 2`` is then computed instead, for
-    real and complex coefficients alike.  Where the operator keeps the parity
-    sectors of the doubled space (:func:`_runs`), each sector has its own
-    Lanczos run and the norm is the larger of their values.
+    real and complex coefficients alike.  Where the operator keeps the
+    sectors of the level-parity grading (:func:`_runs`), each sector has its
+    own Lanczos run and the norm is the larger of their values; otherwise one
+    run covers the whole doubled space.
     """
     ctx, C = T.ctx, T.coeffs
     if not np.abs(C).max():

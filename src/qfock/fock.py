@@ -159,11 +159,11 @@ class GradedVector:
     data: np.ndarray
 
     def __post_init__(self):
+        self.data = np.asarray(self.data, dtype=complex)
         if self.data.shape != (self.ctx.dim,):
             raise ValueError(
                 f"coefficient array has length {self.data.shape}, expected {self.ctx.dim}"
             )
-        self.data = np.asarray(self.data, dtype=complex)
 
     @staticmethod
     def zero(ctx: FockContext) -> "GradedVector":

@@ -259,21 +259,43 @@ def trace_state(A: np.ndarray) -> complex:
     return complex(A[0, 0])
 
 
-def _parity_metric(ctx: FockContext) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """``(indices, Gh block, Gih block)`` for the even and then the odd
-    levels (both metrics are block diagonal by level)."""
+def _parity_metric(ctx: FockContext, k: int = 2) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The basis graded by level parity, level n in class ``n % k`` (k = 2:
+    the even and then the odd levels; k = 1: the trivial grading, one class),
+    as ``(indices, Gh block, Gih block)`` per class.  The operator of a word
+    of length n is nonzero only in the blocks (x, y) with ``x ^ y == n % k``."""
 
     def build():
         m = metric(ctx)
         level = np.repeat(np.arange(ctx.L + 1), ctx.level_dims)
         out = []
-        for parity in (0, 1):
-            idx = np.flatnonzero(level % 2 == parity)
+        for c in range(k):
+            idx = np.flatnonzero(level % k == c)
             cut = np.ix_(idx, idx)
             out.append((idx, m["Gh"][cut], m["Gih"][cut]))
         return tuple(out)
 
-    return ctx.memo("parity_metric", build)
+    return ctx.memo(("parity_metric", k), build)
+
+
+def _grades(split, parts: tuple[np.ndarray, ...]) -> set[int]:
+    """The grades ``x ^ y`` of the blocks between the classes (x, y) of
+    ``split`` (:func:`_parity_metric`) where one of the matrices ``parts`` has
+    a nonzero entry: ``{g}`` for a matrix that shifts every class x to
+    ``x ^ g`` (g = 0 keeps the grading), none for a zero matrix."""
+    nonzero = np.logical_or.reduce([P != 0 for P in parts])
+    grades = set()
+    for x, (rows, _, _) in enumerate(split):
+        # the columns with a nonzero entry in a row of class x
+        reached = nonzero[rows].any(axis=0)
+        grades |= {x ^ y for y, (cols, _, _) in enumerate(split) if reached[cols].any()}
+    return grades
+
+
+def _sectors(k: int) -> list[list[tuple[int, int]]]:
+    """The blocks ``(x, y)`` of k classes grouped by grade ``x ^ y``: entry g
+    lists the blocks ``(x, x ^ g)``, those that a matrix of grade g has."""
+    return [[(x, x ^ g) for x in range(k)] for g in range(k)]
 
 
 def _sandwich_norm(
@@ -292,30 +314,17 @@ def _sandwich_norm(
     return math.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0))
 
 
-def _parity_support(ctx: FockContext, parts: tuple[np.ndarray, ...]) -> tuple[bool, bool]:
-    """Whether the matrices ``parts`` have a nonzero entry in a level block
-    that keeps the parity of the level, and in one that flips it; read from
-    views of the level blocks, without copies."""
-    levels = [ctx.level_slice(n) for n in range(ctx.L + 1)]
-    found = [False, False]
-    for m, rows in enumerate(levels):
-        for n, cols in enumerate(levels):
-            p = (m + n) % 2
-            found[p] = found[p] or any(P[rows, cols].any() for P in parts)
-    return found[0], found[1]
-
-
 def _metric_norm(ctx: FockContext, re: np.ndarray, im: np.ndarray | None = None) -> float:
     """:func:`op_norm` of the operator ``re + 1j * im`` (``re`` alone when
     ``im`` is None), taken from its real and imaginary matrices as they are."""
-    keeps, flips = _parity_support(ctx, (re,) if im is None else (re, im))
-    if keeps and flips:
+    split = _parity_metric(ctx)
+    grades = _grades(split, (re,) if im is None else (re, im))
+    if len(grades) != 1:
         m = metric(ctx)
         return _sandwich_norm(m["Gh"], re, m["Gih"], im)
-    parity = _parity_metric(ctx)
     norms = []
-    for r, c in [(0, 1), (1, 0)] if flips else [(0, 0), (1, 1)]:
-        (rows, left, _), (cols, _, right) = parity[r], parity[c]
+    for x, y in _sectors(len(split))[grades.pop()]:
+        (rows, left, _), (cols, _, right) = split[x], split[y]
         if rows.size and cols.size:
             cut = np.ix_(rows, cols)
             norms.append(_sandwich_norm(left, re[cut], right, None if im is None else im[cut]))
@@ -325,13 +334,14 @@ def _metric_norm(ctx: FockContext, re: np.ndarray, im: np.ndarray | None = None)
 def op_norm(A: np.ndarray, ctx: FockContext) -> float:
     """Largest singular value of A with respect to the deformed metric.
 
-    That is the top singular value of ``Gh A Gih``.  When A keeps the parity
-    of the level or flips it (its other two parity blocks are exact zeros, as
-    for word and field operators and the word operator of a homogeneous
-    vector), that matrix has one nonzero block per input parity, and the norm
-    is the larger of the two blocks' values.  An operator that mixes parities
-    is taken whole.  Each value comes from the smaller Gram matrix of the
-    block (:func:`_sandwich_norm`).
+    That is the top singular value of ``Gh A Gih``.  An A of one grade in
+    the level-parity grading (:func:`_grades`) keeps the parity of the level
+    or flips it, as word and field operators and the word operator of a
+    homogeneous vector do; that matrix is then nonzero only in the two
+    blocks of its grade (:func:`_sectors`), one per input parity, and the
+    norm is the larger of their values.  An operator that mixes parities, or
+    the zero matrix, is taken whole.  Each value comes from the smaller Gram
+    matrix of the block (:func:`_sandwich_norm`).
     """
     _check_shape(A, ctx)
     return _metric_norm(ctx, A.real, A.imag if np.iscomplexobj(A) else None)

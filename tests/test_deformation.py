@@ -181,10 +181,11 @@ def test_lr_action_right_factor_is_right_multiplication():
 
 
 def _whole(ctx):
-    # the blocks of both sectors of the doubled space, one after the other
-    from qfock.deformation import _sectors
+    # the blocks of all sectors of the doubled space, one after the other
+    from qfock.deformation import _basis_split
+    from qfock.operators import _sectors
 
-    return [b for s in _sectors(ctx) for b in s]
+    return [b for s in _sectors(len(_basis_split(ctx))) for b in s]
 
 
 def _natural_action(ctx, C):
@@ -275,8 +276,9 @@ def test_even_elements_keep_each_parity_sector(N, q, L):
     # dense action sends each parity sector of the doubled space (level
     # parities of both legs equal, or different) into itself with exactly 0
     # leaking out, so the norms run one Lanczos per sector
-    from qfock.deformation import _runs, _sectors
+    from qfock.deformation import _basis_split, _runs
     from qfock.derivations import FDQ, conjugate_variables, derive, vector_to_poly
+    from qfock.operators import _sectors
 
     ctx = make_context(N, q, L)
     xi = xi_as_hs(ctx)
@@ -300,18 +302,19 @@ def test_even_elements_keep_each_parity_sector(N, q, L):
             assert M[np.ix_(sector == s, sector == s)].any()
             assert not M[np.ix_(sector != s, sector == s)].any()
         for normal in (False, True):
-            assert _runs(ctx, C, normal) == [(b, b) for b in _sectors(ctx)]
+            assert _runs(ctx, C, normal) == [(b, b) for b in _sectors(len(_basis_split(ctx)))]
 
 
 def test_runs_follow_the_parity_of_the_element():
     # an element of odd total word length swaps the two sectors: its normal
     # operator keeps each, its symmetrized action keeps neither; a mixed
     # element takes one run over both sectors either way
-    from qfock.deformation import _runs, _sectors
+    from qfock.deformation import _runs
     from qfock.derivations import FDQ, NCPoly, derive
+    from qfock.operators import _sectors
 
     ctx = make_context(3, 0.1, 3)
-    s0, s1 = _sectors(ctx)
+    s0, s1 = _sectors(2)
     assert (s0, s1) == ([(0, 0), (1, 1)], [(0, 1), (1, 0)])
     odd = derive(NCPoly({(1, 2): 1.0}), 1, FDQ, ctx).coeffs
     mixed = derive(NCPoly({(1, 2): 1 + 1j, (1,): 0.5}), 1, FDQ, ctx).coeffs
@@ -459,6 +462,13 @@ def test_xi_and_partial_sums_are_letter_invariant(N, L, q):
 def test_doubled_op_norm_of_unit():
     ctx = make_context(2, 0.3, 2)
     assert doubled_op_norm(unit_hs(ctx)) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("hermitian", [False, True])
+def test_doubled_op_norm_of_unit_at_level_zero(hermitian):
+    # dim 1: the doubled space is the one block of the trivial grading
+    ctx = make_context(2, 0.3, 0)
+    assert doubled_op_norm(unit_hs(ctx), hermitian=hermitian) == 1.0
 
 
 @pytest.mark.parametrize(

@@ -215,6 +215,17 @@ def test_trivial_truncation_level():
     assert q_inner(om, om, ctx) == 1.0
 
 
+def test_graded_vector_takes_any_array_like_of_the_right_length():
+    # the data is converted before its length is checked, as HSElement does
+    ctx = make_context(2, 0.3, 1)
+    v = GradedVector(ctx, [1, 0, 0])
+    assert v.data.dtype == complex and np.array_equal(v.data, [1, 0, 0])
+    assert q_inner(v, v, ctx) == 1.0
+    for bad in ([1, 0], (1, 0, 0, 0), np.zeros((3, 1))):
+        with pytest.raises(ValueError, match="expected 3"):
+            GradedVector(ctx, bad)
+
+
 def test_word_index_bijection():
     ctx = make_context(3, 0.1, 4)
     for n in (0, 1, 2, 3):

@@ -97,3 +97,16 @@ def test_exemptions_are_still_needed():
     defs, roots = _surface()
     assert EXEMPT <= set(defs)
     assert not EXEMPT & _reached(defs, roots), "an entry point calls it now; drop the exemption"
+
+
+def test_no_two_modules_define_a_function_of_the_same_name():
+    # one implementation of each computation: a second grading helper (a
+    # second `_sectors`, say) in another module fails here
+    defs, _ = _surface()
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    modules = {
+        name: sorted({module for module, node in found if isinstance(node, functions)})
+        for name, found in defs.items()
+    }
+    shared = {name: found for name, found in modules.items() if len(found) > 1}
+    assert not shared, f"top-level functions defined in more than one module: {shared}"

@@ -397,6 +397,30 @@ def test_op_norm_identity():
     assert op_norm(np.eye(ctx.dim), ctx) == pytest.approx(1.0)
 
 
+def test_op_norm_of_the_zero_matrix_is_zero():
+    # no block has a nonzero entry, so no grade is found
+    ctx = make_context(2, 0.3, 3)
+    assert op_norm(np.zeros((ctx.dim, ctx.dim)), ctx) == 0.0
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_op_norm_at_level_zero_with_an_empty_odd_class(N):
+    ctx = make_context(N, 0.3, 0)
+    assert op_norm(np.eye(1), ctx) == 1.0
+    assert op_norm(np.zeros((1, 1)), ctx) == 0.0
+
+
+@pytest.mark.parametrize("N, q, L", [(2, 0.3, 4), (3, -0.2, 3)])
+def test_word_operators_have_the_grade_of_their_length_parity(N, q, L):
+    from qfock.operators import _grades, _parity_metric
+
+    ctx = make_context(N, q, L)
+    split = _parity_metric(ctx)
+    length = np.repeat(np.arange(L + 1), ctx.level_dims)
+    for n, A in zip(length, left_wick_stack(ctx)):
+        assert _grades(split, (A,)) == {n % 2}
+
+
 def test_creation_isometry_free_case():
     ctx = make_context(2, 0.0, 4)
     assert op_norm(creation(1, ctx), ctx) == pytest.approx(1.0, abs=1e-12)
