@@ -29,7 +29,6 @@ import numpy as np
 from .errors import (
     AlphabetError,
     EigensolverError,
-    LevelRangeError,
     NonConvergenceWarning,
     QRangeError,
     SquareRootUnavailableError,
@@ -113,10 +112,7 @@ def unit_hs(ctx: FockContext) -> HSElement:
 def _level_cap(ctx: FockContext, Q: int | None) -> int:
     if Q is None:
         return ctx.L
-    if not 0 <= Q <= ctx.L:
-        raise LevelRangeError(
-            f"level cap {Q} outside the truncation levels 0..{ctx.L}"
-        )
+    ctx.require_level(Q, "level cap")
     return Q
 
 
@@ -177,12 +173,12 @@ def _support(C: np.ndarray) -> tuple[int, int]:
     return (int(rows[0]), int(rows[-1]) + 1) if rows.size else (0, 0)
 
 
-def _real_gemm(A: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """``A @ P`` for a real A: a complex P is met through its interleaved
-    (re, im) float view, one real GEMM instead of a complex copy of A."""
-    if np.iscomplexobj(P):
-        return (A @ P.view(float)).view(complex)
-    return A @ P
+def _by_parts(f, X: np.ndarray) -> np.ndarray:
+    """``f(X)`` for a real-linear f that computes in real arithmetic only: a
+    complex X enters as its parts, ``f(X.real) + 1j * f(X.imag)``."""
+    if np.iscomplexobj(X):
+        return f(X.real) + 1j * f(X.imag)
+    return f(X)
 
 
 def lr_apply(T: HSElement, V: np.ndarray) -> np.ndarray:
@@ -193,19 +189,23 @@ def lr_apply(T: HSElement, V: np.ndarray) -> np.ndarray:
     ``sum_{u,v} C[u,v] . A_u @ V @ B_v^T`` over the left (A) and right (B)
     word-operator stacks, contracted only over the word operators in the
     nonzero row range of C (for A) and column range (for B); a full-support
-    C takes exactly the untrimmed stacks.  One application is the weighted
-    stack ``W_u = sum_v C[u,v] B_v``, one batched matmul ``V @ W_u^T`` and
-    one (d, d*m) x (d*m, d) GEMM against ``A_cat[i, u*d + k] = A_u[i, k]``,
-    m the number of rows taking part.
+    C takes exactly the untrimmed stacks.  One application is
+    ``W_u = sum_v C[u,v] B_v``, one batched matmul ``V @ W_u^T`` and one
+    (d, d*m) x (d*m, d) GEMM against ``A_cat[i, u*d + k] = A_u[i, k]``, m the
+    number of rows taking part.  Complex C and V enter by parts
+    (:func:`_by_parts`).
     """
-    ctx, C, d = T.ctx, T.coeffs, T.ctx.dim
+    ctx, d = T.ctx, T.ctx.dim
     A, B = left_wick_stack(ctx), right_wick_stack(ctx)
-    lo, hi = _support(C)
-    clo, chi = _support(C.T)
-    W = np.tensordot(C[lo:hi, clo:chi], B[clo:chi], axes=(1, 0))
-    A_cat = A[lo:hi].transpose(1, 0, 2).reshape(d, -1)
-    P = np.matmul(V[None, :, :], W.transpose(0, 2, 1)).reshape(-1, d)
-    return _real_gemm(A_cat, P)
+
+    def action(C: np.ndarray) -> np.ndarray:
+        lo, hi = _support(C)
+        clo, chi = _support(C.T)
+        Wt = np.tensordot(C[lo:hi, clo:chi], B[clo:chi], axes=(1, 0)).transpose(0, 2, 1)
+        A_cat = A[lo:hi].transpose(1, 0, 2).reshape(d, -1)
+        return _by_parts(lambda V: A_cat @ np.matmul(V[None, :, :], Wt).reshape(-1, d), V)
+
+    return _by_parts(action, T.coeffs)
 
 
 def hs_mult(T: HSElement, S: HSElement) -> HSElement:
@@ -355,59 +355,51 @@ def _sym_action(ctx: FockContext, C: np.ndarray, ins, outs):
     Only the words in the nonzero row and column range of the reversed
     coefficients of the two classes take part (``A2`` is a view of the
     stored block when the rows span every word of the class and one input
-    reaches the output).  A complex ``V_ab @ Wh`` meets the real ``A2``
-    through its interleaved real view; a complex V against real coefficients
-    runs as its two real parts.
+    reaches the output).  Complex C and v enter by parts (:func:`_by_parts`):
+    a complex C as the actions of its real and imaginary parts.
     """
+    if np.iscomplexobj(C):
+        re, im = _sym_action(ctx, C.real, ins, outs), _sym_action(ctx, C.imag, ins, outs)
+        return lambda v: re(v) + 1j * im(v)
     split, Ah = _basis_split(ctx), _sym_blocks(ctx)
     k, n = len(split), [idx.size for idx, _, _ in split]
     C = C[:, _rev_perm(ctx)]
     offsets = np.cumsum([0] + [n[a] * n[b] for a, b in ins]).tolist()
-    # weighted stacks by (class of u, output column class, input column
-    # class): a run over both sectors meets each one from two input blocks
-    weighted, terms = {}, []
+    terms = []
     for a2, b2 in outs:
         lefts, rights, rows = [], [], 0
         for o0, o1, (a, b) in zip(offsets, offsets[1:], ins):
-            if (a ^ a2, b2, b) not in weighted:
-                sub = C[np.ix_(split[a ^ a2][0], split[b ^ b2][0])]
-                lo, hi = _support(sub)
-                clo, chi = _support(sub.T)
-                # a (words, d_b' * d_b) view of the stored layout; matmul
-                # reads it in place where tensordot would copy a trimmed range
-                W = sub[lo:hi, clo:chi] @ Ah[b2 * k + b][clo:chi].reshape(chi - clo, n[b2] * n[b])
-                Wh = W.reshape(-1, n[b2], n[b]).transpose(2, 0, 1).reshape(n[b], -1)
-                weighted[a ^ a2, b2, b] = lo, hi, Wh
-            lo, hi, Wh = weighted[a ^ a2, b2, b]
-            if lo < hi:
-                lefts.append(Ah[a2 * k + a][lo:hi].transpose(1, 2, 0).reshape(n[a2], -1))
-                # the input's entries of v, and its rows of the stacked product
-                rights.append((o0, o1, (n[a], n[b]), Wh, rows, rows + n[a] * (hi - lo)))
-                rows += n[a] * (hi - lo)
+            sub = C[np.ix_(split[a ^ a2][0], split[b ^ b2][0])]
+            lo, hi = _support(sub)
+            if lo == hi:
+                continue
+            clo, chi = _support(sub.T)
+            # a (words, d_b' * d_b) view of the stored layout; matmul reads it
+            # in place where tensordot would copy a trimmed range
+            W = sub[lo:hi, clo:chi] @ Ah[b2 * k + b][clo:chi].reshape(chi - clo, n[b2] * n[b])
+            Wh = W.reshape(-1, n[b2], n[b]).transpose(2, 0, 1).reshape(n[b], -1)
+            lefts.append(Ah[a2 * k + a][lo:hi].transpose(1, 2, 0).reshape(n[a2], -1))
+            # the input's entries of v, and its rows of the stacked product
+            rights.append((o0, o1, (n[a], n[b]), Wh, rows, rows + n[a] * (hi - lo)))
+            rows += n[a] * (hi - lo)
         # with no input reaching the block, an empty product: zeros
         A2 = lefts[0] if len(lefts) == 1 else np.concatenate([np.empty((n[a2], 0)), *lefts], axis=1)
         terms.append((A2, rights, rows, n[b2]))
-    real = not np.iscomplexobj(C)
 
-    def blocks_apply(v: np.ndarray) -> np.ndarray:
+    def apply(v: np.ndarray) -> np.ndarray:
         parts = []
         for A2, rights, rows, cols in terms:
             if len(rights) == 1:
                 ((o0, o1, shape, Wh, _, _),) = rights
                 P = (v[o0:o1].reshape(shape) @ Wh).reshape(-1, cols)
             else:
-                P = np.empty((rows, cols), dtype=np.result_type(v, C))
+                P = np.empty((rows, cols))
                 for o0, o1, shape, Wh, r0, r1 in rights:
                     np.matmul(v[o0:o1].reshape(shape), Wh, out=P[r0:r1].reshape(shape[0], -1))
-            parts.append(_real_gemm(A2, P).reshape(-1))
+            parts.append((A2 @ P).reshape(-1))
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-    def apply(v: np.ndarray) -> np.ndarray:
-        if real and np.iscomplexobj(v):
-            return blocks_apply(v.real) + 1j * blocks_apply(v.imag)
-        return blocks_apply(v)
-
-    return apply
+    return lambda v: _by_parts(apply, v)
 
 
 # Lanczos constants: the tolerance of ARPACK's convergence rule, the number of
@@ -522,16 +514,16 @@ def doubled_op_norm(T: HSElement, hermitian: bool = False) -> float:
     deformed metric of the tensor-square trace.
 
     Matrix-free: the action is applied through the metric-orthonormal stack
-    blocks with the weighted stacks built once per Lanczos run, and the
-    adjoint action is the forward action of the star element.  The top
-    singular value is the square root of the top eigenvalue of the normal
-    operator.  Pass ``hermitian=True`` for elements known to be self-adjoint
-    (polynomials in the deformation operator): the largest |eigenvalue| of
-    the symmetrized action ``(M + M^H) / 2`` is then computed instead, for
-    real and complex coefficients alike.  Where the operator keeps the
-    sectors of the level-parity grading (:func:`_runs`), each sector has its
-    own Lanczos run and the norm is the larger of their values; otherwise one
-    run covers the whole doubled space.
+    blocks (:func:`_sym_action`), in real arithmetic with complex
+    coefficients by parts, and the adjoint action is the forward action of
+    the star element.  The top singular value is the square root of the top
+    eigenvalue of the normal operator.  Pass ``hermitian=True`` for elements
+    known to be self-adjoint (polynomials in the deformation operator): the
+    largest |eigenvalue| of the symmetrized action ``(M + M^H) / 2`` is then
+    computed instead.  Where the operator keeps the sectors of the
+    level-parity grading (:func:`_runs`), each sector has its own Lanczos run
+    and the norm is the larger of their values; otherwise one run covers the
+    whole doubled space.
     """
     ctx, C = T.ctx, T.coeffs
     if not np.abs(C).max():

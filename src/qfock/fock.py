@@ -112,7 +112,14 @@ class FockContext:
             return n
         return (self.N**n - 1) // (self.N - 1)
 
+    def require_level(self, n: int, what: str = "level") -> None:
+        """Raise :class:`LevelRangeError` unless ``0 <= n <= L``: the one
+        range check of levels, word lengths and permutation lengths."""
+        if not 0 <= n <= self.L:
+            raise LevelRangeError(f"{what} {n} outside the truncation levels 0..{self.L}")
+
     def level_slice(self, n: int) -> slice:
+        self.require_level(n)
         off = self.level_offset(n)
         return slice(off, off + self.N**n)
 
@@ -132,8 +139,7 @@ class FockContext:
         return [self.index_word(n, i) for i in range(self.N**n)]
 
     def global_index(self, w: tuple[int, ...]) -> int:
-        if len(w) > self.L:
-            raise ValueError(f"word length {len(w)} exceeds truncation level {self.L}")
+        self.require_level(len(w), "word length")
         return self.level_offset(len(w)) + self.word_index(w)
 
     def compatible(self, other: "FockContext") -> bool:
@@ -270,8 +276,7 @@ def gram(n: int, ctx: FockContext) -> GramBlock:
     Eigenvalues at or below 1e-12 raise :class:`DegenerateMetricError` rather
     than being clamped, since clamping would silently change the geometry.
     """
-    if n > ctx.L:
-        raise ValueError(f"level {n} exceeds truncation level {ctx.L}")
+    ctx.require_level(n)
 
     def build():
         gamma, w, U = _gram_eig(n, ctx)

@@ -28,6 +28,7 @@ from .errors import (
     AlphabetError,
     CapacityError,
     HomogeneityError,
+    QRangeError,
     check_dim,
 )
 from .fock import FockContext, GradedVector, _rev_perm, metric, norm_q
@@ -169,8 +170,7 @@ def wick_matrix(w: tuple[int, ...], ctx: FockContext) -> np.ndarray:
     property is exact for len(w) <= L.  Short words are memoized on the context.
     """
     w = tuple(w)
-    if len(w) > ctx.L:
-        raise ValueError(f"word length {len(w)} exceeds truncation level {ctx.L}")
+    ctx.require_level(len(w), "word length")
 
     def build():
         if len(w) == 0:
@@ -355,7 +355,7 @@ def c_q(q: float) -> float:
     """
     a = abs(q)
     if a >= 1.0:
-        raise ValueError(f"|q| must be < 1, got {q}")
+        raise QRangeError(f"|q| must be < 1, got {q}")
     prod = 1.0
     term = a
     for _ in range(_C_Q_MAX_FACTORS):

@@ -87,8 +87,7 @@ def perm_action(p: Permutation, ctx) -> np.ndarray:
     """
     n = len(p)
     N = ctx.N
-    if n > ctx.L:
-        raise ValueError(f"permutation length {n} exceeds truncation level {ctx.L}")
+    ctx.require_level(n, "permutation length")
     d = N**n
     check_dim(d, f"word matrix at level {n}", ctx.cap_override)
     letters = _letters(n, N)

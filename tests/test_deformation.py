@@ -248,14 +248,18 @@ def test_trimmed_actions_match_dense_oracle(N, q, L, support, cplx):
         expected = (dense_action(A, B, T.coeffs) @ V.reshape(-1)).reshape(d, d)
         assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
     if support == "full":
-        # full support contracts exactly the untrimmed stacks: the weighted
-        # right stack, one batched matmul, then one GEMM against the left
-        # stack laid out as A_cat[i, u*d + k] = A_u[i, k]
+        # full support contracts exactly the untrimmed stacks: W_u = sum_v
+        # C[u,v] B_v, one batched matmul, then one GEMM against the left
+        # stack laid out as A_cat[i, u*d + k] = A_u[i, k]; a complex V goes
+        # through as its real and imaginary parts
         W = np.tensordot(T.coeffs, B, axes=(1, 0))
         A_cat = A.transpose(1, 0, 2).reshape(d, -1)
-        P = np.matmul(V[None, :, :], W.transpose(0, 2, 1)).reshape(-1, d)
-        untrimmed = (A_cat @ P.view(float)).view(complex) if cplx else A_cat @ P
-        assert np.array_equal(out, untrimmed)
+
+        def untrimmed(V):
+            return A_cat @ np.matmul(V[None, :, :], W.transpose(0, 2, 1)).reshape(-1, d)
+
+        expected = untrimmed(V.real) + 1j * untrimmed(V.imag) if cplx else untrimmed(V)
+        assert np.array_equal(out, expected)
     # the block action in metric-orthonormal coordinates, for real and
     # complex coefficients on the same support; it comes with the words of
     # its second leg reversed, V -> (M (V P)) P for the true action M
@@ -266,6 +270,31 @@ def test_trimmed_actions_match_dense_oracle(N, q, L, support, cplx):
         expected = dense_sym_action(ctx, coeffs) @ V[:, rev].reshape(-1)
         expected = expected.reshape(d, d)[:, rev].reshape(-1)
         assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+# one basis class at dim 31, the parity classes at dim 40
+@pytest.mark.parametrize("N,q,L", [(2, 0.1, 4), (3, 0.1, 3)])
+def test_complex_data_enters_the_actions_by_parts(N, q, L):
+    # both doubled-space actions compute in real arithmetic only: a complex
+    # C or V is bit for bit the combination of the calls on its real and
+    # imaginary parts, C first
+    from qfock.deformation import _sym_action
+
+    ctx = make_context(N, q, L)
+    d, whole = ctx.dim, _whole(ctx)
+    Cr, Ci, Vr, Vi = np.random.default_rng(11).standard_normal((4, d, d))
+
+    def plain(C, V):
+        return lr_apply(HSElement(ctx, C), V)
+
+    def sandwiched(C, V):
+        return _sym_action(ctx, C, whole, whole)(V.reshape(-1))
+
+    for f in (plain, sandwiched):
+        assert np.array_equal(f(Cr + 1j * Ci, Vr), f(Cr, Vr) + 1j * f(Ci, Vr))
+        assert np.array_equal(f(Cr, Vr + 1j * Vi), f(Cr, Vr) + 1j * f(Cr, Vi))
+        both = (f(Cr, Vr) + 1j * f(Cr, Vi)) + 1j * (f(Ci, Vr) + 1j * f(Ci, Vi))
+        assert np.array_equal(f(Cr + 1j * Ci, Vr + 1j * Vi), both)
 
 
 @pytest.mark.filterwarnings("ignore::qfock.errors.NonConvergenceWarning")
@@ -303,6 +332,24 @@ def test_even_elements_keep_each_parity_sector(N, q, L):
             assert not M[np.ix_(sector != s, sector == s)].any()
         for normal in (False, True):
             assert _runs(ctx, C, normal) == [(b, b) for b in _sectors(len(_basis_split(ctx)))]
+
+
+@pytest.mark.parametrize("N,q,L", [(2, 0.05, 4), (3, 0.05, 3)])
+def test_command_coefficients_are_real(N, q, L):
+    # the partial sums U_n, the residual elements Xi # U_n - 1 and the
+    # difference quotients d_k xi_1 that conjugate and verify take norms of
+    # are stored as float64, so those norms never take the complex entry of
+    # the doubled-space actions
+    from qfock.derivations import FDQ, conjugate_variables, derive, vector_to_poly
+
+    ctx = make_context(N, q, L)
+    xi = xi_as_hs(ctx)
+    for n, _, U in neumann_series(ctx, 8):
+        H = lr_apply(xi, U)
+        H[0, 0] -= 1.0
+        P = vector_to_poly(conjugate_variables(HSElement(ctx, U))[0])
+        derived = [derive(P, k, FDQ, ctx).coeffs for k in (1, 2)]
+        assert all(C.dtype == np.float64 for C in [U, H, *derived]), n
 
 
 def test_runs_follow_the_parity_of_the_element():

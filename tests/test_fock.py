@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfock import GradedVector, gram, make_context, orthonormal_vectors, q_inner
-from qfock.errors import AlphabetError, CapacityError, QRangeError
+from qfock.errors import AlphabetError, CapacityError, LevelRangeError, QRangeError
 from qfock.fock import metric, norm_q
 
 
@@ -47,6 +47,37 @@ def test_make_context_rejects_bad_alphabet():
 def test_make_context_rejects_bad_level():
     with pytest.raises(ValueError):
         make_context(2, 0.1, -1)
+
+
+# levels -1 and L + 1 at L = 3; the stack sizes read level_offset(L + 1)
+def test_level_slice_rejects_levels_outside_the_truncation():
+    ctx = make_context(2, 0.1, 3)
+    assert ctx.level_offset(4) == ctx.dim
+    for n in (-1, 4):
+        with pytest.raises(LevelRangeError, match=f"level {n} outside the truncation levels 0..3"):
+            ctx.level_slice(n)
+
+
+def test_graded_vector_level_rejects_levels_outside_the_truncation():
+    v = GradedVector.vacuum(make_context(2, 0.1, 3))
+    for n in (-1, 4):
+        with pytest.raises(LevelRangeError):
+            v.level(n)
+
+
+def test_gram_rejects_levels_outside_the_truncation():
+    ctx = make_context(2, 0.1, 3)
+    for n in (-1, 4):
+        with pytest.raises(LevelRangeError, match=f"level {n} outside"):
+            gram(n, ctx)
+
+
+def test_global_index_rejects_words_longer_than_the_truncation():
+    # a word has no length -1: L + 1 is the only level out of range
+    ctx = make_context(2, 0.1, 3)
+    assert ctx.global_index((2, 2, 2)) == ctx.dim - 1
+    with pytest.raises(LevelRangeError, match="word length 4 outside"):
+        ctx.global_index((1, 2, 1, 2))
 
 
 def test_make_context_capacity(monkeypatch):

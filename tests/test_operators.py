@@ -19,7 +19,7 @@ from qfock import (
     trace_state,
     wick_matrix,
 )
-from qfock.errors import AlphabetError, HomogeneityError
+from qfock.errors import AlphabetError, HomogeneityError, LevelRangeError, QRangeError
 from qfock.fock import metric, norm_q
 from qfock.deformation import xi_multiplier
 from qfock.operators import (
@@ -264,6 +264,13 @@ def test_adjoint_contract_many_operators():
 # ---- word operators --------------------------------------------------------------
 
 
+def test_wick_matrix_rejects_words_longer_than_the_truncation():
+    # a word has no length -1: L + 1 is the only level out of range
+    ctx = make_context(2, 0.1, 3)
+    with pytest.raises(LevelRangeError, match="word length 4 outside"):
+        wick_matrix((1, 2, 1, 2), ctx)
+
+
 def test_wick_single_letter_is_field():
     ctx = make_context(2, 0.3, 4)
     assert np.allclose(wick_matrix((1,), ctx), gaussian(1, ctx))
@@ -492,6 +499,12 @@ def test_hs_norm_of_identity():
 
 
 # ---- product constant and the norm inequality ---------------------------------------
+
+
+def test_c_q_rejects_q_outside_the_unit_interval():
+    for q in (1.0, -1.0, 1.5):
+        with pytest.raises(QRangeError):
+            c_q(q)
 
 
 def test_c_q_at_zero():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfock import make_context
-from qfock.errors import CapacityError
+from qfock.errors import CapacityError, LevelRangeError
 from qfock.symgroup import (
     Permutation,
     _letters,
@@ -63,6 +63,13 @@ def test_cycle_perm_rejects_bad_range():
         cycle_perm(3, 2, 4)
     with pytest.raises(ValueError):
         cycle_perm(1, 5, 4)
+
+
+def test_perm_action_rejects_permutations_longer_than_the_truncation():
+    # a permutation has no length -1: L + 1 is the only level out of range
+    c = make_context(2, 0.1, 3)
+    with pytest.raises(LevelRangeError, match="permutation length 4 outside"):
+        perm_action(Permutation.identity(4), c)
 
 
 def test_perm_action_identity():
