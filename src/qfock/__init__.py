@@ -16,7 +16,6 @@ from .operators import (
 )
 from .deformation import (
     ConstantsReport,
-    HSElement,
     constants,
     xi_as_hs,
     xi_inverse_neumann,

@@ -252,10 +252,8 @@ def _suite_derivations(ctx, rng) -> list[dict]:
     for i in range(1, ctx.N + 1):
         for j in range(1, ctx.N + 1):
             T = dv.derive(dv.NCPoly.x(i), j, dv.Q_COMMUTATOR, ctx)
-            target = xi_hs.coeffs if i == j else 0.0
-            checks.append(
-                _check(f"generator_value_{i}{j}", np.abs(T.coeffs - target).max(), 1e-10)
-            )
+            target = xi_hs if i == j else 0.0
+            checks.append(_check(f"generator_value_{i}{j}", np.abs(T - target).max(), 1e-10))
     deg_cap = max(1, min(3, ctx.L - 2))
     words = [(1,), (1, 2), (2, 1, 1)]
     for w in words:
@@ -275,20 +273,20 @@ def _suite_derivations(ctx, rng) -> list[dict]:
         P = _random_poly(ctx, rng, deg=min(3, ctx.L - 3))
         j = 1 + trial % ctx.N
         lhs = fock.q_inner(dv.dq_star(T, j, ctx), dv.poly_vector(P, ctx), ctx)
-        rhs = df.hs_inner(T, dv.derive(P, j, dv.Q_COMMUTATOR, ctx))
+        rhs = df.hs_inner(T, dv.derive(P, j, dv.Q_COMMUTATOR, ctx), ctx)
         checks.append(_check(f"adjoint_duality_{trial}", abs(lhs - rhs), 1e-9))
     P = _random_poly(ctx, rng, deg=min(3, ctx.L - 1))
     Q = _random_poly(ctx, rng, deg=min(2, ctx.L - 1))
     if P.degree + Q.degree <= ctx.L:
         T_PQ = dv.derive(P * Q, 1, dv.FDQ, ctx)
-        right = dv.derive(P, 1, dv.FDQ, ctx).coeffs @ dv.poly_right_mult(Q, ctx).T
-        left = dv.poly_operator(P, ctx) @ dv.derive(Q, 1, dv.FDQ, ctx).coeffs
-        res = np.abs(T_PQ.coeffs - right - left).max()
+        right = dv.derive(P, 1, dv.FDQ, ctx) @ dv.poly_right_mult(Q, ctx).T
+        left = dv.poly_operator(P, ctx) @ dv.derive(Q, 1, dv.FDQ, ctx)
+        res = np.abs(T_PQ - right - left).max()
         checks.append(_check("leibniz", res, 1e-10))
     P = _random_poly(ctx, rng, deg=min(3, ctx.L - 1))
     T1 = dv.derive(P.star(), 1, dv.Q_COMMUTATOR, ctx)
-    T2 = dv.real_structure(dv.derive(P, 1, dv.Q_COMMUTATOR, ctx))
-    checks.append(_check("real_structure", np.abs(T1.coeffs - T2.coeffs).max(), 1e-10))
+    T2 = dv.real_structure(dv.derive(P, 1, dv.Q_COMMUTATOR, ctx), ctx)
+    checks.append(_check("real_structure", np.abs(T1 - T2).max(), 1e-10))
     return checks
 
 
@@ -322,7 +320,7 @@ def _suite_conjugate(ctx, rng) -> list[dict]:
         }
     ]
     if ctx.q == 0.0:
-        for j, v in enumerate(dv.conjugate_variables(inverse.element), start=1):
+        for j, v in enumerate(dv.conjugate_variables(inverse.element, ctx), start=1):
             target = fock.GradedVector.from_word(ctx, (j,))
             checks.append(
                 _check(f"semicircular_cv_{j}", np.abs(v.data - target.data).max(), 1e-12)
@@ -351,13 +349,13 @@ def _random_poly(ctx, rng, deg: int) -> "dv.NCPoly":
     return dv.NCPoly(terms)
 
 
-def _random_hs(ctx, rng, leg_cap: int) -> "df.HSElement":
+def _random_hs(ctx, rng, leg_cap: int) -> np.ndarray:
     cut = ctx.level_offset(leg_cap + 1)
     C = np.zeros((ctx.dim, ctx.dim), dtype=complex)
     C[:cut, :cut] = rng.standard_normal((cut, cut)) + 1j * rng.standard_normal(
         (cut, cut)
     )
-    return df.HSElement(ctx, C)
+    return C
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -418,7 +416,7 @@ def cmd_xi(args: argparse.Namespace) -> int:
     Q = args.trunc_q if args.trunc_q is not None else ctx.L
     mult = df.xi_multiplier(ctx, Q)
     hs = df.xi_as_hs(ctx, Q)
-    consistency = np.abs(df.multiplier_of(hs) - mult).max()
+    consistency = np.abs(df.multiplier_of(hs, ctx) - mult).max()
     hs_norm_sq = sum(ctx.q ** (2 * n) * ctx.N**n for n in range(Q + 1))
     spectrum = sorted({round(ctx.q**n, 15) for n in range(Q + 1)})
     tail_norms = []
@@ -427,7 +425,7 @@ def cmd_xi(args: argparse.Namespace) -> int:
             {
                 "Q": Qp,
                 "tail_norm": df.doubled_op_norm(
-                    df.xi_as_hs(ctx) - df.xi_as_hs(ctx, Qp), hermitian=True
+                    df.xi_as_hs(ctx) - df.xi_as_hs(ctx, Qp), ctx, hermitian=True
                 ),
             }
         )
@@ -463,7 +461,7 @@ def cmd_conjugate(args: argparse.Namespace) -> int:
     header += [f"lipschitz_{j}{k}" for j in letters for k in letters]
     rows = []
     for n, _, U in islice(df.neumann_series(ctx, args.terms), 1, None):
-        cvs = dv.conjugate_variables(df.HSElement(ctx, U))
+        cvs = dv.conjugate_variables(U, ctx)
         row = [n, df.neumann_residual(ctx, U), *map(fock.norm_q, cvs)]
         row.append(dv.fisher_estimate(cvs))
         row += [cell for table_row in dv.lipschitz_norms(cvs) for cell in table_row]

@@ -4,15 +4,17 @@ The central object is the graded multiplier that scales level ``n`` by
 ``q**n``.  It admits a second life as an element of the tensor square of the
 operator algebra: summing ``p (x) p*`` over an orthonormal level basis gives
 the level projection, so the multiplier equals ``sum_n q^n sum_i p_i (x) p_i*``.
-``HSElement`` stores such tensor-square elements by their coefficient matrix
-``C[u, v]`` in the (word operator) x (word operator) basis.
+A tensor-square element is a plain (dim, dim) array, its coefficient matrix
+``C[u, v]`` in the (word operator) x (word operator) basis; every function
+that needs the context takes it as its last argument.
 
 The doubled space (truncated space tensor itself) carries one plain action,
 ``lr_apply``: ``(a (x) b) . (x (x) y) = ax (x) yb``, multiplication by the
 element in the tensor-square algebra.  Its operator norm is the computable
-proxy for the von Neumann tensor norm.  The right multiplication
-``T # Xi`` that the derivations need is the product ``hs_mult(T, Xi)``,
-itself the left action of T on the coefficients of Xi.
+proxy for the von Neumann tensor norm.  The product ``T # S`` in the tensor
+square is the left action of T on the coefficients of S,
+``lr_apply(T, S, ctx)``, exact when the combined degrees stay within the
+truncation and a compression otherwise.
 
 Everything here is a compression to levels <= L; operator norms are lower
 bounds of their untruncated counterparts and are reported as one-sided
@@ -35,6 +37,7 @@ from .errors import (
 )
 from .fock import FockContext, _rev_perm, gram, metric
 from .operators import (
+    _check_shape,
     _grades,
     _parity_metric,
     _power,
@@ -45,13 +48,11 @@ from .operators import (
 )
 
 __all__ = [
-    "HSElement",
     "ConstantsReport",
     "xi_multiplier",
     "xi_as_hs",
     "multiplier_of",
     "lr_apply",
-    "hs_mult",
     "hs_inner",
     "hs_norm_of",
     "unit_hs",
@@ -63,50 +64,12 @@ __all__ = [
     "NeumannResult",
 ]
 
-@dataclass
-class HSElement:
-    """Element of the tensor square in word-operator coordinates.
 
-    ``coeffs[u, v]`` is the coefficient of (word operator u) (x) (word
-    operator v); both indices run over the full graded basis.  The
-    coefficients are stored as a contiguous float64 array when their
-    imaginary part vanishes (ints included) and as complex128 otherwise, so
-    everything downstream runs in real arithmetic whenever it can: the
-    coefficients are real whenever they came from real polynomials at real q.
-    Sums, differences and scalar multiples follow the same rule.
-    """
-
-    ctx: FockContext
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        d = self.ctx.dim
-        C = np.asarray(self.coeffs)
-        if C.shape != (d, d):
-            raise ValueError(f"coefficient matrix shape {C.shape} != ({d}, {d})")
-        if np.iscomplexobj(C) and not np.any(C.imag):
-            C = C.real
-        self.coeffs = np.ascontiguousarray(C, dtype=complex if np.iscomplexobj(C) else float)
-
-    def __add__(self, other: "HSElement") -> "HSElement":
-        self.ctx.require_compatible(other.ctx)
-        return HSElement(self.ctx, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "HSElement") -> "HSElement":
-        self.ctx.require_compatible(other.ctx)
-        return HSElement(self.ctx, self.coeffs - other.coeffs)
-
-    def __mul__(self, c: complex) -> "HSElement":
-        return HSElement(self.ctx, self.coeffs * c)
-
-    __rmul__ = __mul__
-
-
-def unit_hs(ctx: FockContext) -> HSElement:
+def unit_hs(ctx: FockContext) -> np.ndarray:
     """The unit 1 (x) 1."""
     C = np.zeros((ctx.dim, ctx.dim))
     C[0, 0] = 1.0
-    return HSElement(ctx, C)
+    return C
 
 
 def _level_cap(ctx: FockContext, Q: int | None) -> int:
@@ -129,7 +92,7 @@ def xi_multiplier(ctx: FockContext, Q: int | None = None) -> np.ndarray:
     return np.diag(diag)
 
 
-def xi_as_hs(ctx: FockContext, Q: int | None = None) -> HSElement:
+def xi_as_hs(ctx: FockContext, Q: int | None = None) -> np.ndarray:
     """The multiplier as a tensor-square element.
 
     Level n contributes ``q^n sum_i p_i (x) p_i*`` over the orthonormal level
@@ -146,22 +109,21 @@ def xi_as_hs(ctx: FockContext, Q: int | None = None) -> HSElement:
             block = gram(n, ctx)
             s = ctx.level_slice(n)
             C[s, s] = (ctx.q**n) * (block.b @ block.b)
-        return HSElement(ctx, C[:, _rev_perm(ctx)])
+        return np.ascontiguousarray(C[:, _rev_perm(ctx)])
 
     return ctx.memo(("xi_hs", Q), build)
 
 
-def multiplier_of(T: HSElement) -> np.ndarray:
-    """The operator on the truncated space obtained by tracing against the
-    second leg: ``(a (x) b) -> a <reversed b, .>``.
+def multiplier_of(C: np.ndarray, ctx: FockContext) -> np.ndarray:
+    """The operator on the truncated space obtained by tracing the element
+    with coefficients C against the second leg: ``(a (x) b) -> a <reversed
+    b, .>``.
 
     Inverse of :func:`xi_as_hs` in the sense that the multiplier of the
     tensor-square form of the graded multiplier is the graded multiplier back.
     """
-    ctx = T.ctx
-    G = metric(ctx)["G"]
-    rev = _rev_perm(ctx)
-    return T.coeffs[:, rev] @ G
+    _check_shape(C, ctx)
+    return C[:, _rev_perm(ctx)] @ metric(ctx)["G"]
 
 
 # ---- actions on the doubled space -------------------------------------------
@@ -181,8 +143,10 @@ def _by_parts(f, X: np.ndarray) -> np.ndarray:
     return f(X)
 
 
-def lr_apply(T: HSElement, V: np.ndarray) -> np.ndarray:
-    """Left action of T on a doubled-space vector in (dim, dim) matrix form.
+def lr_apply(C: np.ndarray, V: np.ndarray, ctx: FockContext) -> np.ndarray:
+    """Left action of the element with coefficients C on a doubled-space
+    vector in (dim, dim) matrix form; with V the coefficients of S, the
+    coefficients of the product ``C # S``.
 
     ``(a (x) b)`` sends ``x (x) y`` to ``ax (x) yb``; with V[i, j] the
     coefficient of (basis i) (x) (basis j) this is
@@ -195,7 +159,8 @@ def lr_apply(T: HSElement, V: np.ndarray) -> np.ndarray:
     number of rows taking part.  Complex C and V enter by parts
     (:func:`_by_parts`).
     """
-    ctx, d = T.ctx, T.ctx.dim
+    _check_shape(C, ctx)
+    d = ctx.dim
     A, B = left_wick_stack(ctx), right_wick_stack(ctx)
 
     def action(C: np.ndarray) -> np.ndarray:
@@ -205,29 +170,20 @@ def lr_apply(T: HSElement, V: np.ndarray) -> np.ndarray:
         A_cat = A[lo:hi].transpose(1, 0, 2).reshape(d, -1)
         return _by_parts(lambda V: A_cat @ np.matmul(V[None, :, :], Wt).reshape(-1, d), V)
 
-    return _by_parts(action, T.coeffs)
+    return _by_parts(action, C)
 
 
-def hs_mult(T: HSElement, S: HSElement) -> HSElement:
-    """Product T # S in the tensor-square algebra.
-
-    The coefficient matrix of the product is the left action of T applied to
-    the coefficient matrix of S (exact when the combined degrees stay within
-    the truncation; a compression otherwise).
-    """
-    T.ctx.require_compatible(S.ctx)
-    return HSElement(T.ctx, lr_apply(T, S.coeffs))
+def hs_inner(T: np.ndarray, S: np.ndarray, ctx: FockContext) -> complex:
+    """Tensor-square trace inner product of the elements with coefficients T
+    and S, conjugate-linear in the first slot."""
+    _check_shape(T, ctx)
+    _check_shape(S, ctx)
+    G = metric(ctx)["G"]
+    return complex(np.vdot(T, G @ S @ G))
 
 
-def hs_inner(T: HSElement, S: HSElement) -> complex:
-    """Tensor-square trace inner product, conjugate-linear in the first slot."""
-    T.ctx.require_compatible(S.ctx)
-    G = metric(T.ctx)["G"]
-    return complex(np.vdot(T.coeffs, G @ S.coeffs @ G))
-
-
-def hs_norm_of(T: HSElement) -> float:
-    return float(math.sqrt(max(hs_inner(T, T).real, 0.0)))
+def hs_norm_of(T: np.ndarray, ctx: FockContext) -> float:
+    return float(math.sqrt(max(hs_inner(T, T, ctx).real, 0.0)))
 
 
 # The doubled-space norms run one Lanczos per parity sector from this dim on;
@@ -509,9 +465,9 @@ def _lanczos_sqrt(matvec, b: np.ndarray) -> np.ndarray:
         prev = c
 
 
-def doubled_op_norm(T: HSElement, hermitian: bool = False) -> float:
-    """Operator norm of the left action of T on the doubled space, in the
-    deformed metric of the tensor-square trace.
+def doubled_op_norm(C: np.ndarray, ctx: FockContext, hermitian: bool = False) -> float:
+    """Operator norm of the left action of the element with coefficients C on
+    the doubled space, in the deformed metric of the tensor-square trace.
 
     Matrix-free: the action is applied through the metric-orthonormal stack
     blocks (:func:`_sym_action`), in real arithmetic with complex
@@ -523,9 +479,10 @@ def doubled_op_norm(T: HSElement, hermitian: bool = False) -> float:
     computed instead.  Where the operator keeps the sectors of the
     level-parity grading (:func:`_runs`), each sector has its own Lanczos run
     and the norm is the larger of their values; otherwise one run covers the
-    whole doubled space.
+    whole doubled space.  Any C is taken in float64 (complex128 if complex).
     """
-    ctx, C = T.ctx, T.coeffs
+    _check_shape(C, ctx)
+    C = np.asarray(C, np.result_type(C, np.float64))
     if not np.abs(C).max():
         return 0.0
     if hermitian:
@@ -544,7 +501,7 @@ def _xi_spectral_range(ctx: FockContext) -> tuple[float, float]:
     sectors, which it keeps)."""
 
     def build():
-        ends = _sym_extremes(ctx, xi_as_hs(ctx).coeffs, ("SA", "LA"))
+        ends = _sym_extremes(ctx, xi_as_hs(ctx), ("SA", "LA"))
         return min(lo for lo, _ in ends), max(hi for _, hi in ends)
 
     return ctx.memo("spec_range", build)
@@ -573,7 +530,7 @@ def _xi_sqrt_right(ctx: FockContext, C: np.ndarray) -> np.ndarray:
             f"no real PSD square root at this truncation (q = {ctx.q})"
         )
     m, rev = metric(ctx), _rev_perm(ctx)
-    X = xi_as_hs(ctx).coeffs
+    X = xi_as_hs(ctx)
     Xs = ((X + _star(ctx, X)) / 2).T
     B = (m["Gh"] @ C @ m["Gh"]).T[:, rev]
     Y = np.zeros_like(B)
@@ -640,11 +597,11 @@ def neumann_series(ctx: FockContext, n_terms: int):
             NonConvergenceWarning,
         )
     delta = xi_as_hs(ctx) - unit_hs(ctx)
-    term = unit_hs(ctx).coeffs
+    term = unit_hs(ctx)
     U = term.copy()
     yield 0, term, U
     for n in range(1, n_terms + 1):
-        term = lr_apply(delta, term)
+        term = lr_apply(delta, term, ctx)
         U = U + (-1) ** n * term
         yield n, term, U
 
@@ -655,9 +612,9 @@ def neumann_residual(ctx: FockContext, U: np.ndarray) -> float:
     At ``U = U_n`` the element is ``(-1)^n D^(n+1)`` in exact arithmetic; the
     product is formed anyway, as the recorded residuals were, since the two
     differ in rounding."""
-    H = lr_apply(xi_as_hs(ctx), U)
+    H = lr_apply(xi_as_hs(ctx), U, ctx)
     H[0, 0] -= 1.0
-    return doubled_op_norm(HSElement(ctx, H), hermitian=True)
+    return doubled_op_norm(H, ctx, hermitian=True)
 
 
 @dataclass
@@ -667,7 +624,7 @@ class NeumannResult:
     monotone geometric decay is the convergence signature.
     """
 
-    element: HSElement
+    element: np.ndarray
     residuals: list[float]
     warned: bool
 
@@ -691,4 +648,4 @@ def xi_inverse_neumann(ctx: FockContext, n_terms: int) -> NeumannResult:
             NonConvergenceWarning,
         )
         warned = True
-    return NeumannResult(HSElement(ctx, U), residuals, warned)
+    return NeumannResult(U, residuals, warned)

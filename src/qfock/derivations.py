@@ -29,11 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deformation import (
-    HSElement,
     doubled_op_norm,
     hs_inner,
-    hs_mult,
     hs_norm_of,
+    lr_apply,
     multiplier_of,
     xi_as_hs,
     _star,
@@ -48,6 +47,7 @@ from .errors import (
 )
 from .fock import FockContext, GradedVector, _rev_perm, make_context, metric, norm_q, q_inner
 from .operators import (
+    _check_shape,
     creation,
     gaussian,
     left_wick_stack,
@@ -247,7 +247,9 @@ def _fdq_coeffs(P: NCPoly, j: int, ctx: FockContext) -> np.ndarray:
     The monomials of level n with letter j at position k + 1 have prefix
     index ``t % N**k`` and suffix index ``t // N**(k + 1)``, so their
     coefficients are a slice of the level's coefficients reshaped to
-    (suffix, letter, prefix).
+    (suffix, letter, prefix).  The one producer of coefficients from
+    polynomials owns their dtype: contiguous float64 when the imaginary part
+    vanishes, complex128 otherwise, so real data stays in real arithmetic.
     """
     N = ctx.N
     C = np.zeros((ctx.dim, ctx.dim), dtype=complex)
@@ -255,7 +257,7 @@ def _fdq_coeffs(P: NCPoly, j: int, ctx: FockContext) -> np.ndarray:
         for k in range(n):
             S = c.reshape(N ** (n - k - 1), N, N**k)[:, j - 1, :]
             C += _monomials(k, ctx) @ S.T @ _monomials(n - k - 1, ctx).T
-    return C
+    return C if C.imag.any() else np.ascontiguousarray(C.real)
 
 
 def _doubled_context(ctx: FockContext, level: int) -> FockContext:
@@ -285,25 +287,27 @@ def _prime(v: GradedVector, k: int, dctx: FockContext) -> GradedVector:
 def derive(P: NCPoly, j: int, tag: DerivationTag, ctx: FockContext):
     """Tagged derivation of P with respect to letter j.
 
-    Returns an :class:`HSElement` for the tensor-square valued tags and a
-    doubled-context :class:`GradedVector` for ``DOUBLING``.
+    Returns the (dim, dim) coefficient matrix for the tensor-square valued
+    tags and a doubled-context :class:`GradedVector` for ``DOUBLING``.
     """
     if not (1 <= j <= ctx.N):
         raise AlphabetError(f"letter {j} outside 1..{ctx.N}")
     if tag.kind == "DOUBLING":
         return _prime(poly_vector(P, ctx), j, _doubled_context(ctx, max(P.degree, 1)))
-    T = HSElement(ctx, _fdq_coeffs(P, j, ctx))
+    T = _fdq_coeffs(P, j, ctx)
     if tag.kind == "FDQ":
         return T
     if tag.kind == "Q_SQRT":
-        return HSElement(ctx, _xi_sqrt_right(ctx, T.coeffs))
+        return _xi_sqrt_right(ctx, T)
     # Q_COMMUTATOR (cap None, the full truncation) and Q_TRUNCATED
-    return hs_mult(T, xi_as_hs(ctx, tag.Q))
+    return lr_apply(T, xi_as_hs(ctx, tag.Q), ctx)
 
 
-def real_structure(T: HSElement) -> HSElement:
-    """The conjugation (a (x) b) -> (b* (x) a*) in word-operator coordinates."""
-    return HSElement(T.ctx, _star(T.ctx, T.coeffs.T))
+def real_structure(C: np.ndarray, ctx: FockContext) -> np.ndarray:
+    """The conjugation (a (x) b) -> (b* (x) a*) of the element with
+    coefficients C, in word-operator coordinates."""
+    _check_shape(C, ctx)
+    return _star(ctx, C.T)
 
 
 # ---- identity checks -----------------------------------------------------------
@@ -322,8 +326,7 @@ def commutator_check(P: NCPoly, j: int, ctx: FockContext) -> float:
         raise CapacityError(
             f"commutator check needs L >= deg + 1 = {deg + 1}, have L = {ctx.L}"
         )
-    T = derive(P, j, Q_COMMUTATOR, ctx)
-    lhs = multiplier_of(T)
+    lhs = multiplier_of(derive(P, j, Q_COMMUTATOR, ctx), ctx)
     Pop = poly_operator(P, ctx)
     r = right_creation(j, ctx)
     rhs = Pop @ r - r @ Pop
@@ -338,8 +341,7 @@ def partial_tau(P: NCPoly, j: int, ctx: FockContext) -> GradedVector:
     Equals the right-delete operator applied to the vacuum image of P; exact
     for deg(P) <= L because the right-leg trace only reads protected blocks.
     """
-    T = derive(P, j, Q_COMMUTATOR, ctx)
-    return GradedVector(ctx, T.coeffs[:, 0].copy())
+    return GradedVector(ctx, derive(P, j, Q_COMMUTATOR, ctx)[:, 0].copy())
 
 
 def number_check(xi: GradedVector, eta: GradedVector, ctx: FockContext) -> dict:
@@ -379,17 +381,17 @@ def number_check(xi: GradedVector, eta: GradedVector, ctx: FockContext) -> dict:
 # ---- adjoint machinery -----------------------------------------------------------
 
 
-def dq_star(T: HSElement, j: int, ctx: FockContext) -> GradedVector:
-    """Adjoint of the deformed derivation applied to a tensor-square element.
+def dq_star(C: np.ndarray, j: int, ctx: FockContext) -> GradedVector:
+    """Adjoint of the deformed derivation applied to the tensor-square
+    element with coefficients C.
 
     Linear extension of
     ``(a (x) b) -> a X_j b - (right-delete_j a) b - a (left-delete_j b)``;
     the first and third terms combine into ``a (prepend_j b)``.
     """
-    ctx.require_compatible(T.ctx)
+    _check_shape(C, ctx)
     if not (1 <= j <= ctx.N):
         raise AlphabetError(f"letter {j} outside 1..{ctx.N}")
-    C = T.coeffs
     rows = C @ creation(j, ctx).T - right_annihilation(j, ctx) @ C
     A = left_wick_stack(ctx)
     d = ctx.dim
@@ -397,12 +399,12 @@ def dq_star(T: HSElement, j: int, ctx: FockContext) -> GradedVector:
     return GradedVector(ctx, out)
 
 
-def conjugate_variables(U: HSElement) -> list[GradedVector]:
-    """The conjugate variables ``xi_j = dq_star(U, j)`` for j = 1..N, where U
-    approximates the inverse of the deformation operator (the element of
-    :func:`~qfock.deformation.xi_inverse_neumann` or a partial sum of
-    :func:`~qfock.deformation.neumann_series`)."""
-    return [dq_star(U, j, U.ctx) for j in range(1, U.ctx.N + 1)]
+def conjugate_variables(U: np.ndarray, ctx: FockContext) -> list[GradedVector]:
+    """The conjugate variables ``xi_j = dq_star(U, j, ctx)`` for j = 1..N,
+    where the coefficients U approximate the inverse of the deformation
+    operator (the element of :func:`~qfock.deformation.xi_inverse_neumann`
+    or a partial sum of :func:`~qfock.deformation.neumann_series`)."""
+    return [dq_star(U, j, ctx) for j in range(1, ctx.N + 1)]
 
 
 def fisher_estimate(cvs: list[GradedVector]) -> float:
@@ -417,7 +419,7 @@ def lipschitz_norms(cvs: list[GradedVector]) -> list[list[float]]:
     of their von Neumann tensor norms.  No extrapolation beyond the
     truncation is claimed.
 
-    Contract: ``cvs`` is ``conjugate_variables(U)`` for a letter-invariant U
+    Contract: ``cvs`` is ``conjugate_variables(U, ctx)`` for a letter-invariant U
     (every partial sum of :func:`~qfock.deformation.neumann_series` is one,
     and so is the element of :func:`~qfock.deformation.xi_inverse_neumann`).
     A letter relabelling sigma leaves every Gram block unchanged, so it is a
@@ -429,8 +431,8 @@ def lipschitz_norms(cvs: list[GradedVector]) -> list[list[float]]:
     """
     ctx = cvs[0].ctx
     P = vector_to_poly(cvs[0])
-    diag = doubled_op_norm(derive(P, 1, FDQ, ctx))
-    off = doubled_op_norm(derive(P, 2, FDQ, ctx)) if ctx.N > 1 else None
+    diag = doubled_op_norm(derive(P, 1, FDQ, ctx), ctx)
+    off = doubled_op_norm(derive(P, 2, FDQ, ctx), ctx) if ctx.N > 1 else None
     return [[diag if j == k else off for k in range(ctx.N)] for j in range(ctx.N)]
 
 
@@ -453,26 +455,26 @@ def equivalence_check(P: NCPoly, ctx: FockContext, trunc_q: int | None = None) -
     norm_xi_half = math.sqrt(max(hi, 0.0))
     norm_xi_invhalf = math.inf if lo <= 1e-14 else 1.0 / math.sqrt(lo)
     # at the full truncation xiQ is Xi itself, whose norm the range already gives
-    norm_xiQ = max(-lo, hi) if trunc_q == ctx.L else doubled_op_norm(xiQ, hermitian=True)
-    norm_tail = doubled_op_norm(xi - xiQ, hermitian=True)
+    norm_xiQ = max(-lo, hi) if trunc_q == ctx.L else doubled_op_norm(xiQ, ctx, hermitian=True)
+    norm_tail = doubled_op_norm(xi - xiQ, ctx, hermitian=True)
     # 0 * inf would poison the truncation penalty when the tail vanishes
     tail_penalty = 0.0 if norm_tail == 0.0 else norm_tail * norm_xi_invhalf**2
     tol = 1e-9
     per_k = {}
     for k in range(1, ctx.N + 1):
         T = derive(P, k, FDQ, ctx)
-        S = hs_mult(T, xi)
-        SQ = hs_mult(T, xiQ)
-        fdq = hs_norm_of(T)
-        qcomm = hs_norm_of(S)
-        tilde_sq = hs_inner(T, S).real
+        S = lr_apply(T, xi, ctx)
+        SQ = lr_apply(T, xiQ, ctx)
+        fdq = hs_norm_of(T, ctx)
+        qcomm = hs_norm_of(S, ctx)
+        tilde_sq = hs_inner(T, S, ctx).real
         if tilde_sq < -1e-10:
             raise SquareRootUnavailableError(
                 f"right-action quadratic form returned {tilde_sq:.3e} < 0; the "
                 f"doubled action is not PSD at this truncation (q = {ctx.q})"
             )
         tilde = math.sqrt(max(tilde_sq, 0.0))
-        qQ = hs_norm_of(SQ)
+        qQ = hs_norm_of(SQ, ctx)
         hat = derive(P, k, DOUBLING, ctx)
         hat_sq = q_inner(hat, hat).real
         per_k[k] = {

@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from qfock.deformation import HSElement, hs_inner, hs_mult, xi_as_hs
+from qfock.deformation import hs_inner, lr_apply, xi_as_hs
 from qfock.derivations import (
     FDQ,
     NCPoly,
@@ -52,10 +52,10 @@ def dense_action(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
     return M.transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
-def lr_action(T) -> np.ndarray:
-    """Matrix of the left action of the tensor-square element T."""
-    ctx = T.ctx
-    return dense_action(left_wick_stack(ctx), right_wick_stack(ctx), T.coeffs)
+def lr_action(C: np.ndarray, ctx) -> np.ndarray:
+    """Matrix of the left action of the tensor-square element with
+    coefficients C."""
+    return dense_action(left_wick_stack(ctx), right_wick_stack(ctx), C)
 
 
 def dense_sym_stacks(ctx) -> tuple[np.ndarray, np.ndarray]:
@@ -81,7 +81,7 @@ def dense_xi_sqrt_right(ctx, *coeffs: np.ndarray) -> list[np.ndarray]:
     action, eigenvalues clipped at 0, applied in metric-orthonormal
     coordinates."""
     d = ctx.dim
-    S = dense_sym_action(ctx, xi_as_hs(ctx).coeffs, which="right")
+    S = dense_sym_action(ctx, xi_as_hs(ctx), which="right")
     w, U = np.linalg.eigh((S + S.conj().T) / 2)
     m = metric(ctx)
     out = []
@@ -245,8 +245,8 @@ def dense_fdq_top(v: GradedVector, k: int) -> float:
     prefix/suffix Leibniz loop and a full decomposition, none of them the
     library's change of basis or its Lanczos norm."""
     ctx = v.ctx
-    C = HSElement(ctx, leibniz_by_prefix_suffix(wick_expansion(v), k, ctx)).coeffs
-    return dense_top(dense_sym_action(ctx, C))
+    C = leibniz_by_prefix_suffix(wick_expansion(v), k, ctx)
+    return dense_top(dense_sym_action(ctx, C if C.imag.any() else C.real))
 
 
 def inversions(p: Permutation) -> int:
@@ -333,7 +333,7 @@ def bimodule_form_discrepancy(P, Q, R, k: int, ctx) -> float:
         dctx,
     )
     Rop = poly_operator(R, ctx)
-    RTP = HSElement(ctx, Rop @ derive(P, k, FDQ, ctx).coeffs)
-    RTQ = HSElement(ctx, Rop @ derive(Q, k, FDQ, ctx).coeffs)
-    rhs = hs_inner(RTP, hs_mult(RTQ, xi_as_hs(ctx)))
+    RTP = Rop @ derive(P, k, FDQ, ctx)
+    RTQ = Rop @ derive(Q, k, FDQ, ctx)
+    rhs = hs_inner(RTP, lr_apply(RTQ, xi_as_hs(ctx), ctx), ctx)
     return abs(complex(lhs) - complex(rhs))

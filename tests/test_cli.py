@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import qfock
 from qfock import fock, make_context
 from qfock.cli import _SUITES, json_dumps_stable, main
-from qfock.deformation import HSElement, neumann_series, xi_inverse_neumann
+from qfock.deformation import neumann_series, xi_inverse_neumann
 from qfock.derivations import conjugate_variables
 
 from dense_oracle import dense_fdq_top
@@ -543,7 +543,7 @@ def test_conjugate_columns_match_oracles(capsys, N, q):
     assert [row["n"] for row in rows] == [1, 2, 3, 4, 5, 6]
     assert [row["u_residual"] for row in rows] == xi_inverse_neumann(ctx, 6).residuals
     for row, (n, _, U) in zip(rows, islice(neumann_series(ctx, 6), 1, None)):
-        for j, v in enumerate(conjugate_variables(HSElement(ctx, U)), start=1):
+        for j, v in enumerate(conjugate_variables(U, ctx), start=1):
             for k in range(1, N + 1):
                 top = dense_fdq_top(v, k)
                 cell = row[f"lipschitz_{j}{k}"]

@@ -247,7 +247,7 @@ def test_trivial_truncation_level():
 
 
 def test_graded_vector_takes_any_array_like_of_the_right_length():
-    # the data is converted before its length is checked, as HSElement does
+    # the data is converted before its length is checked
     ctx = make_context(2, 0.3, 1)
     v = GradedVector(ctx, [1, 0, 0])
     assert v.data.dtype == complex and np.array_equal(v.data, [1, 0, 0])
@@ -289,8 +289,8 @@ def test_minimal_context_operations():
     x = gaussian(1, ctx)
     assert trace_state(x @ x) == pytest.approx(1.0)
     assert op_norm(x, ctx) < 2.0 / 0.5
-    assert doubled_op_norm(unit_hs(ctx)) == pytest.approx(1.0)
-    cvs = conjugate_variables(xi_inverse_neumann(ctx, 3).element)
+    assert doubled_op_norm(unit_hs(ctx), ctx) == pytest.approx(1.0)
+    cvs = conjugate_variables(xi_inverse_neumann(ctx, 3).element, ctx)
     assert np.isfinite(cvs[0].data).all()
     assert fisher_estimate(cvs) >= 0
 
@@ -339,7 +339,7 @@ def test_arrays_inside_memoized_values_are_read_only(N, q, L):
         *metric(ctx).values(),
         gram(2, ctx).gamma,
         gram(2, ctx).b,
-        xi_as_hs(ctx).coeffs,
+        xi_as_hs(ctx),
         *(a for part in _parity_metric(ctx) for a in part),
         *_sym_blocks(ctx),
     ]
