@@ -35,6 +35,7 @@ from .deformation import (
     lr_apply,
     multiplier_of,
     xi_as_hs,
+    _by_parts,
     _star,
     _xi_sqrt_right,
     _xi_spectral_range,
@@ -394,8 +395,8 @@ def dq_star(C: np.ndarray, j: int, ctx: FockContext) -> GradedVector:
         raise AlphabetError(f"letter {j} outside 1..{ctx.N}")
     rows = C @ creation(j, ctx).T - right_annihilation(j, ctx) @ C
     A = left_wick_stack(ctx)
-    d = ctx.dim
-    out = A.transpose(1, 0, 2).reshape(d, d * d) @ rows.reshape(d * d)
+    # sum_u A_u @ rows[u], read from the stack in place; complex rows by parts
+    out = _by_parts(lambda R: np.matmul(A, R[:, :, None])[..., 0].sum(0), rows)
     return GradedVector(ctx, out)
 
 
