@@ -46,6 +46,8 @@ def json_dumps_stable(obj) -> str:
             inner = ",".join(f'"{k}":{render(v)}' for k, v in items)
             return "{" + inner + "}"
         if isinstance(o, (list, tuple)):
+            if {*map(type, o)} == {int}:  # plain ints (jump counts): one join
+                return "[" + ",".join(map(str, o)) + "]"
             return "[" + ",".join(render(v) for v in o) + "]"
         if isinstance(o, bool) or isinstance(o, np.bool_):
             return "true" if o else "false"

@@ -15,9 +15,10 @@ generator values along any letter decomposition is automatically consistent.
 Simulation uses one independent, counter-derived random stream per path:
 path p draws from the stream of ``numpy.random.default_rng([seed, p])``, so
 reports are reproducible bit for bit from (seed, parameters) and paths are
-trivially parallelizable.  The streams' PCG64 states are derived for a block
-of paths at once, by numpy's SeedSequence hash in uint32 arrays, and one
-generator is set to each state in turn; no generator is built per path.
+trivially parallelizable.  No generator is built: the streams' PCG64 states
+are derived for a block of paths at once, by numpy's SeedSequence hash in
+uint32 arrays, and the live paths of a block step together, one round per
+jump, their streams advanced by PCG64's integer maps in uint64 arrays.
 
 Explosion is never decided: paths that hit the jump budget with time left
 are reported as censored, quantifying evidence, not a verdict.
@@ -27,7 +28,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -314,15 +314,22 @@ class SimReport:
         }
 
 
-# numpy's SeedSequence hash (pool of 4 uint32 words) and PCG64's 128-bit LCG
+# numpy's SeedSequence hash (pool of 4 uint32 words) and PCG64's 128-bit LCG;
+# a stream's 128-bit state and increment are (high, low) uint64 word pairs
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_SEED_BLOCK = 4096  # paths whose PCG64 states are derived at once
+# every operand of the uint64 arithmetic is a uint64, so none is promoted to
+# float64; the low multiplier word also as 32-bit limbs, for the carry word
+_M_HI = np.uint64(_PCG_MULT >> 64)
+_M_LO = np.uint64(_PCG_MULT & 0xFFFFFFFFFFFFFFFF)
+_M_LO0, _M_LO1 = np.uint64(_PCG_MULT & _MASK32), np.uint64(_PCG_MULT >> 32 & _MASK32)
+_LOW32 = np.uint64(_MASK32)
+_ONE, _S11, _S32, _S58, _S63, _S64 = (np.uint64(k) for k in (1, 11, 32, 58, 63, 64))
+_SEED_BLOCK = 4096  # paths whose streams are derived and stepped together
 
 
 def _hashmix(value: np.ndarray, h: int, mult: int) -> tuple[np.ndarray, int]:
@@ -346,21 +353,45 @@ def _int_words(n: int) -> list[int]:
     return words
 
 
-def _pcg64_states(seed: int, start: int, stop: int) -> list[tuple[int, int]]:
-    """``(state, inc)`` of ``PCG64(SeedSequence([seed, p]))`` for p in
-    start..stop-1: the entropy hash, pool mixing and ``generate_state(4,
-    uint64)`` of SeedSequence run in uint32 arrays across the paths, then
-    PCG's ``srandom`` runs on Python ints.  p takes two entropy words from
-    2**32 on, so that range is hashed separately."""
-    out: list[tuple[int, int]] = []
+def _pcg64_step(s_hi, s_lo, inc_hi, inc_lo):
+    """``state * M + inc`` mod 2**128 on uint64 word arrays; the high word of
+    the low-word product ``s_lo * M_lo`` is summed from 32-bit limbs."""
+    a0, a1 = s_lo & _LOW32, s_lo >> _S32
+    p00, p01, p10 = a0 * _M_LO0, a0 * _M_LO1, a1 * _M_LO0
+    mid = (p00 >> _S32) + (p01 & _LOW32) + (p10 & _LOW32)
+    carry = a1 * _M_LO1 + (p01 >> _S32) + (p10 >> _S32) + (mid >> _S32)
+    lo = s_lo * _M_LO + inc_lo
+    hi = carry + s_hi * _M_LO + s_lo * _M_HI + inc_hi + (lo < inc_lo)
+    return hi, lo
+
+
+def _pcg64_random(streams: np.ndarray) -> np.ndarray:
+    """Next double of each stream of a (4, n) uint64 array of (state high,
+    state low, inc high, inc low) words, whose states advance in place:
+    PCG64's step, its XSL-RR output and numpy's ``(out >> 11) * 2**-53``."""
+    hi, lo = _pcg64_step(*streams)
+    streams[0], streams[1] = hi, lo
+    x, rot = hi ^ lo, hi >> _S58
+    out = (x >> rot) | (x << ((_S64 - rot) & _S63))
+    return (out >> _S11).astype(np.float64) * 2.0**-53
+
+
+def _pcg64_states(seed: int, start: int, stop: int) -> np.ndarray:
+    """The streams of ``PCG64(SeedSequence([seed, p]))`` for p in
+    start..stop-1 (a nonempty range), as the (4, n) uint64 array that :func:`_pcg64_random`
+    steps: the entropy hash, pool mixing and ``generate_state(4, uint64)`` of
+    SeedSequence run in uint32 arrays across the paths, then PCG's
+    ``srandom`` in uint64 ones.  p takes two entropy words from 2**32 on, so
+    that range is hashed separately."""
+    parts = []
     lo = start
     while lo < stop:
         hi = stop if lo > _MASK32 else min(stop, _MASK32 + 1)
         p = np.arange(lo, hi, dtype=np.uint64)
         entropy = [np.full(hi - lo, w, dtype=np.uint32) for w in _int_words(seed)]
-        entropy.append((p & np.uint64(_MASK32)).astype(np.uint32))
+        entropy.append((p & _LOW32).astype(np.uint32))
         if lo > _MASK32:
-            entropy.append((p >> np.uint64(32)).astype(np.uint32))
+            entropy.append((p >> _S32).astype(np.uint32))
         zero = np.zeros(hi - lo, dtype=np.uint32)
         h = _INIT_A
         pool = []
@@ -382,17 +413,65 @@ def _pcg64_states(seed: int, start: int, stop: int) -> list[tuple[int, int]]:
             v, h = _hashmix(pool[i % _POOL_SIZE], h, _MULT_B)
             words.append(v.astype(np.uint64))
         # little-endian uint64 pairs: seed = (w0|w1, w2|w3), inc = (w4|w5, w6|w7)
-        s_hi, s_lo, i_hi, i_lo = (
-            (words[2 * k] | (words[2 * k + 1] << np.uint64(32))).tolist()
-            for k in range(4)
-        )
-        for sh, sl, ih, il in zip(s_hi, s_lo, i_hi, i_lo):
-            # srandom: state = 0, step, state += seed, step (step: s*M + inc)
-            inc = ((ih << 64 | il) << 1 | 1) & _MASK128
-            state = (((sh << 64 | sl) + inc) * _PCG_MULT + inc) & _MASK128
-            out.append((state, inc))
+        s_hi, s_lo, i_hi, i_lo = (words[2 * k] | words[2 * k + 1] << _S32 for k in range(4))
+        # srandom: inc = 2 * initseq + 1; state = 0, step, state += seed, step
+        inc_hi, inc_lo = i_hi << _ONE | i_lo >> _S63, i_lo << _ONE | _ONE
+        s_lo = s_lo + inc_lo
+        s_hi = s_hi + inc_hi + (s_lo < inc_lo)
+        parts.append(np.array([*_pcg64_step(s_hi, s_lo, inc_hi, inc_lo), inc_hi, inc_lo]))
         lo = hi
-    return out
+    return np.concatenate(parts, axis=1)
+
+
+class _StateTable:
+    """Visited states interned as ids, with arrays indexed by id: the rate,
+    and the cumulative move probabilities and target ids, padded to a common
+    width.  An entry is filled the first time a path needs it, so ``rate``
+    and ``transitions`` run once per distinct state that needs them."""
+
+    def __init__(self, spec: CocycleSpec, init: ChainState):
+        self.spec = spec
+        self.ids = {init: 0}
+        self.states = [init]
+        # NaN marks an unfilled rate (rate() raises on a non-finite one) and
+        # an unfilled row of moves; filled rows are padded with +inf
+        self.rate = np.full(1, np.nan)
+        self.cum = np.full((1, 1), np.nan)
+        self.target = np.zeros((1, 1), dtype=np.intp)
+
+    def _intern(self, s) -> int:
+        i = self.ids.get(s)
+        if i is None:
+            i = self.ids[s] = len(self.states)
+            self.states.append(s)
+            if i == self.rate.size:  # double the rows
+                self.rate = np.concatenate([self.rate, np.full(i, np.nan)])
+                self.cum = np.concatenate([self.cum, np.full(self.cum.shape, np.nan)])
+                self.target = np.concatenate([self.target, np.zeros_like(self.target)])
+        return i
+
+    def rates(self, sid: np.ndarray) -> np.ndarray:
+        for i in np.unique(sid[np.isnan(self.rate[sid])]).tolist():
+            self.rate[i] = rate(self.spec, self.states[i])
+        return self.rate[sid]
+
+    def moves(self, sid: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Next ids: each path takes the first move of its state whose
+        cumulative probability exceeds its u (``bisect_right``)."""
+        for i in np.unique(sid[np.isnan(self.cum[sid, 0])]).tolist():
+            moves = transitions(self.spec, self.states[i], total_rate=float(self.rate[i]))
+            targets = [self._intern(s2) for s2, _ in moves]
+            cum = list(accumulate(prob for _, prob in moves))
+            # u at or above the total (roundoff) takes the last move
+            cum[-1] = math.inf
+            extra = len(cum) - self.cum.shape[1]
+            if extra > 0:
+                self.cum = np.pad(self.cum, ((0, 0), (0, extra)), constant_values=math.inf)
+                self.target = np.pad(self.target, ((0, 0), (0, extra)))
+            self.cum[i] = math.inf
+            self.cum[i, : len(cum)] = cum
+            self.target[i, : len(cum)] = targets
+        return self.target[sid, (self.cum[sid] <= u[:, None]).sum(1)]
 
 
 def simulate(
@@ -407,13 +486,15 @@ def simulate(
 
     Path p draws its uniforms, in order, from the stream of
     ``numpy.random.default_rng([seed, p])``; identical arguments reproduce
-    the report exactly.  Those streams are not built one generator per path:
-    ``_pcg64_states`` derives their PCG64 states for blocks of
-    ``_SEED_BLOCK`` paths at once (so they take memory for one block, not
-    for all paths), one generator is set to each in turn, and its uniforms
-    are drawn in blocks.  Visited states are interned as integer ids into tables of
-    rates, target ids and cumulative move probabilities; ``rate`` and
-    ``transitions`` still run once per distinct state that needs them.
+    the report exactly.  No generator is built: ``_pcg64_states`` derives
+    the PCG64 streams of ``_SEED_BLOCK`` paths at once, and the live paths
+    of a block advance together, one round per jump, each drawing its next
+    uniforms from its own stream by ``_pcg64_random``.  A round retires the
+    absorbed paths, draws the holding times (through ``math.log1p``, as the
+    per-path loop did), retires the paths past the horizon or at the jump
+    budget, and draws the moves.  Visited states are interned as ids into
+    tables of rates, target ids and cumulative move probabilities; ``rate``
+    and ``transitions`` still run once per distinct state that needs them.
     """
     if max_jumps < 1:
         raise SimulationInputError(f"max_jumps must be >= 1, got {max_jumps}")
@@ -427,76 +508,38 @@ def simulate(
     for g in init:
         if G.is_identity(g):
             raise SimulationInputError(f"initial state {init!r} contains the identity")
-    # states recur across paths: each gets an id into these tables, filled
-    # the first time a path needs the entry
-    ids: dict = {init: 0}
-    states: list = [init]
-    rates: list = [None]
-    targets: list = [None]
-    cums: list = [None]
-
-    def intern(s) -> int:
-        i = ids.get(s)
-        if i is None:
-            i = ids[s] = len(states)
-            states.append(s)
-            rates.append(None)
-            targets.append(None)
-            cums.append(None)
-        return i
-
-    bits = np.random.PCG64(0)  # its state is set for each path
-    gen = np.random.Generator(bits)
-    # a path draws (holding time, move) pairs, at most 2*max_jumps+1 uniforms;
-    # an even block never splits a pair, so only a holding time refills it
-    block = min(2 * max_jumps + 2, 32)
-    jump_counts: list[int] = []
+    table = _StateTable(spec, init)
+    jump_counts = np.zeros(n_paths, dtype=np.int64)
     absorbed = censored = active = 0
     for first in range(0, n_paths, _SEED_BLOCK):
-        for st, inc in _pcg64_states(seed, first, min(first + _SEED_BLOCK, n_paths)):
-            bits.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": st, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            draws = gen.random(block).tolist()
-            k = 0
-            sid = 0
-            t = 0.0
-            jumps = 0
-            while True:
-                R = rates[sid]
-                if R is None:
-                    R = rates[sid] = rate(spec, states[sid])
-                if R <= 0.0:
-                    absorbed += 1
-                    break
-                if k == block:
-                    draws = gen.random(block).tolist()
-                    k = 0
-                dt = -math.log1p(-draws[k]) / R
-                k += 1
-                if t + dt > horizon:
-                    active += 1
-                    break
-                t += dt
-                if jumps >= max_jumps:
-                    censored += 1
-                    break
-                cum = cums[sid]
-                if cum is None:
-                    moves = transitions(spec, states[sid], total_rate=R)
-                    targets[sid] = [intern(s2) for s2, _ in moves]
-                    cum = list(accumulate(prob for _, prob in moves))
-                    # u at or above the total (roundoff) takes the last move
-                    cum[-1] = math.inf
-                    cums[sid] = cum
-                # the first move whose cumulative probability exceeds u
-                sid = targets[sid][bisect_right(cum, draws[k])]
-                k += 1
-                jumps += 1
-            jump_counts.append(jumps)
+        stop = min(first + _SEED_BLOCK, n_paths)
+        streams = _pcg64_states(seed, first, stop)
+        path = np.arange(first, stop)
+        sid = np.zeros(stop - first, dtype=np.intp)
+        t = np.zeros(stop - first)
+        # every live path of a round has made `jumps` jumps
+        jumps = 0
+        while path.size:
+            R = table.rates(sid)
+            live = R > 0.0
+            gone = path[~live]
+            absorbed += gone.size
+            jump_counts[gone] = jumps
+            path, sid, t, R, streams = path[live], sid[live], t[live], R[live], streams[:, live]
+            u = _pcg64_random(streams)
+            dt = -np.fromiter(map(math.log1p, (-u).tolist()), np.float64, u.size) / R
+            t = t + dt
+            live = ~(t > horizon)
+            gone = path[~live]
+            active += gone.size
+            jump_counts[gone] = jumps
+            path, sid, t, streams = path[live], sid[live], t[live], streams[:, live]
+            if jumps >= max_jumps:
+                censored += path.size
+                jump_counts[path] = jumps
+                break
+            sid = table.moves(sid, _pcg64_random(streams))
+            jumps += 1
     p_surv = (n_paths - censored) / n_paths if n_paths else 1.0
     halfwidth = (
         1.96 * math.sqrt(p_surv * (1.0 - p_surv) / n_paths) if n_paths else 0.0
@@ -507,7 +550,7 @@ def simulate(
         max_jumps=max_jumps,
         seed=seed,
         init=tuple(init),
-        jump_counts=jump_counts,
+        jump_counts=jump_counts.tolist(),
         absorbed=absorbed,
         censored=censored,
         active_at_horizon=active,
@@ -559,7 +602,10 @@ def parse_element(spec_group: GroupSpec, raw):
     if spec_group.kind == "int":
         if isinstance(raw, bool) or not isinstance(raw, (int, str)):
             raise CocycleSpecError(f"integer group element expected, got {raw!r}")
-        return int(raw)
+        try:
+            return int(raw)
+        except ValueError:
+            raise CocycleSpecError(f"integer group element expected, got {raw!r}") from None
     if not isinstance(raw, str):
         raise CocycleSpecError(f"free-group element must be a string, got {raw!r}")
     return _parse_free_word(raw, spec_group.rank)

@@ -293,6 +293,18 @@ def test_cocycle_sim_requires_init(capsys):
 def test_json_dumps_stable_formats():
     s = json_dumps_stable({"b": 0.1, "a": [1, True, None], "c": float("inf")})
     assert s == '{"a":[1,true,null],"b":0.10000000000000001,"c":"inf"}\n'
+    assert json_dumps_stable([True, 1, np.int64(2), 3.0, []]) == "[true,1,2,3,[]]\n"
+
+
+@pytest.mark.parametrize(
+    "items", [[True, 1, np.int64(2), 3.0, []], list(range(-5000, 5000)), [], [7]]
+)
+def test_json_dumps_stable_int_lists_render_as_items(items):
+    # a list of plain ints is joined at once; it must give the bytes of
+    # rendering each item on its own
+    per_item = "[" + ",".join(json_dumps_stable(v)[:-1] for v in items) + "]\n"
+    assert json_dumps_stable(items) == per_item
+    assert json_dumps_stable(tuple(items)) == per_item
 
 
 def test_verify_rejects_invalid_q(capsys):
@@ -335,6 +347,8 @@ def test_cap_override_flag(capsys):
         ["cocycle-sim", "--spec", "{dir}", "--init", "1"],
         ["gram", "--level", "2", "--out", "{dir}"],
         ["cocycle-sim", "--spec", "z-splitting", "--init", "3", "--seed", "-1"],
+        ["cocycle-sim", "--spec", "z-splitting", "--init", "a"],
+        ["cocycle-sim", "--spec", "z-splitting", "--init", "1.5"],
         ["verify", "--suite", "number", "--level", "2", "--seed", "-1"],
     ],
 )

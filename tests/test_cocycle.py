@@ -19,7 +19,7 @@ from qfock.cocycle import (
     transitions,
     z_splitting_spec,
 )
-from qfock.cocycle import _SEED_BLOCK, _pcg64_states
+from qfock.cocycle import _SEED_BLOCK, _pcg64_random, _pcg64_states
 from qfock.errors import AbsorbingStateError, CocycleSpecError, SimulationInputError
 
 
@@ -289,6 +289,14 @@ def simulate_per_path(spec, init, horizon, n_paths, max_jumps, seed):
         (False, "20", 2.5, 100, 64, 2**32 + 5, "active_at_horizon"),
         # the second block of derived states
         (False, "5", 1e9, _SEED_BLOCK + 3, 64, 3, "absorbed"),
+        # paths of one ragged block retire in different rounds: absorbed
+        # beside active ones, censored beside active ones
+        (True, "abAB", 0.7, _SEED_BLOCK + 7, 40, 0, "absorbed active_at_horizon"),
+        (False, "9,4", 1.5, _SEED_BLOCK + 7, 6, 5_000_000_000, "censored active_at_horizon"),
+        # 39 jumps: every path draws 79 uniforms
+        (False, "40", 1e9, 20, 64, 1, "absorbed"),
+        (False, "5", 1e9, 0, 64, 3, ""),
+        (False, "5", 1e9, 2 * _SEED_BLOCK, 64, 3, "absorbed"),
     ],
 )
 def test_simulate_matches_per_path_generators(
@@ -299,7 +307,8 @@ def test_simulate_matches_per_path_generators(
     rep = simulate(spec, state, horizon, n_paths, max_jumps, seed)
     want = simulate_per_path(spec, state, horizon, n_paths, max_jumps, seed)
     assert (rep.jump_counts, rep.absorbed, rep.censored, rep.active_at_horizon) == want
-    assert getattr(rep, shows) > 0
+    for outcome in shows.split():
+        assert getattr(rep, outcome) > 0
 
 
 @pytest.mark.parametrize("seed", [0, 3, 2**32 + 5, 2**200 + 1])
@@ -312,8 +321,15 @@ def test_pcg64_states_match_seed_sequence(seed, start, stop):
         np.random.PCG64(np.random.SeedSequence([seed, p])).state["state"]
         for p in range(start, stop)
     ]
-    got = _pcg64_states(seed, start, stop)
+    streams = _pcg64_states(seed, start, stop)
+    assert streams.dtype == np.uint64 and streams.shape == (4, stop - start)
+    got = [(s_hi << 64 | s_lo, i_hi << 64 | i_lo) for s_hi, s_lo, i_hi, i_lo in streams.T.tolist()]
     assert got == [(w["state"], w["inc"]) for w in want]
+    # the stepper's doubles are the generators' doubles, bit for bit
+    draws = np.array([_pcg64_random(streams) for _ in range(70)]).T
+    for p, row in zip(range(start, stop), draws):
+        want_row = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, p])))
+        assert row.tolist() == want_row.random(70).tolist()
 
 
 def test_simulate_rates_each_visited_state_once(monkeypatch):
