@@ -186,15 +186,22 @@ def cocycle_value(spec: CocycleSpec, j: int, g) -> dict:
     Extended from generator values along the letter decomposition via
     ``c(ab) = a . c(b) + c(a)``; the value at an inverse letter is forced to
     ``-(g^-1) . c(g)``.  Both built-in groups are free, so any decomposition
-    gives the same answer.
+    gives the same answer.  The result is a fresh dict, the caller's to
+    change.
     """
+    return dict(_value(spec, j, g))
+
+
+def _value(spec: CocycleSpec, j: int, g) -> dict:
+    """The memoized :func:`cocycle_value` itself: every later call returns
+    the same dict, so callers read it and never write to it."""
     if not (0 <= j < spec.n_cocycles):
         raise CocycleSpecError(f"cocycle index {j} outside 0..{spec.n_cocycles - 1}")
     G = spec.group
     key = (j, g)
     cached = spec._cache.get(key)
     if cached is not None:
-        return dict(cached)
+        return cached
     out: dict = {}
     prefix = G.identity()
     for letter in G.letters(g):
@@ -207,7 +214,7 @@ def cocycle_value(spec: CocycleSpec, j: int, g) -> dict:
             val = {G.multiply(inv, s): -v for s, v in base.items()}
         _add_into(out, _translate(spec, prefix, val))
         prefix = G.multiply(prefix, G.letter_element(letter))
-    spec._cache[key] = dict(out)
+    spec._cache[key] = out
     return out
 
 
@@ -222,7 +229,7 @@ def hat_norm_sq(spec: CocycleSpec, j: int, g) -> float:
     """
     if spec.group.is_identity(g):
         raise ValueError("hat norm is only defined at non-identity elements")
-    f = cocycle_value(spec, j, g)
+    f = _value(spec, j, g)
     e = spec.group.identity()
     return float(sum(v * v for s, v in f.items() if s != g and s != e))
 
@@ -261,7 +268,7 @@ def transitions(
     for i, g in enumerate(state):
         support: dict = {}
         for j in range(spec.n_cocycles):
-            f = cocycle_value(spec, j, g)
+            f = _value(spec, j, g)
             for d, v in f.items():
                 if G.is_identity(d) or d == g:
                     continue

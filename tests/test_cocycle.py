@@ -53,6 +53,19 @@ def test_cocycle_vanishes_at_identity():
     assert cocycle_value(spec, 0, 0) == {}
 
 
+def test_mutating_a_returned_value_changes_no_later_result():
+    # rate and transitions read the memoized values; callers get copies
+    spec = z_splitting_spec()
+    state = (3, 5)
+    before = (cocycle_value(spec, 0, 3), rate(spec, state), transitions(spec, state))
+    f = cocycle_value(spec, 0, 3)
+    f[1] = 7.0
+    f[9] = -2.0
+    del f[0]
+    cocycle_value(spec, 0, 5).clear()
+    assert (cocycle_value(spec, 0, 3), rate(spec, state), transitions(spec, state)) == before
+
+
 def test_z_splitting_values():
     spec = z_splitting_spec()
     assert cocycle_value(spec, 0, 3) == {0: 1.0, 1: 1.0, 2: 1.0}

@@ -23,8 +23,9 @@ from qfock.errors import AlphabetError, HomogeneityError, LevelRangeError, QRang
 from qfock.fock import metric, norm_q
 from qfock.deformation import xi_multiplier
 from qfock.operators import (
-    _level_stack,
-    _wick_sum,
+    _parity_metric,
+    _psi_blocks,
+    _short_blocks,
     left_wick_stack,
     right_annihilation_mirror,
     right_gaussian,
@@ -449,8 +450,17 @@ def _dense_op_norm(A: np.ndarray, ctx) -> float:
 
 
 def _psi(ctx, n: int, coeffs: np.ndarray) -> np.ndarray:
-    re, im = _wick_sum(np.stack([coeffs.real, coeffs.imag]), n, ctx)
-    return re + 1j * im
+    """The word operator of the level-n coefficients, summed word by word."""
+    return sum(coeffs[i] * wick_matrix(ctx.index_word(n, i), ctx) for i in range(ctx.N**n))
+
+
+def _sandwiched_blocks(A: np.ndarray, n: int, ctx) -> list[np.ndarray]:
+    """The blocks (x, x ^ g), g = n % 2, of ``Gh A Gih`` between the classes
+    x of the level-parity grading: those a level-n word operator has."""
+    m = metric(ctx)
+    Ah = m["Gh"] @ A @ m["Gih"]
+    split = _parity_metric(ctx)
+    return [Ah[np.ix_(rows, split[x ^ (n % 2)][0])] for x, (rows, _, _) in enumerate(split)]
 
 
 @pytest.fixture
@@ -558,6 +568,23 @@ def test_bozejko_random_sweep_small():
             assert rep.lhs >= rep.l2 - 1e-9
 
 
+@pytest.mark.parametrize(
+    "N, q, L",
+    [(1, 0.3, 5), (2, -0.3, 5), (3, 0.1, 5), (2, 0.4, 6), (2, 0.9, 5), (2, 0.1, 2), (2, 0.3, 0)],
+)
+def test_bozejko_lhs_matches_dense_svd(N, q, L):
+    # every level: the short store (n <= 3), the recursion above it, L < 3
+    # and the empty odd class at L = 0
+    ctx = make_context(N, q, L)
+    rng = np.random.default_rng(7)
+    for n in range(L + 1):
+        xi = GradedVector.zero(ctx)
+        c = xi.level(n)
+        c[:] = rng.standard_normal(N**n) + 1j * rng.standard_normal(N**n)
+        want = _dense_op_norm(_psi(ctx, n, c), ctx)
+        assert bozejko_check(xi, ctx).lhs == pytest.approx(want, rel=1e-13, abs=0)
+
+
 @pytest.mark.parametrize("kind", ["complex", "sparse", "real"])
 @pytest.mark.parametrize("N, q, L", [(1, 0.3, 5), (2, -0.3, 5), (3, 0.1, 5), (2, 0.4, 6)])
 def test_linear_wick_sum_matches_word_by_word(N, q, L, kind):
@@ -570,20 +597,40 @@ def test_linear_wick_sum_matches_word_by_word(N, q, L, kind):
         if kind == "sparse":
             c[rng.random(N**n) < 0.7] = 0.0
             c[0] = 1.0
-        want = sum(c[i] * wick_matrix(ctx.index_word(n, i), ctx) for i in range(N**n))
-        got = _psi(ctx, n, c)
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        want = _sandwiched_blocks(_psi(ctx, n, c), n, ctx)
+        got = [re + 1j * im for re, im in _psi_blocks(np.stack([c.real, c.imag]), n, ctx)]
+        scale = max(np.abs(B).max(initial=0.0) for B in want)
+        for G, B in zip(got, want):
+            assert G.shape == B.shape
+            assert np.abs(G - B).max() <= 1e-13 * scale
 
 
-@pytest.mark.parametrize("N, q, L", [(1, 0.3, 3), (2, -0.3, 4), (3, 0.1, 3)])
+@pytest.mark.parametrize("N, q, L", [(1, 0.3, 3), (2, -0.3, 4), (3, 0.1, 3), (2, 0.1, 2), (2, 0.3, 0)])
 def test_level_stack_matches_word_operators(N, q, L):
     ctx = make_context(N, q, L)
-    for n in range(4):
-        S = _level_stack(n, ctx)
-        assert S.shape == (N**n, ctx.dim, ctx.dim)
+    store = _short_blocks(ctx)
+    assert len(store) == min(L, 3) + 1
+    for n, level in enumerate(store):
         for idx in range(N**n):
-            want = wick_matrix(ctx.index_word(n, idx), ctx)
-            assert np.abs(S[idx] - want).max() <= 1e-13 * np.abs(want).max()
+            want = _sandwiched_blocks(wick_matrix(ctx.index_word(n, idx), ctx), n, ctx)
+            scale = max(np.abs(B).max(initial=0.0) for B in want)
+            for S, B in zip(level, want):
+                assert S.shape == (N**n,) + B.shape
+                assert np.abs(S[idx] - B).max(initial=0.0) <= 1e-13 * scale
+
+
+def test_bozejko_store_holds_no_plain_stack():
+    ctx = make_context(3, 0.1, 5)
+    rng = np.random.default_rng(3)
+    for trial in range(50):
+        n = 1 + trial % 4
+        xi = GradedVector.zero(ctx)
+        xi.level(n)[:] = rng.standard_normal(3**n) + 1j * rng.standard_normal(3**n)
+        bozejko_check(xi, ctx)
+    assert not [key for key in ctx._memo if isinstance(key, tuple) and key[0] == "stack"]
+    # the plain levels 0..3 would be 1 + 3 + 9 + 27 matrices of dim^2 floats
+    stored = sum(B.nbytes for level in _short_blocks(ctx) for B in level)
+    assert stored <= (1 + 3 + 9 + 27) * ctx.dim**2 * 8 / 2
 
 
 def _right_word_matrix(w, ctx):
