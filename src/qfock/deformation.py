@@ -16,9 +16,11 @@ square is the left action of T on the coefficients of S,
 ``lr_apply(T, S, ctx)``, exact when the combined degrees stay within the
 truncation and a compression otherwise.
 
-Everything here is a compression to levels <= L; operator norms are lower
-bounds of their untruncated counterparts and are reported as one-sided
-consistency checks, never as certifications.
+Everything here lives on levels <= L and is built from the word operators
+of :mod:`qfock.operators`, polynomials in the compressed fields rather than
+compressions of the untruncated ones.  The doubled-space norms are norms of
+this truncated model: lower bounds of their untruncated counterparts for
+N = 1 only, and reported as consistency checks, never as certifications.
 """
 from __future__ import annotations
 
@@ -30,7 +32,6 @@ import numpy as np
 
 from .errors import (
     AlphabetError,
-    EigensolverError,
     NonConvergenceWarning,
     QRangeError,
     SquareRootUnavailableError,
@@ -38,10 +39,13 @@ from .errors import (
 from .fock import FockContext, _rev_perm, gram, metric
 from .operators import (
     _check_shape,
+    _extreme_eig,
     _grades,
+    _lanczos,
     _parity_metric,
     _power,
     _sectors,
+    _tridiagonal,
     c_q,
     left_wick_stack,
     right_wick_stack,
@@ -358,82 +362,11 @@ def _sym_action(ctx: FockContext, C: np.ndarray, ins, outs):
     return lambda v: _by_parts(apply, v)
 
 
-# Lanczos constants: the tolerance of ARPACK's convergence rule, the number of
-# steps between two tests of it, and the step cap past which a run that has
-# neither converged nor exhausted its Krylov space is an internal failure
-_LANCZOS_TOL = 1e-11
-_LANCZOS_STRIDE = 4
-_LANCZOS_MAX_STEPS = 1000
-_EPS = np.finfo(float).eps
 # the square root of the deformation action: unavailable below this least
 # eigenvalue (those above it are clipped to 0), and converged once one stride
 # changes it by at most _SQRT_TOL relative
 _SQRT_NEG_TOL = 1e-9
 _SQRT_TOL = 1e-13
-
-
-def _lanczos(matvec, v: np.ndarray, dtype):
-    """Lanczos iteration on a self-adjoint operator of the doubled space from
-    the start vector ``v``, with full reorthogonalization (classical
-    Gram-Schmidt, twice per step).
-
-    Every ``_LANCZOS_STRIDE`` steps, and once the Krylov space is exhausted,
-    yields ``(theta, S, beta, Q, exhausted)``: the eigendecomposition of the
-    tridiagonal matrix, the norm of the new residual and the basis so far (the
-    rows of Q).  The space is exhausted after ``len(v)`` steps, or when the new
-    residual is at the rounding level of the matvec (an invariant subspace,
-    e.g. the unit element after one step); the consumer stops there at the
-    latest.  Raises :class:`EigensolverError` after ``_LANCZOS_MAX_STEPS``
-    steps without a stop.
-    """
-    d2 = v.size
-    m = min(d2, _LANCZOS_MAX_STEPS)
-    Q = np.empty((min(m, 2 * _LANCZOS_STRIDE), d2), dtype=dtype)  # doubles as it fills
-    alpha, beta = np.zeros(m), np.zeros(m)
-    Q[0] = v / np.linalg.norm(v)
-    anorm = 0.0
-    for j in range(m):
-        w = matvec(Q[j])
-        anorm = max(anorm, float(np.linalg.norm(w)))
-        basis = Q[: j + 1]
-        for _ in range(2):
-            h = (basis @ w.conj()).conj()
-            w = w - h @ basis
-            alpha[j] += h[j].real
-        beta[j] = np.linalg.norm(w)
-        exhausted = j + 1 == d2 or beta[j] <= math.sqrt(d2) * _EPS * anorm
-        if exhausted or (j + 1) % _LANCZOS_STRIDE == 0:
-            theta, S = np.linalg.eigh(
-                np.diag(alpha[: j + 1]) + np.diag(beta[:j], 1) + np.diag(beta[:j], -1)
-            )
-            yield theta, S, beta[j], Q[: j + 1], exhausted
-        if j + 1 == len(Q) < m:
-            Q = np.concatenate([Q, np.empty((min(len(Q), m - len(Q)), d2), dtype=dtype)])
-        if j + 1 < m:
-            Q[j + 1] = w / beta[j]
-    raise EigensolverError(
-        f"Lanczos did not converge in {m} steps on a doubled space of dimension {d2}"
-    )
-
-
-def _extreme_eig(matvec, v: np.ndarray, dtype, which: str) -> float:
-    """Extreme eigenvalue of a self-adjoint operator on (a sector of) the
-    doubled space: ``which`` is "LA" (largest), "SA" (smallest) or "LM"
-    (largest modulus).
-
-    :func:`_lanczos` from the start vector v (:func:`_start`).  The wanted
-    Ritz value ``theta`` is tested with ARPACK's rule, ``|beta * s_last| <=
-    _LANCZOS_TOL * max(|theta|, eps**(2/3) * max|Ritz value|)``; ARPACK's
-    floor is ``eps**(2/3)`` itself, which would accept any Ritz value of an
-    operator whose norm lies below it.  Ritz values are exact once the Krylov
-    space is exhausted.
-    """
-    for theta, S, beta, _, exhausted in _lanczos(matvec, v, dtype):
-        top = int(np.abs(theta).argmax())
-        i = {"LA": -1, "SA": 0, "LM": top}[which]
-        floor = _EPS ** (2 / 3) * abs(theta[top])
-        if exhausted or beta * abs(S[-1, i]) <= _LANCZOS_TOL * max(abs(theta[i]), floor):
-            return float(theta[i])
 
 
 def _sym_extremes(ctx: FockContext, C: np.ndarray, which: tuple[str, ...]) -> list[list[float]]:
@@ -457,7 +390,8 @@ def _lanczos_sqrt(matvec, b: np.ndarray) -> np.ndarray:
     if not b.any():
         return b
     prev = np.zeros(0)
-    for theta, S, _, Q, exhausted in _lanczos(matvec, b, b.dtype):
+    for alpha, beta, Q, exhausted in _lanczos(matvec, b, b.dtype):
+        theta, S = np.linalg.eigh(_tridiagonal(alpha, beta))
         c = S @ (np.sqrt(np.clip(theta, 0.0, None)) * S[0])
         change = np.linalg.norm(c - np.pad(prev, (0, len(c) - len(prev))))
         if exhausted or change <= _SQRT_TOL * np.linalg.norm(c):

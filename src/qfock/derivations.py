@@ -18,8 +18,9 @@ generator structure "delta on letter j, extended by the Leibniz rule":
   the sum of its copies with one occurrence of k primed.
 
 All identity checks quote the degree ranges on which truncation is exact;
-outside those ranges results are compressions and only convergence behavior
-is reported.
+outside those ranges results are values of the truncated model (word
+operators are polynomials in the compressed fields, see :mod:`qfock.operators`)
+and only convergence behavior is reported.
 """
 from __future__ import annotations
 
@@ -442,11 +443,12 @@ def lipschitz_norms(cvs: list[GradedVector]) -> list[list[float]]:
 
 def equivalence_check(P: NCPoly, ctx: FockContext, trunc_q: int | None = None) -> dict:
     """Two-norms of the four derivations of P and the sandwich inequalities
-    relating them, with compressed operator norms substituted.
+    relating them, with the truncated model's operator norms substituted.
 
-    Compressed norms are lower bounds, so the inequality flags are one-sided
-    consistency checks.  Also cross-checks the doubling-derivation form
-    against the square-root form (they agree letter by letter).
+    Those norms are lower bounds of the untruncated ones for N = 1 only, so
+    the inequality flags are consistency checks of the model.  Also
+    cross-checks the doubling-derivation form against the square-root form
+    (they agree letter by letter).
     """
     if trunc_q is None:
         trunc_q = ctx.L

@@ -67,9 +67,10 @@ class SquareRootUnavailableError(QFockError, ArithmeticError):
 
 
 class EigensolverError(RuntimeError):
-    """Lanczos iteration on the doubled space did not converge within its
-    step cap.  A failure of the numerics, not of the input, so it is no
-    :class:`QFockError`: the CLI reports it as an internal error (exit 3)."""
+    """A Lanczos iteration (a doubled-space norm, or the top singular value
+    of a large block) did not converge within its step cap.  A failure of
+    the numerics, not of the input, so it is no :class:`QFockError`: the CLI
+    reports it as an internal error (exit 3)."""
 
 
 class NonConvergenceWarning(UserWarning):

@@ -4,17 +4,23 @@ Every operator is the plain ``(dim, dim)`` array of its matrix in the graded
 word basis; the functions that need the deformed metric (:func:`adjoint`,
 :func:`op_norm`) take the context.  Memoized operators are read-only arrays.
 
-All operators here are compressions to levels 0..L: a raising operator maps
-the top level to 0, and products of compressed operators lose the paths that
-would cross the truncation boundary.  Consequences, stated once and relied on
-throughout:
+The ladder and field operators are compressions to levels 0..L: a raising
+operator maps the top level to 0.  The word operators are not: the recursion
+below builds each as a polynomial ``p_w(x)`` in the compressed fields ``x =
+P X P``, where the compression would be ``P p_w(X) P``, and the two differ
+on the top levels, where a path leaves level L and comes back.  Everything
+built from them is a value of this truncated model.  Consequences, stated
+once and relied on throughout:
 
 * moments ``<vacuum, (product of field operators) vacuum>`` are exact as soon
   as L is at least the number of factors;
-* operator norms computed here are lower bounds for the untruncated norms
-  (compression can only shrink a norm);
 * applying a word operator built by the recursion below to a vector is exact
-  whenever word length + vector level stays within L.
+  whenever word length + vector level stays within L;
+* operator norms computed here are norms of the truncated model.  For one
+  letter (N = 1) they are lower bounds of the untruncated norms: the
+  compressed field is a Jacobi matrix whose spectrum lies inside that of X,
+  so a norm of a polynomial in it is a maximum over part of the true
+  spectrum.  For N >= 2 no such argument covers them.
 """
 from __future__ import annotations
 
@@ -27,6 +33,7 @@ from .errors import (
     DEFAULT_STACK_DIM_CAP,
     AlphabetError,
     CapacityError,
+    EigensolverError,
     HomogeneityError,
     QRangeError,
     check_dim,
@@ -62,43 +69,43 @@ def _check_letter(i: int, ctx: FockContext) -> None:
         raise AlphabetError(f"letter {i} outside 1..{ctx.N}")
 
 
+def _creation_matrix(i: int, ctx: FockContext) -> np.ndarray:
+    N, d = ctx.N, ctx.dim
+    M = np.zeros((d, d))
+    for n in range(ctx.L):
+        src = np.arange(N**n) + ctx.level_offset(n)
+        # prepending shifts existing letters to higher digits
+        tgt = (i - 1) + N * np.arange(N**n) + ctx.level_offset(n + 1)
+        M[tgt, src] = 1.0
+    return M
+
+
+def _annihilation_matrix(i: int, ctx: FockContext) -> np.ndarray:
+    N, q, d = ctx.N, ctx.q, ctx.dim
+    M = np.zeros((d, d))
+    for n in range(1, ctx.L + 1):
+        off_src = ctx.level_offset(n)
+        off_tgt = ctx.level_offset(n - 1)
+        for idx in range(N**n):
+            w = ctx.index_word(n, idx)
+            for k in range(1, n + 1):
+                if w[k - 1] != i:
+                    continue
+                shorter = w[: k - 1] + w[k:]
+                M[off_tgt + ctx.word_index(shorter), off_src + idx] += q ** (k - 1)
+    return M
+
+
 def creation(i: int, ctx: FockContext) -> np.ndarray:
     """Prepend letter ``i``; the top level is compressed away (mapped to 0)."""
     _check_letter(i, ctx)
-
-    def build():
-        N, d = ctx.N, ctx.dim
-        M = np.zeros((d, d))
-        for n in range(ctx.L):
-            src = np.arange(N**n) + ctx.level_offset(n)
-            # prepending shifts existing letters to higher digits
-            tgt = (i - 1) + N * np.arange(N**n) + ctx.level_offset(n + 1)
-            M[tgt, src] = 1.0
-        return M
-
-    return ctx.memo(("crea", i), build)
+    return ctx.memo(("crea", i), lambda: _creation_matrix(i, ctx))
 
 
 def annihilation(i: int, ctx: FockContext) -> np.ndarray:
     """Delete letter ``i``: the word w maps to sum_k q^(k-1) [w_k = i] (w minus k)."""
     _check_letter(i, ctx)
-
-    def build():
-        N, q, d = ctx.N, ctx.q, ctx.dim
-        M = np.zeros((d, d))
-        for n in range(1, ctx.L + 1):
-            off_src = ctx.level_offset(n)
-            off_tgt = ctx.level_offset(n - 1)
-            for idx in range(N**n):
-                w = ctx.index_word(n, idx)
-                for k in range(1, n + 1):
-                    if w[k - 1] != i:
-                        continue
-                    shorter = w[: k - 1] + w[k:]
-                    M[off_tgt + ctx.word_index(shorter), off_src + idx] += q ** (k - 1)
-        return M
-
-    return ctx.memo(("anni", i), build)
+    return ctx.memo(("anni", i), lambda: _annihilation_matrix(i, ctx))
 
 
 def right_creation(i: int, ctx: FockContext) -> np.ndarray:
@@ -291,11 +298,133 @@ def _sectors(k: int) -> list[list[tuple[int, int]]]:
     return [[(x, x ^ g) for x in range(k)] for g in range(k)]
 
 
+# Lanczos constants: the tolerance of ARPACK's convergence rule, the number of
+# steps between two tests of it, and the step cap past which a run that has
+# neither converged nor exhausted its Krylov space is an internal failure
+_LANCZOS_TOL = 1e-11
+_LANCZOS_STRIDE = 4
+_LANCZOS_MAX_STEPS = 1000
+_EPS = np.finfo(float).eps
+
+
+def _norm(v: np.ndarray) -> float:
+    return math.sqrt(np.vdot(v, v).real)
+
+
+def _lanczos(matvec, v: np.ndarray, dtype):
+    """Lanczos iteration on a self-adjoint operator from the start vector
+    ``v``, with full reorthogonalization (classical Gram-Schmidt, twice per
+    step).
+
+    Every ``_LANCZOS_STRIDE`` steps, and once the Krylov space is exhausted,
+    yields ``(alpha, beta, Q, exhausted)``: the diagonal and off-diagonal of
+    the tridiagonal matrix (:func:`_tridiagonal`), with the norm of the new
+    residual as ``beta[-1]``, and the basis so far (the rows of Q); no
+    eigendecomposition, each consumer does the eigen-work it needs.  The
+    space is exhausted after ``len(v)`` steps, or when the new residual is
+    at the rounding level of the matvec (an invariant subspace, e.g. the
+    unit element after one step); the consumer stops there at the latest.
+    Raises :class:`EigensolverError` after ``_LANCZOS_MAX_STEPS`` steps
+    without a stop.
+    """
+    d2 = v.size
+    m = min(d2, _LANCZOS_MAX_STEPS)
+    Q = np.empty((min(m, 2 * _LANCZOS_STRIDE), d2), dtype=dtype)  # doubles as it fills
+    real = not np.iscomplexobj(Q)
+    alpha, beta = np.zeros(m), np.zeros(m)
+    Q[0] = v / _norm(v)
+    anorm = 0.0
+    for j in range(m):
+        w = matvec(Q[j])
+        anorm = max(anorm, _norm(w))
+        basis = Q[: j + 1]
+        for _ in range(2):
+            h = basis @ w if real else (basis @ w.conj()).conj()
+            w = w - h @ basis
+            alpha[j] += h[j].real
+        beta[j] = _norm(w)
+        exhausted = j + 1 == d2 or beta[j] <= math.sqrt(d2) * _EPS * anorm
+        if exhausted or (j + 1) % _LANCZOS_STRIDE == 0:
+            yield alpha[: j + 1], beta[: j + 1], Q[: j + 1], exhausted
+        if j + 1 == len(Q) < m:
+            Q = np.concatenate([Q, np.empty((min(len(Q), m - len(Q)), d2), dtype=dtype)])
+        if j + 1 < m:
+            Q[j + 1] = w / beta[j]
+    raise EigensolverError(
+        f"Lanczos did not converge in {m} steps on an operator of dimension {d2}"
+    )
+
+
+def _tridiagonal(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """The dense tridiagonal matrix of a :func:`_lanczos` yield."""
+    return np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1)
+
+
+def _extreme_eig(matvec, v: np.ndarray, dtype, which: str) -> float:
+    """Extreme eigenvalue of a self-adjoint operator: ``which`` is "LA"
+    (largest), "SA" (smallest) or "LM" (largest modulus).
+
+    :func:`_lanczos` from the start vector v.  The wanted Ritz value
+    ``theta`` is tested with ARPACK's rule, ``|beta * s_last| <=
+    _LANCZOS_TOL * max(|theta|, eps**(2/3) * max|Ritz value|)``; ARPACK's
+    floor is ``eps**(2/3)`` itself, which would accept any Ritz value of an
+    operator whose norm lies below it.  The Ritz values come from
+    ``eigvalsh`` of the tridiagonal T, and the last component ``s_last`` of
+    the Ritz vector of theta from one step of inverse iteration: the solve
+    ``(T - sigma) x = e_1``, with sigma = theta pushed outward by a few
+    rounding units.  Theta is an end of the spectrum of T, so T - sigma
+    stays definite, and x is that Ritz vector to rounding.  Its last entry
+    is the cofactor ratio ``prod(beta) / det(T - sigma)``, a product with no
+    cancellation, so ``|x_last| / |x|`` keeps its relative accuracy however
+    small it gets, as the rule needs where its floor sets the bound (a right
+    side such as ``(1, ..., 1)`` would leave an absolute error of order
+    ``(sigma - theta) / gap`` there).  Ritz values are exact once the Krylov
+    space is exhausted.
+    """
+    for alpha, beta, _, exhausted in _lanczos(matvec, v, dtype):
+        T = _tridiagonal(alpha, beta)
+        theta = np.linalg.eigvalsh(T)
+        scale = max(abs(theta[0]), abs(theta[-1]))
+        # the largest modulus is at an end; a tie takes the lower end
+        i = {"LA": -1, "SA": 0, "LM": 0 if abs(theta[0]) >= abs(theta[-1]) else -1}[which]
+        if exhausted:
+            return float(theta[i])
+        # outward: up from the top end (i = -1), down from the bottom one
+        sigma = theta[i] + (4 if i else -4) * _EPS * scale
+        x = np.linalg.solve(T - sigma * np.eye(len(T)), np.eye(len(T))[0])
+        floor = _EPS ** (2 / 3) * scale
+        if beta[-1] * abs(x[-1]) <= _LANCZOS_TOL * max(abs(theta[i]), floor) * _norm(x):
+            return float(theta[i])
+
+
+# _top_singular forms the Gram matrix while the smaller side of S is at most
+# this, and runs Lanczos on its matvecs above it.  Per Bozejko block, Gram ->
+# Lanczos (2 cores, OpenBLAS 0.3.31, best of 5), complex / real blocks:
+# - side 85 and 91, (N, q, L) = (2, 0.1 and -0.3, 7) and (3, 0.1, 5):
+#   1.0-1.6 -> 1.4-2.8 ms / 0.45-0.67 -> 0.7-1.9 ms;
+# - side 130, (5, 0.1, 3): 3.5 -> 2.1 ms / 1.1 -> 1.8 ms;
+# - side 170, (2, 0.1 and -0.3, 7) and (2, 0.1, 8): 3.8-5.7 -> 1.6-3.4 ms /
+#   1.5-2.1 -> 0.8-1.9 ms;
+# - side 273, (3, 0.1, 5) and (4, -0.2, 4): 12.6-18.2 -> 3.1-4.4 ms /
+#   4.1-5.2 -> 1.7-3.0 ms.
+# The Bozejko blocks are complex, so the cut lies below 130.
+_GRAM_MAX_SIDE = 128
+
+
 def _top_singular(S: np.ndarray) -> float:
-    """Largest singular value of S: the square root of the top ``eigvalsh``
-    eigenvalue of the smaller of ``S S^H`` and ``S^H S``."""
-    gram = S @ S.conj().T if S.shape[0] <= S.shape[1] else S.conj().T @ S
-    return math.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0))
+    """Largest singular value of S: the square root of the top eigenvalue of
+    the smaller of ``S S^H`` and ``S^H S``.  With at most
+    ``_GRAM_MAX_SIDE`` rows or columns, that Gram matrix is formed and the
+    top of its ``eigvalsh`` taken; above, :func:`_extreme_eig` finds it from
+    a seeded Gaussian start on the matvecs ``v -> S (S^H v)`` (or ``S^H (S
+    v)``), and the Gram matrix is never formed."""
+    if min(S.shape) <= _GRAM_MAX_SIDE:
+        gram = S @ S.conj().T if S.shape[0] <= S.shape[1] else S.conj().T @ S
+        return math.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0))
+    H, wide = S.conj().T, S.shape[0] <= S.shape[1]
+    start = np.random.default_rng(0).standard_normal(min(S.shape))
+    top = _extreme_eig(lambda v: S @ (H @ v) if wide else H @ (S @ v), start, S.dtype, "LA")
+    return math.sqrt(max(top, 0.0))
 
 
 def _sandwich_norm(
@@ -321,8 +450,10 @@ def op_norm(A: np.ndarray, ctx: FockContext) -> float:
     homogeneous vector do; that matrix is then nonzero only in the two
     blocks of its grade (:func:`_sectors`), one per input parity, and the
     norm is the larger of their values.  An operator that mixes parities, or
-    the zero matrix, is taken whole.  Each value comes from the smaller Gram
-    matrix of the block (:func:`_sandwich_norm`).
+    the zero matrix, is taken whole.  Each value is the
+    :func:`_top_singular` of the sandwiched block (:func:`_sandwich_norm`):
+    from its Gram matrix when a side of the block is at most
+    ``_GRAM_MAX_SIDE``, by Lanczos above.
     """
     _check_shape(A, ctx)
     split = _parity_metric(ctx)
@@ -389,8 +520,9 @@ def _short_blocks(ctx: FockContext) -> tuple[tuple[np.ndarray, ...], ...]:
     Since ``Gh A Gih . Gh B Gih = Gh AB Gih``, the levels fill one from the
     other by :func:`_wick_step` in these coordinates, block by block: the
     head of w in block (x, x^g) is ``Xh_(w_1)[x, x^1] Ah_tail[x^1, x^g]``
-    with the sandwiched field operators ``Xh_i`` of level 1.  No plain word
-    operator is held, and the zero blocks of the other grade are not stored:
+    with the sandwiched field operators ``Xh_i`` of level 1, built from
+    unmemoized field operators.  No plain word or field operator is held,
+    and the zero blocks of the other grade are not stored:
     at (N, L) = (3, 5), dim 364, the store is 18.5 MB where the plain
     levels 0..3 take 42.4 MB.
     """
@@ -401,12 +533,14 @@ def _short_blocks(ctx: FockContext) -> tuple[tuple[np.ndarray, ...], ...]:
         size = [rows.size for rows, _, _ in split]
         S = [tuple(np.eye(s)[None] for s in size)]
         if ctx.L:
-            fields = [gaussian(i, ctx) for i in range(1, N + 1)]
-            level = []
-            for x, (rows, Gh, _) in enumerate(split):
-                cols, _, Gih = split[x ^ 1]
-                level.append(np.stack([Gh @ X[np.ix_(rows, cols)] @ Gih for X in fields]))
-            S.append(tuple(level))
+            level = tuple(np.empty((N, size[x], size[x ^ 1])) for x in range(k))
+            for i in range(1, N + 1):
+                # the field operator unmemoized: nothing reads it once sandwiched
+                X = _creation_matrix(i, ctx) + _annihilation_matrix(i, ctx)
+                for x, (rows, Gh, _) in enumerate(split):
+                    cols, _, Gih = split[x ^ 1]
+                    level[x][i - 1] = Gh @ X[np.ix_(rows, cols)] @ Gih
+            S.append(level)
         for n in range(2, min(ctx.L, _WICK_CACHE_MAX_LEN) + 1):
             g = n % 2
             level = tuple(np.empty((N**n, size[x], size[x ^ g])) for x in range(k))
@@ -467,16 +601,20 @@ class BozejkoReport:
 def bozejko_check(xi: GradedVector, ctx: FockContext | None = None) -> BozejkoReport:
     """Check the level-n norm inequality for the word operator of xi.
 
-    ``lhs`` is the operator norm of ``sum_w xi_w psi_w`` at this truncation
-    (a compression, hence a lower bound of the untruncated norm, so a bound
-    violation would be a genuine failure); ``bound`` is
+    ``lhs`` is the operator norm of ``sum_w xi_w psi_w`` in the truncated
+    model: a polynomial in the compressed fields, not a compression, so a
+    lower bound of the untruncated norm for N = 1 only (see the module
+    docstring), and a bound violation flags the model at this truncation;
+    ``bound`` is
     ``c_q(|q|)^(3/2) * (n+1) * ||xi||`` with the deformed two-norm, +inf
     where the constant overflows.  The operator has the parity of n, so it
     is nonzero only in two level-parity blocks; these come in
     metric-orthonormal coordinates from the real and imaginary parts of xi
     (:func:`_psi_blocks`, from the memoized short words of
     :func:`_short_blocks`), no word operator is built on its own, and
-    ``lhs`` is the larger top singular value of the two blocks.
+    ``lhs`` is the larger top singular value of the two blocks
+    (:func:`_top_singular`: by Lanczos for a block with both sides above
+    ``_GRAM_MAX_SIDE``, e.g. the 273-square ones at (N, L) = (3, 5)).
     """
     if ctx is None:
         ctx = xi.ctx

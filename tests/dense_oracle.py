@@ -18,6 +18,10 @@ word operators, and prefix/suffix vacuum images.
 
 The letter relabelling of the graded basis serves the symmetry tests.
 
+``eigh_extreme_eig`` is the Lanczos convergence test with a full ``eigh`` of
+the tridiagonal matrix at every test: the reference for the one solve from
+which the library takes the last component of its Ritz vector.
+
 Last come the group-algebra and norm identities that the library does not
 use but the tests check: the inversion count, the product formula for the
 inverse of the cycle sum M_n and its two readings, the Hilbert-Schmidt norm
@@ -40,7 +44,16 @@ from qfock.derivations import (
     poly_vector,
 )
 from qfock.fock import GradedVector, make_context, metric, q_inner
-from qfock.operators import gaussian, left_wick_stack, right_gaussian, right_wick_stack
+from qfock.operators import (
+    _EPS,
+    _LANCZOS_TOL,
+    _lanczos,
+    _tridiagonal,
+    gaussian,
+    left_wick_stack,
+    right_gaussian,
+    right_wick_stack,
+)
 from qfock.symgroup import Permutation, cycle_perm, mn_matrix, perm_action
 
 
@@ -114,6 +127,20 @@ def dense_top(S: np.ndarray, hermitian: bool = False) -> float:
     )
     top = eigsh(normal, k=1, which="LA", v0=v0, return_eigenvectors=False)[0]
     return math.sqrt(top)
+
+
+def eigh_extreme_eig(matvec, v: np.ndarray, dtype, which: str) -> float:
+    """``_extreme_eig`` with the last component of the wanted Ritz vector
+    read from a full ``eigh`` of the tridiagonal matrix at every test.  The
+    Ritz values come from ``eigvalsh``, as in the library, so the two differ
+    in that component alone."""
+    for alpha, beta, _, exhausted in _lanczos(matvec, v, dtype):
+        T = _tridiagonal(alpha, beta)
+        theta, S = np.linalg.eigvalsh(T), np.linalg.eigh(T)[1]
+        i = {"LA": -1, "SA": 0, "LM": 0 if abs(theta[0]) >= abs(theta[-1]) else -1}[which]
+        floor = _EPS ** (2 / 3) * max(abs(theta[0]), abs(theta[-1]))
+        if exhausted or beta[-1] * abs(S[-1, i]) <= _LANCZOS_TOL * max(abs(theta[i]), floor):
+            return float(theta[i])
 
 
 def letter_relabelling(sigma: tuple[int, ...], ctx) -> np.ndarray:

@@ -425,16 +425,28 @@ def test_unexpected_exception_exits_3_in_one_line(capsys, monkeypatch):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-def test_eigensolver_failure_exits_3(capsys, monkeypatch):
-    # a Lanczos run that neither converges nor exhausts its Krylov space is
-    # an internal failure, not bad input
-    import qfock.deformation as df
+def _exits_3_on_eigensolver_failure(argv, capsys, monkeypatch):
+    import qfock.operators as operators
 
-    monkeypatch.setattr(df, "_LANCZOS_MAX_STEPS", 3)
-    code, out, err = run(["xi", "--level", "4", "--trunc-q", "2"], capsys)
+    monkeypatch.setattr(operators, "_LANCZOS_MAX_STEPS", 3)
+    code, out, err = run(argv, capsys)
     assert code == 3 and out == ""
     assert err.startswith("internal error: EigensolverError: ") and err.count("\n") == 1
     assert "did not converge in 3 steps" in err
+
+
+def test_eigensolver_failure_exits_3(capsys, monkeypatch):
+    # a Lanczos run that neither converges nor exhausts its Krylov space is
+    # an internal failure, not bad input
+    _exits_3_on_eigensolver_failure(["xi", "--level", "4", "--trunc-q", "2"], capsys, monkeypatch)
+
+
+def test_eigensolver_failure_in_a_top_singular_value_exits_3(capsys, monkeypatch):
+    # the 273-square Gram blocks at (3, 0.1, 5) take their top singular
+    # values from Lanczos: a failure there is internal too, never a failed
+    # check (exit 1)
+    argv = ["verify", "--suite", "bozejko", "--n", "3", "--q", "0.1", "--level", "5"]
+    _exits_3_on_eigensolver_failure(argv, capsys, monkeypatch)
 
 
 def test_verify_runs_without_scipy():

@@ -28,6 +28,7 @@ from dense_oracle import (
     dense_sym_stacks,
     dense_top,
     dense_xi_sqrt_right,
+    eigh_extreme_eig,
     hs_norm,
     letter_relabelling,
     lr_action,
@@ -693,6 +694,43 @@ def test_extreme_eig_negative_q_near_equal_ends(which):
     if which == "LM":
         norm = doubled_op_norm(Cs, ctx, hermitian=True)
         assert norm == pytest.approx(w[-1], rel=1e-12, abs=0)
+
+
+def _extreme_eig_operators():
+    """``(matvec, start)`` of the operators of the ``test_extreme_eig_*``
+    tests above."""
+    from qfock.deformation import _start, _sym_action
+
+    out = []
+    rng = np.random.default_rng(11)
+    for N, q, L in [(2, 0.3, 1), (3, 0.2, 1), (4, -0.2, 1), (2, 0.3, 2), (2, -0.4, 2), (10, 0.05, 1)]:
+        ctx = make_context(N, q, L)
+        whole = _whole(ctx)
+        for C in (xi_as_hs(ctx), rng.standard_normal((ctx.dim, ctx.dim))):
+            Cs, _ = _sym_part(ctx, C)
+            out.append((_sym_action(ctx, Cs, whole, whole), _start(ctx, whole)))
+    ctx = make_context(2, 0.0, 4)
+    d, whole, P = ctx.dim, _whole(ctx), xi_multiplier(ctx)
+    out.append((lambda v: (P @ v.reshape(d, d) @ P).reshape(-1), _start(ctx, whole)))
+    out.append((_sym_action(ctx, xi_as_hs(ctx), whole, whole), _start(ctx, whole)))
+    ctx = make_context(2, -0.002, 4)
+    Cs, _ = _sym_part(ctx, xi_as_hs(ctx) - unit_hs(ctx))
+    out.append((_sym_action(ctx, Cs, _whole(ctx), _whole(ctx)), _start(ctx, _whole(ctx))))
+    return out
+
+
+@pytest.mark.parametrize("which", ["LA", "SA", "LM"])
+def test_extreme_eig_stops_where_a_full_eigh_test_stops(which):
+    # the last Ritz vector component from one solve against eigh's: the same
+    # Lanczos step ends each run, with the same value
+    from qfock.deformation import _extreme_eig
+
+    for matvec, v in _extreme_eig_operators():
+        fast, fast_calls = _counted(matvec)
+        ref, ref_calls = _counted(matvec)
+        got = _extreme_eig(fast, v, float, which)
+        assert got == pytest.approx(eigh_extreme_eig(ref, v, float, which), rel=1e-15, abs=0)
+        assert len(fast_calls) == len(ref_calls)
 
 
 def test_xi_spectral_range_where_its_lower_end_crosses_zero():

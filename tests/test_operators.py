@@ -23,9 +23,11 @@ from qfock.errors import AlphabetError, HomogeneityError, LevelRangeError, QRang
 from qfock.fock import metric, norm_q
 from qfock.deformation import xi_multiplier
 from qfock.operators import (
+    _GRAM_MAX_SIDE,
     _parity_metric,
     _psi_blocks,
     _short_blocks,
+    _top_singular,
     left_wick_stack,
     right_annihilation_mirror,
     right_gaussian,
@@ -496,6 +498,69 @@ def test_op_norm_parity_blocks_match_full_svd(N, q, L, sandwich_shapes):
         assert len(sandwich_shapes) == 2 and (ctx.dim, ctx.dim) not in sandwich_shapes
 
 
+@pytest.fixture
+def lanczos_sides(monkeypatch):
+    """The sides of the Gram matrices whose top eigenvalue Lanczos finds."""
+    import qfock.operators as operators
+
+    sides = []
+    inner = operators._extreme_eig
+
+    def spy(matvec, v, dtype, which):
+        sides.append(v.size)
+        return inner(matvec, v, dtype, which)
+
+    monkeypatch.setattr(operators, "_extreme_eig", spy)
+    return sides
+
+
+def _top_singular_cases(side: int, rng) -> list[np.ndarray]:
+    """Real, complex, tall, wide and rank-deficient matrices whose smaller
+    side is ``side``, two with an exactly repeated top singular value
+    (a block twice on the diagonal), and the zero matrix."""
+    h = side // 2
+    # the block B twice on the diagonal, with a zero row for an odd side
+    twice = np.pad(np.kron(np.eye(2), rng.standard_normal((h, h + 3))), ((0, side - 2 * h), (0, 0)))
+    return [
+        rng.standard_normal((side, side)),
+        rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side)),
+        rng.standard_normal((side + 40, side)),
+        rng.standard_normal((side, side + 40)) + 1j * rng.standard_normal((side, side + 40)),
+        rng.standard_normal((side + 11, 4)) @ rng.standard_normal((4, side)),
+        twice,
+        (twice * (1 - 0.5j)).T,
+        np.zeros((side, side)),
+    ]
+
+
+@pytest.mark.parametrize("side", [_GRAM_MAX_SIDE - 1, _GRAM_MAX_SIDE, _GRAM_MAX_SIDE + 1, 2 * _GRAM_MAX_SIDE])
+def test_top_singular_matches_svd_on_both_sides_of_the_gram_size(side, lanczos_sides):
+    rng = np.random.default_rng(side)
+    for S in _top_singular_cases(side, rng):
+        assert min(S.shape) == side
+        lanczos_sides.clear()
+        want = float(np.linalg.svd(S, compute_uv=False)[0])
+        got = _top_singular(S)
+        assert got == pytest.approx(want, rel=1e-13, abs=0)
+        # the Gram matrix up to the size constant, Lanczos on its side above
+        assert lanczos_sides == ([side] if side > _GRAM_MAX_SIDE else [])
+    assert _top_singular(np.zeros((side, side + 1), dtype=complex)) == 0.0
+
+
+@pytest.mark.parametrize("N, q, L", [(3, 0.1, 5), (4, -0.2, 4)])
+def test_op_norm_above_the_gram_size_matches_full_svd(N, q, L, lanczos_sides):
+    # operators of even grade keep the 273-dim even (N = 4) or odd (N = 3)
+    # class, whose block goes to Lanczos
+    ctx = make_context(N, q, L)
+    rng = np.random.default_rng(9)
+    x1, x2 = gaussian(1, ctx), gaussian(2, ctx)
+    c = rng.standard_normal(N**2) + 1j * rng.standard_normal(N**2)
+    for A in (x1 @ x2, wick_matrix((1, 2), ctx), wick_matrix((2, 2), ctx), _psi(ctx, 2, c)):
+        lanczos_sides.clear()
+        assert op_norm(A, ctx) == pytest.approx(_dense_op_norm(A, ctx), rel=1e-13, abs=0)
+        assert lanczos_sides == [273]
+
+
 def test_op_norm_mixed_parity_takes_whole_matrix(sandwich_shapes):
     ctx = make_context(2, 0.3, 4)
     A = np.eye(ctx.dim) + creation(1, ctx)
@@ -570,11 +635,16 @@ def test_bozejko_random_sweep_small():
 
 @pytest.mark.parametrize(
     "N, q, L",
-    [(1, 0.3, 5), (2, -0.3, 5), (3, 0.1, 5), (2, 0.4, 6), (2, 0.9, 5), (2, 0.1, 2), (2, 0.3, 0)],
+    [
+        (1, 0.3, 5), (2, -0.3, 5), (3, 0.1, 5), (2, 0.4, 6), (2, 0.9, 5), (2, 0.1, 2), (2, 0.3, 0),
+        (3, -0.3, 5), (3, 0.0, 5), (4, -0.7, 4),
+    ],
 )
 def test_bozejko_lhs_matches_dense_svd(N, q, L):
     # every level: the short store (n <= 3), the recursion above it, L < 3
-    # and the empty odd class at L = 0
+    # and the empty odd class at L = 0; at (3, q, 5) and (4, q, 4) the
+    # 273-square blocks of the words of even length take the Lanczos path of
+    # _top_singular
     ctx = make_context(N, q, L)
     rng = np.random.default_rng(7)
     for n in range(L + 1):
@@ -628,9 +698,23 @@ def test_bozejko_store_holds_no_plain_stack():
         xi.level(n)[:] = rng.standard_normal(3**n) + 1j * rng.standard_normal(3**n)
         bozejko_check(xi, ctx)
     assert not [key for key in ctx._memo if isinstance(key, tuple) and key[0] == "stack"]
+    # nor the plain field operators its level 1 is sandwiched from
+    assert not [k for k in ctx._memo if isinstance(k, tuple) and k[0] in ("crea", "anni", "gauss")]
     # the plain levels 0..3 would be 1 + 3 + 9 + 27 matrices of dim^2 floats
     stored = sum(B.nbytes for level in _short_blocks(ctx) for B in level)
     assert stored <= (1 + 3 + 9 + 27) * ctx.dim**2 * 8 / 2
+
+
+@pytest.mark.parametrize("N, q, L", [(1, 0.3, 3), (2, -0.3, 4), (3, 0.1, 5)])
+def test_store_level_1_is_the_sandwiched_field_operators(N, q, L):
+    # bit for bit the blocks of Gh X_i Gih cut from the memoized field operators
+    ctx = make_context(N, q, L)
+    level = _short_blocks(ctx)[1]
+    split = _parity_metric(ctx)
+    for x, (rows, Gh, _) in enumerate(split):
+        cols, _, Gih = split[x ^ 1]
+        want = [Gh @ gaussian(i, ctx)[np.ix_(rows, cols)] @ Gih for i in range(1, N + 1)]
+        assert np.array_equal(level[x], np.stack(want))
 
 
 def _right_word_matrix(w, ctx):
