@@ -39,16 +39,17 @@ from .errors import (
 from .fock import FockContext, _rev_perm, gram, metric
 from .operators import (
     _check_shape,
+    _check_stack_dim,
     _extreme_eig,
     _grades,
     _lanczos,
     _parity_metric,
     _power,
+    _sandwiched_levels,
     _sectors,
+    _stack,
     _tridiagonal,
     c_q,
-    left_wick_stack,
-    right_wick_stack,
 )
 
 __all__ = [
@@ -157,7 +158,10 @@ def lr_apply(C: np.ndarray, V: np.ndarray, ctx: FockContext) -> np.ndarray:
     ``sum_{u,v} C[u,v] . A_u @ V @ B_v^T`` over the left (A) and right (B)
     word-operator stacks, contracted only over the word operators in the
     nonzero row range of C (for A) and column range (for B); a full-support
-    C takes exactly the untrimmed stacks.  One application is
+    C takes exactly the untrimmed stacks.  Each stack is read through
+    :func:`~qfock.operators._stack` cut to the range it serves: a C whose
+    rows (columns) lie on the words of length at most 3 builds only those
+    levels of A (B).  One application is
     ``W_u = sum_v C[u,v] B_v``, one batched matmul ``V @ W_u^T`` and one
     (d, d*m) x (d*m, d) GEMM against ``A_cat[i, u*d + k] = A_u[i, k]``, m the
     number of rows taking part.  Complex C and V enter by parts
@@ -165,7 +169,7 @@ def lr_apply(C: np.ndarray, V: np.ndarray, ctx: FockContext) -> np.ndarray:
     """
     _check_shape(C, ctx)
     d = ctx.dim
-    A, B = left_wick_stack(ctx), right_wick_stack(ctx)
+    A, B = _stack(ctx, "L", _support(C)[1]), _stack(ctx, "R", _support(C.T)[1])
 
     def action(C: np.ndarray) -> np.ndarray:
         lo, hi = _support(C)
@@ -211,31 +215,39 @@ def _basis_split(ctx: FockContext) -> tuple[tuple[np.ndarray, ...], ...]:
 
 
 def _sym_blocks(ctx: FockContext) -> list[np.ndarray]:
-    """Left word-operator stack conjugated into metric-orthonormal
-    coordinates, ``Ah_u = S A_u S^-1`` with ``S = G**(1/2)``, kept as its
-    blocks between the basis classes of :func:`_basis_split`: entry
-    ``x * k + y`` (k classes) is ``Ah_u[x, y] = Gh_x A_u[x, y] Gih_y`` over
-    the words u of class ``x ^ y``, indexed ``(u, i, k)``.  With one class
-    that is the whole stack; with the parity classes, the only nonzero half
-    of it (8.5 MB instead of 16.4 MB at dim 127).  The doubled metric
-    becomes the standard one, so operator norms are plain singular values,
-    and sandwiching once per context avoids any dim**2 square matrix
-    products.  Right multiplication by a word is the word reversal P times
-    left multiplication by the reversed word times P, and P commutes with
-    every Gram block, so the sandwiched right operators are
-    ``P Ah_(rev v) P`` and need no stack of their own.  Each block is stored
-    in the contraction layout ``A2[i, k*m + u]`` of :func:`_sym_action` and
-    returned as a view of it.
+    """Left word operators in metric-orthonormal coordinates, ``Ah_u = S A_u
+    S^-1`` with ``S = G**(1/2)``, kept as their blocks between the basis
+    classes of :func:`_basis_split`: entry ``x * k + y`` (k classes) is
+    ``Ah_u[x, y] = Gh_x A_u[x, y] Gih_y`` over the words u of class ``x ^
+    y``, indexed ``(u, i, k)``.  With one class that is the whole sandwiched
+    stack; with the parity classes, the only nonzero half of it (8.5 MB
+    instead of 16.4 MB at dim 127).  The doubled metric becomes the standard
+    one, so operator norms are plain singular values.  Right multiplication
+    by a word is the word reversal P times left multiplication by the
+    reversed word times P, and P commutes with every Gram block, so the
+    sandwiched right operators are ``P Ah_(rev v) P`` and need no store of
+    their own.
+
+    Built by the recursion of :func:`~qfock.operators._sandwiched_levels` in
+    these coordinates, level by level straight into the contraction layout
+    ``A2[i, k*m + u]`` of :func:`_sym_action`, each block stored in it and
+    returned as a view: no plain stack is made, and besides the store only
+    the levels the recursion holds are alive.  Guarded by
+    :func:`~qfock.operators._check_stack_dim`, as the plain stacks are.
     """
+    _check_stack_dim(ctx)
 
     def build():
-        A, split = left_wick_stack(ctx), _basis_split(ctx)
-        out = []
-        for x, (rows, Gh, _) in enumerate(split):
-            for y, (cols, _, Gih) in enumerate(split):
-                S = A[np.ix_(split[x ^ y][0], rows, cols)]
-                Ah = np.matmul(np.matmul(Gh[None, :, :], S), Gih[None, :, :])
-                out.append(np.ascontiguousarray(Ah.transpose(1, 2, 0)))
+        split = _basis_split(ctx)
+        k, n = len(split), [idx.size for idx, _, _ in split]
+        out = [np.empty((n[x], n[y], n[x ^ y])) for x in range(k) for y in range(k)]
+        # where the next level starts among the words of each class
+        start = [0] * k
+        for level, blocks in enumerate(_sandwiched_levels(ctx, split, ctx.L)):
+            g, m = level % k, ctx.N**level
+            for x, B in enumerate(blocks):
+                out[x * k + (x ^ g)][:, :, start[g] : start[g] + m] = B.transpose(1, 2, 0)
+            start[g] += m
         return tuple(out)
 
     return [b.transpose(2, 0, 1) for b in ctx.memo("sym_blocks", build)]

@@ -38,6 +38,7 @@ from .deformation import (
     xi_as_hs,
     _by_parts,
     _star,
+    _support,
     _xi_sqrt_right,
     _xi_spectral_range,
 )
@@ -50,9 +51,9 @@ from .errors import (
 from .fock import FockContext, GradedVector, _rev_perm, make_context, metric, norm_q, q_inner
 from .operators import (
     _check_shape,
+    _stack,
     creation,
     gaussian,
-    left_wick_stack,
     right_annihilation,
     right_creation,
     _sandwich_norm,
@@ -389,15 +390,20 @@ def dq_star(C: np.ndarray, j: int, ctx: FockContext) -> GradedVector:
 
     Linear extension of
     ``(a (x) b) -> a X_j b - (right-delete_j a) b - a (left-delete_j b)``;
-    the first and third terms combine into ``a (prepend_j b)``.
+    the first and third terms combine into ``a (prepend_j b)``.  The left
+    stack is read through :func:`~qfock.operators._stack` up to the last
+    word with a nonzero row: an element of short left legs builds only the
+    words of length at most 3.
     """
     _check_shape(C, ctx)
     if not (1 <= j <= ctx.N):
         raise AlphabetError(f"letter {j} outside 1..{ctx.N}")
     rows = C @ creation(j, ctx).T - right_annihilation(j, ctx) @ C
-    A = left_wick_stack(ctx)
-    # sum_u A_u @ rows[u], read from the stack in place; complex rows by parts
-    out = _by_parts(lambda R: np.matmul(A, R[:, :, None])[..., 0].sum(0), rows)
+    hi = _support(rows)[1]
+    A = _stack(ctx, "L", hi)
+    # sum_u A_u @ rows[u] over the words up to the last nonzero row, read
+    # from the stack in place; complex rows by parts
+    out = _by_parts(lambda R: np.matmul(A[:hi], R[:hi, :, None])[..., 0].sum(0), rows)
     return GradedVector(ctx, out)
 
 

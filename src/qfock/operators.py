@@ -188,44 +188,11 @@ def wick_matrix(w: tuple[int, ...], ctx: FockContext) -> np.ndarray:
     return ctx.memo(("L", w), build) if len(w) <= _WICK_CACHE_MAX_LEN else build()
 
 
-def _stack(ctx: FockContext, side: str) -> np.ndarray:
-    """``(dim, dim, dim)`` stack of all word operators in graded basis order,
-    for left (``side`` "L") or right ("R") multiplication; memoized per
-    context.
-
-    Filled level by level from its own lower entries by :func:`_wick_step`,
-    in place: the head of a word is ``X_(w_1) S[tail]`` on the left, the
-    bit-identical arithmetic of :func:`wick_matrix`, and ``S[tail] Y_(w_1)``
-    with the right field operator Y on the right, where products compose in
-    reverse.
-    """
-
-    def build():
-        d = ctx.dim
-        field = gaussian if side == "L" else right_gaussian
-        S = np.empty((d, d, d))
-        S[0] = np.eye(d)
-        if ctx.L:
-            # level 1: the field operators, exactly their products with the unit
-            S[1 : ctx.N + 1] = [field(i, ctx) for i in range(1, ctx.N + 1)]
-        for n in range(2, ctx.L + 1):
-            for idx in range(ctx.N**n):
-                w = ctx.index_word(n, idx)
-                X = field(w[0], ctx)
-                # the tail w_2.. has index idx // N one level down
-                tail = S[ctx.level_offset(n - 1) + idx // ctx.N]
-                head = S[ctx.level_offset(n) + idx]
-                if side == "L":
-                    np.matmul(X, tail, out=head)
-                else:
-                    np.matmul(tail, X, out=head)
-                _wick_step(w, head, lambda h: S[ctx.global_index(h)], ctx.q)
-        return S
-
-    return ctx.memo(("stack", side), build)
-
-
-def _wick_stack(ctx: FockContext, side: str) -> np.ndarray:
+def _check_stack_dim(ctx: FockContext) -> None:
+    """Raise :class:`CapacityError` above ``DEFAULT_STACK_DIM_CAP``: the one
+    guard of the word-operator stores that grow as dim**3, the plain stacks
+    of :func:`_stack` and the sandwiched store of
+    :func:`~qfock.deformation._sym_blocks`."""
     d = ctx.dim
     if d > DEFAULT_STACK_DIM_CAP:
         raise CapacityError(
@@ -233,18 +200,78 @@ def _wick_stack(ctx: FockContext, side: str) -> np.ndarray:
             f"{DEFAULT_STACK_DIM_CAP}); {DEFAULT_STACK_DIM_CAP} is a fixed limit "
             f"on the dim^3 stack, which neither QFOCK_SIZE_CAP nor --cap-override raises"
         )
-    return _stack(ctx, side)
+
+
+def _fill_stack(ctx: FockContext, side: str, top: int) -> np.ndarray:
+    """``(words, dim, dim)`` stack of the word operators of levels 0..top in
+    graded basis order, for left (``side`` "L") or right ("R")
+    multiplication.
+
+    Filled level by level from its own lower entries by :func:`_wick_step`,
+    in place: the head of a word is ``X_(w_1) S[tail]`` on the left, the
+    bit-identical arithmetic of :func:`wick_matrix`, and ``S[tail] Y_(w_1)``
+    with the right field operator Y on the right, where products compose in
+    reverse.  The words of a level do not depend on ``top``, so a shorter
+    stack is the longer one's first words bit for bit.
+    """
+    d = ctx.dim
+    field = gaussian if side == "L" else right_gaussian
+    S = np.empty((ctx.level_offset(top + 1), d, d))
+    S[0] = np.eye(d)
+    if top:
+        # level 1: the field operators, exactly their products with the unit
+        S[1 : ctx.N + 1] = [field(i, ctx) for i in range(1, ctx.N + 1)]
+    for n in range(2, top + 1):
+        for idx in range(ctx.N**n):
+            w = ctx.index_word(n, idx)
+            X = field(w[0], ctx)
+            # the tail w_2.. has index idx // N one level down
+            tail = S[ctx.level_offset(n - 1) + idx // ctx.N]
+            head = S[ctx.level_offset(n) + idx]
+            if side == "L":
+                np.matmul(X, tail, out=head)
+            else:
+                np.matmul(tail, X, out=head)
+            _wick_step(w, head, lambda h: S[ctx.global_index(h)], ctx.q)
+    return S
 
 
 def left_wick_stack(ctx: FockContext) -> np.ndarray:
-    """(dim, dim, dim) array of all word-operator matrices, graded basis order."""
-    return _wick_stack(ctx, "L")
+    """(dim, dim, dim) array of all word-operator matrices, graded basis
+    order; memoized per context (:func:`_fill_stack`)."""
+    _check_stack_dim(ctx)
+    return ctx.memo(("stack", "L"), lambda: _fill_stack(ctx, "L", ctx.L))
 
 
 def right_wick_stack(ctx: FockContext) -> np.ndarray:
     """(dim, dim, dim) array of the right multiplications by all word
-    operators, graded basis order."""
-    return _wick_stack(ctx, "R")
+    operators, graded basis order; memoized per context."""
+    _check_stack_dim(ctx)
+    return ctx.memo(("stack", "R"), lambda: _fill_stack(ctx, "R", ctx.L))
+
+
+def _stack(ctx: FockContext, side: str, words: int) -> np.ndarray:
+    """The plain stack of left (``side`` "L") or right ("R") word operators
+    that a caller reading the first ``words`` of them needs, in graded basis
+    order.
+
+    Where those words all lie on the levels up to ``_WICK_CACHE_MAX_LEN``,
+    that is the stack of these levels only, memoized under ``("stack", side,
+    _WICK_CACHE_MAX_LEN)``; otherwise it is the full stack of
+    :func:`left_wick_stack` or :func:`right_wick_stack`.  There is no other
+    length.  A full stack already held serves a short request as a view of
+    its first words, the same words bit for bit.  Every plain stack is
+    guarded by :func:`_check_stack_dim`.
+    """
+    top = min(ctx.L, _WICK_CACHE_MAX_LEN)
+    short = ctx.level_offset(top + 1)
+    if top == ctx.L or words > short:
+        return (left_wick_stack if side == "L" else right_wick_stack)(ctx)
+    _check_stack_dim(ctx)
+    full = ctx._memo.get(("stack", side))
+    if full is not None:
+        return full[:short]
+    return ctx.memo(("stack", side, top), lambda: _fill_stack(ctx, side, top))
 
 
 # ---- state, norms, inequality harness ---------------------------------------
@@ -509,51 +536,66 @@ def _hatted(C: np.ndarray, n: int, ctx: FockContext) -> np.ndarray:
     return eta
 
 
+def _sandwiched_levels(ctx: FockContext, split, top: int):
+    """Yield the left word operators of levels 0..top in metric-orthonormal
+    coordinates, ``Ah_w = Gh psi_w Gih``, one level at a time, as their
+    nonzero blocks between the k classes of ``split`` (a grading of
+    :func:`_parity_metric`): level n is, for each class x, the ``(N^n, n_x,
+    n_(x^g))`` array of the blocks ``Ah_w[x, x^g]`` (g = n % k) of the
+    level-n words w in index order.
+
+    Since ``Gh A Gih . Gh B Gih = Gh AB Gih``, each level fills from the two
+    below it by :func:`_wick_step` in these coordinates, block by block: the
+    head of w in block (x, x^g) is ``Xh_(w_1)[x, x^f] Ah_tail[x^f, x^g]``
+    (f = 1 % k) with the sandwiched field operators ``Xh_i`` of level 1,
+    built from unmemoized field operators.  No plain word or field operator
+    is held, and besides level 1 only the two levels below the one being
+    filled are kept.
+    """
+    N, k = ctx.N, len(split)
+    size = [rows.size for rows, _, _ in split]
+    f = 1 % k
+    lower = tuple(np.eye(s)[None] for s in size)
+    yield lower
+    if not top:
+        return
+    field = tuple(np.empty((N, size[x], size[x ^ f])) for x in range(k))
+    for i in range(1, N + 1):
+        # the field operator unmemoized: nothing reads it once sandwiched
+        X = _creation_matrix(i, ctx) + _annihilation_matrix(i, ctx)
+        for x, (rows, Gh, _) in enumerate(split):
+            cols, _, Gih = split[x ^ f]
+            field[x][i - 1] = Gh @ X[np.ix_(rows, cols)] @ Gih
+    yield field
+    tails = field
+    for n in range(2, top + 1):
+        g = n % k
+        level = tuple(np.empty((N**n, size[x], size[x ^ g])) for x in range(k))
+        for idx in range(N**n):
+            w = ctx.index_word(n, idx)
+            for x in range(k):
+                # the tail w_2.. has index idx // N one level down
+                np.matmul(field[x][w[0] - 1], tails[x ^ f][idx // N], out=level[x][idx])
+                _wick_step(w, level[x][idx], lambda h: lower[x][ctx.word_index(h)], ctx.q)
+        yield level
+        lower, tails = tails, level
+
+
 def _short_blocks(ctx: FockContext) -> tuple[tuple[np.ndarray, ...], ...]:
     """The left word operators of levels 0..min(L, ``_WICK_CACHE_MAX_LEN``)
     in metric-orthonormal coordinates, ``Ah_w = Gh psi_w Gih``, kept as their
     nonzero level-parity blocks; memoized per context.  Entry n holds, for
     each class x of :func:`_parity_metric`, the ``(N^n, n_x, n_(x^g))``
     array of the blocks ``Ah_w[x, x^g]`` (g = n % 2) of the level-n words w
-    in index order.
+    in index order: every level that :func:`_sandwiched_levels` yields for
+    the parity grading.
 
-    Since ``Gh A Gih . Gh B Gih = Gh AB Gih``, the levels fill one from the
-    other by :func:`_wick_step` in these coordinates, block by block: the
-    head of w in block (x, x^g) is ``Xh_(w_1)[x, x^1] Ah_tail[x^1, x^g]``
-    with the sandwiched field operators ``Xh_i`` of level 1, built from
-    unmemoized field operators.  No plain word or field operator is held,
-    and the zero blocks of the other grade are not stored:
-    at (N, L) = (3, 5), dim 364, the store is 18.5 MB where the plain
-    levels 0..3 take 42.4 MB.
+    No plain word or field operator is held, and the zero blocks of the
+    other grade are not stored: at (N, L) = (3, 5), dim 364, the store is
+    18.5 MB where the plain levels 0..3 take 42.4 MB.
     """
-
-    def build():
-        split = _parity_metric(ctx)
-        N, k = ctx.N, len(split)
-        size = [rows.size for rows, _, _ in split]
-        S = [tuple(np.eye(s)[None] for s in size)]
-        if ctx.L:
-            level = tuple(np.empty((N, size[x], size[x ^ 1])) for x in range(k))
-            for i in range(1, N + 1):
-                # the field operator unmemoized: nothing reads it once sandwiched
-                X = _creation_matrix(i, ctx) + _annihilation_matrix(i, ctx)
-                for x, (rows, Gh, _) in enumerate(split):
-                    cols, _, Gih = split[x ^ 1]
-                    level[x][i - 1] = Gh @ X[np.ix_(rows, cols)] @ Gih
-            S.append(level)
-        for n in range(2, min(ctx.L, _WICK_CACHE_MAX_LEN) + 1):
-            g = n % 2
-            level = tuple(np.empty((N**n, size[x], size[x ^ g])) for x in range(k))
-            for idx in range(N**n):
-                w = ctx.index_word(n, idx)
-                for x in range(k):
-                    # the tail w_2.. has index idx // N one level down
-                    np.matmul(S[1][x][w[0] - 1], S[n - 1][x ^ 1][idx // N], out=level[x][idx])
-                    _wick_step(w, level[x][idx], lambda h: S[n - 2][x][ctx.word_index(h)], ctx.q)
-            S.append(level)
-        return tuple(S)
-
-    return ctx.memo("short_blocks", build)
+    top = min(ctx.L, _WICK_CACHE_MAX_LEN)
+    return ctx.memo("short_blocks", lambda: tuple(_sandwiched_levels(ctx, _parity_metric(ctx), top)))
 
 
 def _psi_blocks(C: np.ndarray, n: int, ctx: FockContext) -> tuple[np.ndarray, ...]:

@@ -20,7 +20,7 @@ from qfock.deformation import (
 )
 from qfock.errors import NonConvergenceWarning, SquareRootUnavailableError
 from qfock.fock import metric, q_inner
-from qfock.operators import c_q, gaussian
+from qfock.operators import c_q, gaussian, left_wick_stack, right_wick_stack
 
 from dense_oracle import (
     dense_action,
@@ -810,9 +810,14 @@ def test_sym_blocks_are_the_nonzero_blocks_of_the_dense_stack(N, q, L):
     for block, cut in _block_cuts(ctx):
         assert block.shape == Ah[cut].shape
         scale = np.linalg.norm(Ah[cut], axis=(1, 2))
-        assert (np.linalg.norm(block - Ah[cut], axis=(1, 2)) <= 1e-12 * scale).all()
+        assert (np.linalg.norm(block - Ah[cut], axis=(1, 2)) <= 1e-13 * scale).all()
         outside[cut] = False
     assert not Ah[outside].any()
+    # the recursion keeps the zeros of the level-parity grading exact, also
+    # inside the one block of the trivial grading
+    level = np.repeat(np.arange(L + 1), ctx.level_dims) % 2
+    wrong = (level[:, None, None] ^ level[None, :, None] ^ level[None, None, :]) != 0
+    assert not _assembled_sym_stack(ctx)[wrong].any()
 
 
 def test_sym_stack_right_operators_are_reversed_left_ones():
@@ -837,13 +842,68 @@ def test_sym_stack_right_operators_are_reversed_left_ones():
 
 
 def test_doubled_norms_hold_one_sandwiched_stack():
-    # norms need the left stack and its sandwich only: no right stack is built
+    # norms need the sandwiched left store only: no plain stack is built
     ctx = make_context(2, 0.1, 4)
     doubled_op_norm(xi_as_hs(ctx) - unit_hs(ctx), ctx, hermitian=True)
     doubled_op_norm(xi_as_hs(ctx) * 1j, ctx)
     d = ctx.dim
     held = [a for v in ctx._memo.values() for a in (v if isinstance(v, tuple) else (v,))]
-    assert sum(isinstance(a, np.ndarray) and a.size == d**3 for a in held) == 2
+    assert sum(isinstance(a, np.ndarray) and a.size == d**3 for a in held) == 1
+
+
+def test_tail_norm_builds_no_plain_stack():
+    # the sandwiched store comes from its own recursion, not from a plain stack
+    ctx = make_context(2, 0.1, 6)
+    doubled_op_norm(xi_as_hs(ctx) - xi_as_hs(ctx, 5), ctx, hermitian=True)
+    assert not [key for key in ctx._memo if isinstance(key, tuple) and key[0] == "stack"]
+
+
+def test_sandwiched_store_keeps_the_stack_cap():
+    from qfock.errors import CapacityError
+
+    ctx = make_context(2, 0.1, 7)
+    with pytest.raises(CapacityError, match=r"\(dim 255 > 192\); 192 is a fixed limit"):
+        doubled_op_norm(xi_as_hs(ctx) - xi_as_hs(ctx, 6), ctx, hermitian=True)
+    assert "sym_blocks" not in ctx._memo
+
+
+@pytest.mark.parametrize("side", ["L", "R"])
+def test_short_stack_is_the_full_stacks_first_words(side):
+    from qfock.operators import _stack
+
+    short_ctx, full_ctx = make_context(2, 0.1, 5), make_context(2, 0.1, 5)
+    short = _stack(short_ctx, side, 15)
+    full = (left_wick_stack if side == "L" else right_wick_stack)(full_ctx)
+    assert short.shape == (15, 63, 63) and full.shape == (63, 63, 63)
+    assert np.array_equal(short, full[:15])
+    assert ("stack", side, 3) in short_ctx._memo and ("stack", side) not in short_ctx._memo
+    # a held full stack serves short requests as a view, and builds nothing
+    view = _stack(full_ctx, side, 7)
+    assert view.base is full and view.shape[0] == 15
+    assert ("stack", side, 3) not in full_ctx._memo
+    # a request past the words of length 3 takes the full stack
+    assert _stack(short_ctx, side, 16).shape[0] == 63
+
+
+def test_short_support_actions_are_byte_identical_either_way():
+    # lr_apply and dq_star on elements whose legs stay on the words of length
+    # at most 3 read the short stacks; with the full stacks held, their views
+    from qfock.derivations import dq_star
+
+    rng = np.random.default_rng(5)
+    C = np.zeros((63, 63), dtype=complex)
+    C[:15, :7] = rng.standard_normal((15, 7)) + 1j * rng.standard_normal((15, 7))
+    V = rng.standard_normal((63, 63))
+
+    def outputs(ctx):
+        return [lr_apply(C, V, ctx)] + [dq_star(C.T, j, ctx).data for j in (1, 2)]
+
+    short_ctx, full_ctx = make_context(2, 0.1, 5), make_context(2, 0.1, 5)
+    left_wick_stack(full_ctx), right_wick_stack(full_ctx)
+    short, full = outputs(short_ctx), outputs(full_ctx)
+    assert all(np.array_equal(a, b) for a, b in zip(short, full))
+    stacks = [key for key in short_ctx._memo if isinstance(key, tuple) and key[0] == "stack"]
+    assert sorted(stacks) == [("stack", "L", 3), ("stack", "R", 3)]
 
 
 def test_sector_norms_hold_half_a_sandwiched_stack():
@@ -856,7 +916,7 @@ def test_sector_norms_hold_half_a_sandwiched_stack():
     doubled_op_norm(xi_as_hs(ctx) * 1j, ctx)
     d, even, odd = ctx.dim, 1 + 4 + 16, 2 + 8 + 32
     held = [a for v in ctx._memo.values() for a in (v if isinstance(v, tuple) else (v,))]
-    assert sum(isinstance(a, np.ndarray) and a.size == d**3 for a in held) == 1
+    assert sum(isinstance(a, np.ndarray) and a.size == d**3 for a in held) == 0
     sizes = [b.size for b in _sym_blocks(ctx)]
     assert sizes == [even**3, even * odd * odd, odd * even * odd, odd * odd * even]
     assert sum(sizes) * 8 == 963_144

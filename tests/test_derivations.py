@@ -619,3 +619,16 @@ def test_fdq_of_conjugate_variable_keeps_oracle_zero_pattern():
         for k in (1, 2):
             got = derive(P, k, FDQ, ctx)
             assert np.array_equal(got == 0, leibniz_by_prefix_suffix(ref, k, ctx) == 0), (n, k)
+
+
+def test_derivations_suite_holds_only_the_short_stacks():
+    # every lr_apply and dq_star of the suite reads the words of length <= 3
+    # at L = 6, so no plain stack of all 127 words is built
+    from qfock.cli import _suite_derivations
+
+    ctx = make_context(2, 0.1, 6)
+    checks = _suite_derivations(ctx, np.random.default_rng(7))
+    assert all(c["passed"] for c in checks)
+    stacks = {key: v for key, v in ctx._memo.items() if isinstance(key, tuple) and key[0] == "stack"}
+    assert sorted(stacks) == [("stack", "L", 3), ("stack", "R", 3)]
+    assert all(S.shape == (15, 127, 127) for S in stacks.values())
