@@ -195,14 +195,16 @@ def hs_norm_of(T: np.ndarray, ctx: FockContext) -> float:
 
 
 # The doubled-space norms run one Lanczos per parity sector from this dim on;
-# below it the extra GEMMs and runs cost more than the smaller matvecs save.
-# Per norm, one basis class -> the parity classes (2 cores, OpenBLAS 0.3.31,
-# best of 5): at dim 31, (N, q, L) = (2, 0.05, 4), d_1 xi_1 19.7 -> 22.2 ms
-# and d_2 xi_1 10.6 -> 14.6 ms (the residual 9.3 -> 7.3 ms), and at
-# (5, 0.02, 2) the residual 5.9 -> 10.5 ms; at dim 40, (3, 0.05, 3), the
-# residual 16.1 -> 9.4 ms, d_1 xi_1 30.8 -> 29.3 ms and d_2 xi_1 24.8 ->
-# 22.1 ms; at dim 63, (2, 0.05, 5), the residual 88 -> 54 ms and d_1 xi_1
-# 260 -> 156 ms.
+# below it the extra GEMMs and runs cost about what the smaller matvecs save.
+# Per norm, one basis class -> the parity classes, with the kernel that reads
+# the store in place (2 cores, OpenBLAS 0.3.31, best of 5, interleaved; the
+# residual of U_5 and d_k xi_1 of its conjugate variables): at dim 31,
+# (N, q, L) = (2, 0.05, 4), the residual 4.7 -> 4.4 ms, d_1 xi_1 11.6 ->
+# 12.3 ms and d_2 xi_1 5.9 -> 7.3 ms, and at (5, 0.02, 2) the residual 3.1
+# -> 2.8 ms and d_1 xi_1 0.2 -> 0.6 ms; at dim 40, (3, 0.05, 3), the
+# residual 10.9 -> 6.3 ms, d_1 xi_1 16.6 -> 15.9 ms and d_2 xi_1 12.8 ->
+# 12.6 ms; at dim 63, (2, 0.05, 5), the residual 56 -> 34 ms, d_1 xi_1 155
+# -> 93 ms and d_2 xi_1 134 -> 78 ms.
 _SECTOR_MIN_DIM = 40
 
 
@@ -229,28 +231,30 @@ def _sym_blocks(ctx: FockContext) -> list[np.ndarray]:
     their own.
 
     Built by the recursion of :func:`~qfock.operators._sandwiched_levels` in
-    these coordinates, level by level straight into the contraction layout
-    ``A2[i, k*m + u]`` of :func:`_sym_action`, each block stored in it and
-    returned as a view: no plain stack is made, and besides the store only
-    the levels the recursion holds are alive.  Guarded by
-    :func:`~qfock.operators._check_stack_dim`, as the plain stacks are.
+    these coordinates, level by level straight into the layout that
+    :func:`_sym_action` reads in place, ``T[k, u, i] = Ah_u[i, k]``: the
+    column index first, then the word, then the row.  Each block is stored
+    in that layout and returned as a ``(u, i, k)`` view of it: no plain
+    stack is made, and besides the store only the levels the recursion
+    holds are alive.  Guarded by :func:`~qfock.operators._check_stack_dim`,
+    as the plain stacks are.
     """
     _check_stack_dim(ctx)
 
     def build():
         split = _basis_split(ctx)
         k, n = len(split), [idx.size for idx, _, _ in split]
-        out = [np.empty((n[x], n[y], n[x ^ y])) for x in range(k) for y in range(k)]
+        out = [np.empty((n[y], n[x ^ y], n[x])) for x in range(k) for y in range(k)]
         # where the next level starts among the words of each class
         start = [0] * k
         for level, blocks in enumerate(_sandwiched_levels(ctx, split, ctx.L)):
             g, m = level % k, ctx.N**level
             for x, B in enumerate(blocks):
-                out[x * k + (x ^ g)][:, :, start[g] : start[g] + m] = B.transpose(1, 2, 0)
+                out[x * k + (x ^ g)][:, start[g] : start[g] + m] = B.transpose(2, 0, 1)
             start[g] += m
         return tuple(out)
 
-    return [b.transpose(2, 0, 1) for b in ctx.memo("sym_blocks", build)]
+    return [T.transpose(1, 2, 0) for T in ctx.memo("sym_blocks", build)]
 
 
 def _gather(ctx: FockContext, blocks, V: np.ndarray) -> np.ndarray:
@@ -318,58 +322,66 @@ def _sym_action(ctx: FockContext, C: np.ndarray, ins, outs):
     its singular values and spectrum.
 
     Block (a, b) of V reaches block (a', b') through the words u of class
-    ``a ^ a'`` and v of class ``b ^ b'`` alone: ``A2 @ (V_ab @ Wh).reshape(-1,
-    d_b')``, with ``A2[i, k*m + u] = Ah_u[a', a][i, k]`` and ``Wh[l, u*d_b' +
-    j] = sum_v C[u, rev v] Ah_v[b', b][j, l]`` built once, here.  Each output
-    block is one GEMM over the inputs that reach it, their ``A2`` side by
-    side against their ``V_ab @ Wh`` stacked, each written in place: with one
-    basis class, two plain GEMMs over the whole space that copy nothing.
-    Only the words in the nonzero row and column range of the reversed
-    coefficients of the two classes take part (``A2`` is a view of the
-    stored block when the rows span every word of the class and one input
-    reaches the output).  Complex C and v enter by parts (:func:`_by_parts`):
-    a complex C as the actions of its real and imaginary parts.
+    ``a ^ a'`` and v of class ``b ^ b'`` alone, in two GEMMs.  The first
+    reads the store: ``P = V_ab^T @ T[:, lo:hi, :]`` with ``T`` the stored
+    block ``Ah_u[a', a]`` (:func:`_sym_blocks`), whose word range reshapes
+    to ``(d_a, words * d_a')`` as a view, so ``P[l*h + u, i] = (Ah_u
+    V_ab)[i, l]`` over the h words u taking part.  The second meets the
+    element's own operand ``WX[j, l*h + u] = sum_v C[u, rev v] Ah_v[b',
+    b][j, l]``, built once, here: block (a', b') of the image is ``(WX @
+    P)^T``.  Where several inputs reach one output, their P are stacked
+    along the rows and their WX along the columns, so it is still one GEMM.
+    The store is never copied: the action holds ``WX`` and nothing else of
+    size dim**3.  Only the words in the nonzero row and column range of the
+    reversed coefficients of the two classes take part.  Complex C and v
+    enter by parts (:func:`_by_parts`): a complex C as the actions of its
+    real and imaginary parts.
     """
     if np.iscomplexobj(C):
         re, im = _sym_action(ctx, C.real, ins, outs), _sym_action(ctx, C.imag, ins, outs)
         return lambda v: re(v) + 1j * im(v)
-    split, Ah = _basis_split(ctx), _sym_blocks(ctx)
+    split = _basis_split(ctx)
+    T = [Ah.transpose(2, 0, 1) for Ah in _sym_blocks(ctx)]
     k, n = len(split), [idx.size for idx, _, _ in split]
     C = C[:, _rev_perm(ctx)]
     offsets = np.cumsum([0] + [n[a] * n[b] for a, b in ins]).tolist()
-    terms = []
+    terms, size = [], 0
     for a2, b2 in outs:
-        lefts, rights, rows = [], [], 0
+        reach = []
         for o0, o1, (a, b) in zip(offsets, offsets[1:], ins):
             sub = C[np.ix_(split[a ^ a2][0], split[b ^ b2][0])]
             lo, hi = _support(sub)
-            if lo == hi:
-                continue
+            if lo != hi:
+                reach.append((o0, o1, a, b, lo, hi, sub))
+        bounds = np.cumsum([0] + [n[b] * (hi - lo) for _, _, _, b, lo, hi, _ in reach]).tolist()
+        # the element's own operand, the only dim**3 array the action holds
+        WX = np.empty((n[b2], bounds[-1]))
+        lefts = []
+        for r0, r1, (o0, o1, a, b, lo, hi, sub) in zip(bounds, bounds[1:], reach):
             clo, chi = _support(sub.T)
-            # a (words, d_b' * d_b) view of the stored layout; matmul reads it
-            # in place where tensordot would copy a trimmed range
-            W = sub[lo:hi, clo:chi] @ Ah[b2 * k + b][clo:chi].reshape(chi - clo, n[b2] * n[b])
-            Wh = W.reshape(-1, n[b2], n[b]).transpose(2, 0, 1).reshape(n[b], -1)
-            lefts.append(Ah[a2 * k + a][lo:hi].transpose(1, 2, 0).reshape(n[a2], -1))
-            # the input's entries of v, and its rows of the stacked product
-            rights.append((o0, o1, (n[a], n[b]), Wh, rows, rows + n[a] * (hi - lo)))
-            rows += n[a] * (hi - lo)
-        # with no input reaching the block, an empty product: zeros
-        A2 = lefts[0] if len(lefts) == 1 else np.concatenate([np.empty((n[a2], 0)), *lefts], axis=1)
-        terms.append((A2, rights, rows, n[b2]))
+            cut = WX[:, r0:r1].reshape(n[b2], n[b], hi - lo).transpose(1, 0, 2)
+            np.matmul(T[b2 * k + b][:, clo:chi].transpose(0, 2, 1), sub[lo:hi, clo:chi].T, out=cut)
+            lefts.append((o0, o1, (n[a], n[b]), T[a2 * k + a][:, lo:hi].reshape(n[a], -1), r0, r1))
+        terms.append((lefts, WX, n[a2], size, size + n[a2] * n[b2]))
+        size += n[a2] * n[b2]
 
+    # The order of both GEMMs is measured: medians of one S0 matvec, this
+    # order against the next best, interleaved in one process (2 cores,
+    # OpenBLAS 0.3.31).  Second GEMM, WX kept as (d_b', rows) and the image
+    # block (WX @ P)^T, against P^T @ WX with WX kept as (rows, d_b'):
+    # Xi at dim 31 0.088 vs 0.099 ms, dim 63 0.53 vs 0.56 ms, dim 127 5.96 vs
+    # 6.23 ms; d_1 xi_1 at dim 127 1.47 vs 1.56 ms and the tail Xi - Xi_5
+    # 3.44 vs 3.66 ms.  First GEMM, V_ab^T @ T into P, against (T^T @ V_ab)^T:
+    # Xi at dim 127 7.5 vs 12.0 ms, 1.6x at every size.  One order holds
+    # from dim 31 to 127.
     def apply(v: np.ndarray) -> np.ndarray:
-        parts = []
-        for A2, rights, rows, cols in terms:
-            if len(rights) == 1:
-                ((o0, o1, shape, Wh, _, _),) = rights
-                P = (v[o0:o1].reshape(shape) @ Wh).reshape(-1, cols)
-            else:
-                P = np.empty((rows, cols))
-                for o0, o1, shape, Wh, r0, r1 in rights:
-                    np.matmul(v[o0:o1].reshape(shape), Wh, out=P[r0:r1].reshape(shape[0], -1))
-            parts.append((A2 @ P).reshape(-1))
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        out = np.empty(size)
+        for lefts, WX, rows, s0, s1 in terms:
+            P = np.empty((WX.shape[1], rows))
+            for o0, o1, shape, Tl, r0, r1 in lefts:
+                np.matmul(v[o0:o1].reshape(shape).T, Tl, out=P[r0:r1].reshape(shape[1], -1))
+            out[s0:s1].reshape(rows, -1)[...] = (WX @ P).T
+        return out
 
     return lambda v: _by_parts(apply, v)
 

@@ -922,6 +922,40 @@ def test_sector_norms_hold_half_a_sandwiched_stack():
     assert sum(sizes) * 8 == 963_144
 
 
+@pytest.mark.parametrize("element", ["tail", "xi"])
+def test_sym_action_holds_only_its_own_operand(element):
+    # the action reads the stored blocks in place: besides its own operand,
+    # sum_v C[u, rev v] Ah_v over the words each input and output need, it
+    # holds no dim**3 array. The tail's rows are the level-6 words only;
+    # for Xi two inputs reach each output block of sector S0.
+    import tracemalloc
+
+    from qfock.deformation import _basis_split, _rev_perm, _runs, _sym_action, _sym_blocks
+
+    ctx = make_context(2, 0.1, 6)
+    C = xi_as_hs(ctx) - xi_as_hs(ctx, 5) if element == "tail" else xi_as_hs(ctx)
+    split = [idx for idx, _, _ in _basis_split(ctx)]
+    s0, _ = _runs(ctx, C, normal=False)[0]
+    Crev = C[:, _rev_perm(ctx)]
+    own = 0
+    for a2, b2 in s0:
+        for a, b in s0:
+            rows = np.flatnonzero(Crev[np.ix_(split[a ^ a2], split[b ^ b2])].any(axis=1))
+            if rows.size:
+                own += (rows[-1] + 1 - rows[0]) * split[b].size * split[b2].size * 8
+    assert own == (4_602_368 if element == "tail" else 8_511_560)
+    _sym_blocks(ctx)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        apply = _sym_action(ctx, C, s0, s0)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= 1.01 * own + 64 * 1024
+    assert apply(np.ones(sum(split[a].size * split[b].size for a, b in s0))).any()
+
+
 def test_lr_bound_one_sided_at_threshold():
     # compressed norm of (deformation op minus unit) stays below the closed
     # form at the validity threshold; compression makes this one-sided
