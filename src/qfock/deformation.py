@@ -194,17 +194,14 @@ def hs_norm_of(T: np.ndarray, ctx: FockContext) -> float:
     return float(math.sqrt(max(hs_inner(T, T, ctx).real, 0.0)))
 
 
-# The doubled-space norms run one Lanczos per parity sector from this dim on;
-# below it the extra GEMMs and runs cost about what the smaller matvecs save.
-# Per norm, one basis class -> the parity classes, with the kernel that reads
-# the store in place (2 cores, OpenBLAS 0.3.31, best of 5, interleaved; the
-# residual of U_5 and d_k xi_1 of its conjugate variables): at dim 31,
-# (N, q, L) = (2, 0.05, 4), the residual 4.7 -> 4.4 ms, d_1 xi_1 11.6 ->
-# 12.3 ms and d_2 xi_1 5.9 -> 7.3 ms, and at (5, 0.02, 2) the residual 3.1
-# -> 2.8 ms and d_1 xi_1 0.2 -> 0.6 ms; at dim 40, (3, 0.05, 3), the
-# residual 10.9 -> 6.3 ms, d_1 xi_1 16.6 -> 15.9 ms and d_2 xi_1 12.8 ->
-# 12.6 ms; at dim 63, (2, 0.05, 5), the residual 56 -> 34 ms, d_1 xi_1 155
-# -> 93 ms and d_2 xi_1 134 -> 78 ms.
+# The doubled-space norms run one Lanczos per parity sector from this dim on,
+# one run over the whole basis below it.  From dim 40 on the parity classes
+# win every norm (README has the per-norm times); at dim 31 the norms cost
+# about the same and the command decides.  `conjugate --n 2 --q 0.05 --level
+# 4 --terms 20` at 40 (one class) against 0 (parity classes), two sets of 6
+# alternated 20 s perfbench pairs (2 cores, OpenBLAS 0.3.31): job_s 0.91, 0.78
+# against 1.16, 0.82 s (one class faster in 6/6, 5/6), cpu_s 1.64, 1.46 against
+# 1.28, 0.95 s.  The one-class GEMMs use both BLAS threads: wall time won.
 _SECTOR_MIN_DIM = 40
 
 
@@ -216,28 +213,26 @@ def _basis_split(ctx: FockContext) -> tuple[tuple[np.ndarray, ...], ...]:
     return _parity_metric(ctx, 2 if ctx.dim >= _SECTOR_MIN_DIM else 1)
 
 
-def _sym_blocks(ctx: FockContext) -> list[np.ndarray]:
+def _sym_blocks(ctx: FockContext) -> tuple[np.ndarray, ...]:
     """Left word operators in metric-orthonormal coordinates, ``Ah_u = S A_u
     S^-1`` with ``S = G**(1/2)``, kept as their blocks between the basis
     classes of :func:`_basis_split`: entry ``x * k + y`` (k classes) is
     ``Ah_u[x, y] = Gh_x A_u[x, y] Gih_y`` over the words u of class ``x ^
-    y``, indexed ``(u, i, k)``.  With one class that is the whole sandwiched
-    stack; with the parity classes, the only nonzero half of it (8.5 MB
-    instead of 16.4 MB at dim 127).  The doubled metric becomes the standard
-    one, so operator norms are plain singular values.  Right multiplication
-    by a word is the word reversal P times left multiplication by the
-    reversed word times P, and P commutes with every Gram block, so the
-    sandwiched right operators are ``P Ah_(rev v) P`` and need no store of
-    their own.
+    y``, stored as ``T[k, u, i] = Ah_u[i, k]``, the layout that
+    :func:`_sym_action` reads in place: the column index first, then the
+    word, then the row.  With one class that is the whole sandwiched stack;
+    with the parity classes, the only nonzero half of it (8.5 MB instead of
+    16.4 MB at dim 127).  The doubled metric becomes the standard one, so
+    operator norms are plain singular values.  Right multiplication by a
+    word is the word reversal P times left multiplication by the reversed
+    word times P, and P commutes with every Gram block, so the sandwiched
+    right operators are ``P Ah_(rev v) P`` and need no store of their own.
 
     Built by the recursion of :func:`~qfock.operators._sandwiched_levels` in
-    these coordinates, level by level straight into the layout that
-    :func:`_sym_action` reads in place, ``T[k, u, i] = Ah_u[i, k]``: the
-    column index first, then the word, then the row.  Each block is stored
-    in that layout and returned as a ``(u, i, k)`` view of it: no plain
-    stack is made, and besides the store only the levels the recursion
-    holds are alive.  Guarded by :func:`~qfock.operators._check_stack_dim`,
-    as the plain stacks are.
+    these coordinates, level by level straight into that layout: no plain
+    stack is made, and besides the store only the levels the recursion holds
+    are alive.  Guarded by :func:`~qfock.operators._check_stack_dim`, as the
+    plain stacks are.
     """
     _check_stack_dim(ctx)
 
@@ -254,7 +249,7 @@ def _sym_blocks(ctx: FockContext) -> list[np.ndarray]:
             start[g] += m
         return tuple(out)
 
-    return [T.transpose(1, 2, 0) for T in ctx.memo("sym_blocks", build)]
+    return ctx.memo("sym_blocks", build)
 
 
 def _gather(ctx: FockContext, blocks, V: np.ndarray) -> np.ndarray:
@@ -341,7 +336,7 @@ def _sym_action(ctx: FockContext, C: np.ndarray, ins, outs):
         re, im = _sym_action(ctx, C.real, ins, outs), _sym_action(ctx, C.imag, ins, outs)
         return lambda v: re(v) + 1j * im(v)
     split = _basis_split(ctx)
-    T = [Ah.transpose(2, 0, 1) for Ah in _sym_blocks(ctx)]
+    T = _sym_blocks(ctx)
     k, n = len(split), [idx.size for idx, _, _ in split]
     C = C[:, _rev_perm(ctx)]
     offsets = np.cumsum([0] + [n[a] * n[b] for a, b in ins]).tolist()

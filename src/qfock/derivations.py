@@ -38,7 +38,6 @@ from .deformation import (
     xi_as_hs,
     _by_parts,
     _star,
-    _support,
     _xi_sqrt_right,
     _xi_spectral_range,
 )
@@ -51,7 +50,7 @@ from .errors import (
 from .fock import FockContext, GradedVector, _rev_perm, make_context, metric, norm_q, q_inner
 from .operators import (
     _check_shape,
-    _stack,
+    _hatted,
     creation,
     gaussian,
     right_annihilation,
@@ -390,21 +389,32 @@ def dq_star(C: np.ndarray, j: int, ctx: FockContext) -> GradedVector:
 
     Linear extension of
     ``(a (x) b) -> a X_j b - (right-delete_j a) b - a (left-delete_j b)``;
-    the first and third terms combine into ``a (prepend_j b)``.  The left
-    stack is read through :func:`~qfock.operators._stack` up to the last
-    word with a nonzero row: an element of short left legs builds only the
-    words of length at most 3.
+    the first and third terms combine into ``a (prepend_j b)``, so the
+    result is ``sum_u A_u rows[u]`` over the left word operators.  It is
+    folded from the top level down by the last-letter recursion ``psi_(wi)
+    = psi_w X_i - sum_k q^(n-1-k) [w_k = i] psi_(w without k)``: level n,
+    as ``[last letter i, w]``, adds ``sum_i R[i] @ X_i^T`` to level n - 1
+    and its pairs, the first-letter pairs of the reversed words
+    (:func:`~qfock.operators._hatted`), to level n - 2; the vacuum row is
+    then the sum.  No word operator is built.
     """
     _check_shape(C, ctx)
     if not (1 <= j <= ctx.N):
         raise AlphabetError(f"letter {j} outside 1..{ctx.N}")
     rows = C @ creation(j, ctx).T - right_annihilation(j, ctx) @ C
-    hi = _support(rows)[1]
-    A = _stack(ctx, "L", hi)
-    # sum_u A_u @ rows[u] over the words up to the last nonzero row, read
-    # from the stack in place; complex rows by parts
-    out = _by_parts(lambda R: np.matmul(A[:hi], R[:hi, :, None])[..., 0].sum(0), rows)
-    return GradedVector(ctx, out)
+    N, rev = ctx.N, _rev_perm(ctx)
+
+    def fold(R: np.ndarray) -> np.ndarray:
+        R = R.copy()
+        for n in range(ctx.L, 0, -1):
+            top = R[ctx.level_slice(n)].reshape(N, N ** (n - 1), -1)
+            for i in range(N):
+                R[ctx.level_slice(n - 1)] += top[i] @ gaussian(i + 1, ctx).T
+            if n > 1:
+                R[rev[ctx.level_slice(n - 2)]] -= _hatted(R[rev[ctx.level_slice(n)]].T, n, ctx).T
+        return R[0]
+
+    return GradedVector(ctx, _by_parts(fold, rows))
 
 
 def conjugate_variables(U: np.ndarray, ctx: FockContext) -> list[GradedVector]:

@@ -251,9 +251,8 @@ def right_wick_stack(ctx: FockContext) -> np.ndarray:
 
 
 def _stack(ctx: FockContext, side: str, words: int) -> np.ndarray:
-    """The plain stack of left (``side`` "L") or right ("R") word operators
-    that a caller reading the first ``words`` of them needs, in graded basis
-    order.
+    """The plain stack of left (``side`` "L") or right ("R") word operators,
+    in graded basis order, for a read of the first ``words`` of them.
 
     Where those words all lie on the levels up to ``_WICK_CACHE_MAX_LEN``,
     that is the stack of these levels only, memoized under ``("stack", side,
@@ -454,17 +453,13 @@ def _top_singular(S: np.ndarray) -> float:
     return math.sqrt(max(top, 0.0))
 
 
-def _sandwich_norm(
-    left: np.ndarray, B: np.ndarray, right: np.ndarray, B_imag: np.ndarray | None = None
-) -> float:
-    """Largest singular value of ``S = left @ (B + 1j * B_imag) @ right`` for
-    real ``left``, ``right`` and ``B`` (:func:`_top_singular`).  A complex B
-    goes through as its real and imaginary parts."""
+def _sandwich_norm(left: np.ndarray, B: np.ndarray, right: np.ndarray) -> float:
+    """Largest singular value of ``S = left @ B @ right`` for real ``left``
+    and ``right`` (:func:`_top_singular`).  A complex B goes through as its
+    real and imaginary parts."""
+    S = left @ B.real @ right
     if np.iscomplexobj(B):
-        B, B_imag = B.real, B.imag
-    S = left @ B @ right
-    if B_imag is not None:
-        S = S + 1j * (left @ B_imag @ right)
+        S = S + 1j * (left @ B.imag @ right)
     return _top_singular(S)
 
 

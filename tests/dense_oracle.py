@@ -16,6 +16,10 @@ doubled context's dense matrices out of the tests), products of right field
 operators, the mirror formula word by word, the three-term recursion of the
 word operators, and prefix/suffix vacuum images.
 
+``dq_star_by_stack`` is the adjoint of the deformed derivation as a
+contraction with the plain left stack, ``sum_u A_u rows[u]``: the reference
+for the library's fold by the last-letter recursion.
+
 The letter relabelling of the graded basis serves the symmetry tests.
 
 ``eigh_extreme_eig`` is the Lanczos convergence test with a full ``eigh`` of
@@ -49,8 +53,10 @@ from qfock.operators import (
     _LANCZOS_TOL,
     _lanczos,
     _tridiagonal,
+    creation,
     gaussian,
     left_wick_stack,
+    right_annihilation,
     right_gaussian,
     right_wick_stack,
 )
@@ -69,6 +75,21 @@ def lr_action(C: np.ndarray, ctx) -> np.ndarray:
     """Matrix of the left action of the tensor-square element with
     coefficients C."""
     return dense_action(left_wick_stack(ctx), right_wick_stack(ctx), C)
+
+
+def dq_star_by_stack(C: np.ndarray, j: int, ctx) -> np.ndarray:
+    """Coefficients of ``dq_star(C, j, ctx)``: ``sum_u A_u rows[u]`` over the
+    plain left stack A, with ``rows = C X_j^T - (right-delete_j) C`` where
+    X_j prepends letter j; complex rows by parts."""
+    rows = C @ creation(j, ctx).T - right_annihilation(j, ctx) @ C
+    A = left_wick_stack(ctx)
+
+    def contract(R):
+        return np.matmul(A, R[:, :, None])[..., 0].sum(0)
+
+    if np.iscomplexobj(rows):
+        return contract(rows.real) + 1j * contract(rows.imag)
+    return contract(rows)
 
 
 def dense_sym_stacks(ctx) -> tuple[np.ndarray, np.ndarray]:

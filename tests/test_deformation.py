@@ -775,11 +775,11 @@ def test_doubled_op_norm_of_tiny_element_keeps_relative_accuracy(hermitian):
 
 
 def _block_cuts(ctx):
-    # (stored block, its (words, rows, columns) cut of a dim**3 stack)
+    # (stored block as (words, rows, columns), its cut of a dim**3 stack)
     from qfock.deformation import _basis_split, _sym_blocks
 
     split = _basis_split(ctx)
-    blocks = iter(_sym_blocks(ctx))
+    blocks = (T.transpose(1, 2, 0) for T in _sym_blocks(ctx))
     return [
         (next(blocks), np.ix_(split[x ^ y][0], rows, cols))
         for x, (rows, _, _) in enumerate(split)
@@ -886,8 +886,9 @@ def test_short_stack_is_the_full_stacks_first_words(side):
 
 
 def test_short_support_actions_are_byte_identical_either_way():
-    # lr_apply and dq_star on elements whose legs stay on the words of length
-    # at most 3 read the short stacks; with the full stacks held, their views
+    # lr_apply on elements whose legs stay on the words of length at most 3
+    # reads the short stacks, with the full stacks held their views; dq_star
+    # reads no stack either way
     from qfock.derivations import dq_star
 
     rng = np.random.default_rng(5)

@@ -46,6 +46,7 @@ from dense_oracle import (
     bimodule_form_discrepancy,
     dense_fdq_top,
     doubling_by_evaluation,
+    dq_star_by_stack,
     leibniz_by_prefix_suffix,
     letter_relabelling,
     right_mult_by_products,
@@ -341,6 +342,64 @@ def test_dq_star_free_case_conjugate_variable():
     assert np.abs(out.data - GradedVector.from_word(ctx, (1,)).data).max() == 0.0
 
 
+@pytest.mark.parametrize(
+    "N, q, L, complex_c",
+    [
+        (2, 0.1, 5, False),
+        (1, 0.3, 6, False),
+        (3, 0.05, 3, False),
+        (2, -0.5, 5, False),
+        (2, 0.0, 4, False),
+        (2, 0.2, 0, False),
+        (3, 0.1, 1, False),
+        (2, 0.1, 4, True),
+        (3, -0.2, 3, True),
+    ],
+)
+def test_dq_star_matches_the_stack_contraction(N, q, L, complex_c):
+    # the fold by the last-letter recursion against sum_u A_u rows[u] over
+    # the plain left stack, on random coefficients of full support
+    ctx = make_context(N, q, L)
+    rng = np.random.default_rng(11)
+    C = rng.standard_normal((ctx.dim, ctx.dim))
+    if complex_c:
+        C = C + 1j * rng.standard_normal((ctx.dim, ctx.dim))
+    for j in range(1, N + 1):
+        got, ref = dq_star(C, j, ctx).data, dq_star_by_stack(C, j, ctx)
+        assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+def _stack_keys(ctx):
+    return [key for key in ctx._memo if isinstance(key, tuple) and key[0] == "stack"]
+
+
+def test_dq_star_at_dim_255_builds_no_stack():
+    # above the fixed limit of the dim**3 stores: the fold holds one (dim,
+    # dim) array and matches the per-word sum over the short nonzero rows
+    from qfock import wick_matrix
+    from qfock.operators import creation
+
+    ctx = make_context(2, 0.1, 7)
+    assert ctx.dim == 255
+    rng = np.random.default_rng(12)
+    C = np.zeros((ctx.dim, ctx.dim))
+    C[:7] = rng.standard_normal((7, ctx.dim))
+    got = dq_star(C, 1, ctx).data
+    rows = C @ creation(1, ctx).T - right_annihilation(1, ctx) @ C
+    words = [w for n in range(3) for w in ctx.words(n)]
+    assert not rows[len(words) :].any()
+    ref = sum(wick_matrix(w, ctx) @ rows[u] for u, w in enumerate(words))
+    assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+    assert not _stack_keys(ctx)
+
+
+def test_dq_star_of_full_support_builds_no_stack():
+    ctx = make_context(2, 0.1, 6)
+    U = np.random.default_rng(13).standard_normal((ctx.dim, ctx.dim))
+    assert np.isfinite(dq_star(U, 2, ctx).data).all()
+    assert not _stack_keys(ctx)
+
+
 def test_adjoint_duality_random():
     ctx = make_context(2, 0.35, 6)
     rng = np.random.default_rng(6)
@@ -622,8 +681,8 @@ def test_fdq_of_conjugate_variable_keeps_oracle_zero_pattern():
 
 
 def test_derivations_suite_holds_only_the_short_stacks():
-    # every lr_apply and dq_star of the suite reads the words of length <= 3
-    # at L = 6, so no plain stack of all 127 words is built
+    # every lr_apply of the suite reads the words of length <= 3 at L = 6,
+    # so no plain stack of all 127 words is built; dq_star reads none
     from qfock.cli import _suite_derivations
 
     ctx = make_context(2, 0.1, 6)
