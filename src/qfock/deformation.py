@@ -402,19 +402,21 @@ def _sym_extremes(ctx: FockContext, C: np.ndarray, which: tuple[str, ...]) -> li
 
 def _lanczos_sqrt(matvec, b: np.ndarray) -> np.ndarray:
     """``A**(1/2) b`` for a self-adjoint PSD operator A: ``|b| Q sqrt(T) e_1``
-    over the :func:`_lanczos` basis Q from b, with the Ritz values of T
-    clipped at 0 (Higham, *Functions of Matrices*, 2008, ch. 13).  Stops at
-    exhaustion, or when one stride changes the coefficients over Q by at most
-    ``_SQRT_TOL`` relative."""
+    over the Lanczos vectors Q from b, with the Ritz values of T clipped at
+    0 (Higham, *Functions of Matrices*, 2008, ch. 13).  The only consumer of
+    :func:`_lanczos` that needs those vectors: it keeps the ones each yield
+    brings.  Stops at exhaustion, or when one stride changes the
+    coefficients over Q by at most ``_SQRT_TOL`` relative."""
     if not b.any():
         return b
-    prev = np.zeros(0)
-    for alpha, beta, Q, exhausted in _lanczos(matvec, b, b.dtype):
+    prev, Q = np.zeros(0), []
+    for alpha, beta, new, _, exhausted in _lanczos(matvec, b, b.dtype):
+        Q += new
         theta, S = np.linalg.eigh(_tridiagonal(alpha, beta))
         c = S @ (np.sqrt(np.clip(theta, 0.0, None)) * S[0])
         change = np.linalg.norm(c - np.pad(prev, (0, len(c) - len(prev))))
         if exhausted or change <= _SQRT_TOL * np.linalg.norm(c):
-            return np.linalg.norm(b) * (c @ Q)
+            return np.linalg.norm(b) * (c @ np.array(Q))
         prev = c
 
 

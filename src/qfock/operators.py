@@ -339,45 +339,49 @@ def _norm(v: np.ndarray) -> float:
 
 def _lanczos(matvec, v: np.ndarray, dtype):
     """Lanczos iteration on a self-adjoint operator from the start vector
-    ``v``, with full reorthogonalization (classical Gram-Schmidt, twice per
-    step).
+    ``v``, by its three-term recurrence ``w = A q_j - beta_(j-1) q_(j-1)``,
+    ``alpha_j = Re(q_j . w)``, ``w -= alpha_j q_j``, ``beta_j = |w|``: only
+    the last two vectors are held, with no basis and no reorthogonalization.
+    Orthogonality is lost as Ritz values converge, but a converged extreme
+    Ritz value stays accurate to rounding (Paige, *Linear Algebra Appl.* 34,
+    1980; Parlett, *The Symmetric Eigenvalue Problem*, ch. 13).
 
     Every ``_LANCZOS_STRIDE`` steps, and once the Krylov space is exhausted,
-    yields ``(alpha, beta, Q, exhausted)``: the diagonal and off-diagonal of
-    the tridiagonal matrix (:func:`_tridiagonal`), with the norm of the new
-    residual as ``beta[-1]``, and the basis so far (the rows of Q); no
-    eigendecomposition, each consumer does the eigen-work it needs.  The
-    space is exhausted after ``len(v)`` steps, or when the new residual is
-    at the rounding level of the matvec (an invariant subspace, e.g. the
-    unit element after one step); the consumer stops there at the latest.
-    Raises :class:`EigensolverError` after ``_LANCZOS_MAX_STEPS`` steps
-    without a stop.
+    yields ``(alpha, beta, new, anorm, exhausted)``: the diagonal and
+    off-diagonal of the tridiagonal matrix (:func:`_tridiagonal`), with the
+    norm of the new residual as ``beta[-1]``; the list of the Lanczos
+    vectors made since the last yield, which the caller keeps or drops; and
+    ``anorm``, the largest ``|A q_j|`` seen, the scale of the matvec's
+    rounding.  No eigendecomposition: each consumer does the eigen-work it
+    needs.  The space is exhausted when the new residual is at the rounding
+    level of the matvec (an invariant subspace, e.g. the unit element after
+    one step); the consumer stops there at the latest.  Raises
+    :class:`EigensolverError` after ``_LANCZOS_MAX_STEPS`` steps without a
+    stop.
     """
     d2 = v.size
-    m = min(d2, _LANCZOS_MAX_STEPS)
-    Q = np.empty((min(m, 2 * _LANCZOS_STRIDE), d2), dtype=dtype)  # doubles as it fills
-    real = not np.iscomplexobj(Q)
-    alpha, beta = np.zeros(m), np.zeros(m)
-    Q[0] = v / _norm(v)
+    alpha, beta, new = [], [], []
+    q = np.asarray(v / _norm(v), dtype)
+    q_prev, b = np.zeros_like(q), 0.0
     anorm = 0.0
-    for j in range(m):
-        w = matvec(Q[j])
+    for j in range(_LANCZOS_MAX_STEPS):
+        new.append(q)
+        w = matvec(q)
         anorm = max(anorm, _norm(w))
-        basis = Q[: j + 1]
-        for _ in range(2):
-            h = basis @ w if real else (basis @ w.conj()).conj()
-            w = w - h @ basis
-            alpha[j] += h[j].real
-        beta[j] = _norm(w)
-        exhausted = j + 1 == d2 or beta[j] <= math.sqrt(d2) * _EPS * anorm
+        w = w - b * q_prev
+        a = np.vdot(q, w).real
+        w -= a * q
+        b = _norm(w)
+        alpha.append(a)
+        beta.append(b)
+        exhausted = b <= math.sqrt(d2) * _EPS * anorm
         if exhausted or (j + 1) % _LANCZOS_STRIDE == 0:
-            yield alpha[: j + 1], beta[: j + 1], Q[: j + 1], exhausted
-        if j + 1 == len(Q) < m:
-            Q = np.concatenate([Q, np.empty((min(len(Q), m - len(Q)), d2), dtype=dtype)])
-        if j + 1 < m:
-            Q[j + 1] = w / beta[j]
+            yield np.array(alpha), np.array(beta), new, anorm, exhausted
+            new = []
+        q_prev, q = q, w / b
     raise EigensolverError(
-        f"Lanczos did not converge in {m} steps on an operator of dimension {d2}"
+        f"Lanczos did not converge in {_LANCZOS_MAX_STEPS} steps on an operator "
+        f"of dimension {d2}"
     )
 
 
@@ -394,20 +398,24 @@ def _extreme_eig(matvec, v: np.ndarray, dtype, which: str) -> float:
     ``theta`` is tested with ARPACK's rule, ``|beta * s_last| <=
     _LANCZOS_TOL * max(|theta|, eps**(2/3) * max|Ritz value|)``; ARPACK's
     floor is ``eps**(2/3)`` itself, which would accept any Ritz value of an
-    operator whose norm lies below it.  The Ritz values come from
-    ``eigvalsh`` of the tridiagonal T, and the last component ``s_last`` of
-    the Ritz vector of theta from one step of inverse iteration: the solve
-    ``(T - sigma) x = e_1``, with sigma = theta pushed outward by a few
-    rounding units.  Theta is an end of the spectrum of T, so T - sigma
-    stays definite, and x is that Ritz vector to rounding.  Its last entry
-    is the cofactor ratio ``prod(beta) / det(T - sigma)``, a product with no
+    operator whose norm lies below it.  The bound never falls below ``eps *
+    anorm``, the rounding of one matvec (``anorm`` the largest ``|A q_j|``
+    of the run): a wanted eigenvalue near 0 would otherwise ask for a
+    residual no matvec can resolve, and without a full basis the run would
+    reach the step cap chasing it.  The Ritz values come from ``eigvalsh``
+    of the tridiagonal T, and the last component ``s_last`` of the Ritz
+    vector of theta from one step of inverse iteration: the solve ``(T -
+    sigma) x = e_1``, with sigma = theta pushed outward by a few rounding
+    units.  Theta is an end of the spectrum of T, so T - sigma stays
+    definite, and x is that Ritz vector to rounding.  Its last entry is the
+    cofactor ratio ``prod(beta) / det(T - sigma)``, a product with no
     cancellation, so ``|x_last| / |x|`` keeps its relative accuracy however
     small it gets, as the rule needs where its floor sets the bound (a right
     side such as ``(1, ..., 1)`` would leave an absolute error of order
     ``(sigma - theta) / gap`` there).  Ritz values are exact once the Krylov
     space is exhausted.
     """
-    for alpha, beta, _, exhausted in _lanczos(matvec, v, dtype):
+    for alpha, beta, _, anorm, exhausted in _lanczos(matvec, v, dtype):
         T = _tridiagonal(alpha, beta)
         theta = np.linalg.eigvalsh(T)
         scale = max(abs(theta[0]), abs(theta[-1]))
@@ -419,7 +427,8 @@ def _extreme_eig(matvec, v: np.ndarray, dtype, which: str) -> float:
         sigma = theta[i] + (4 if i else -4) * _EPS * scale
         x = np.linalg.solve(T - sigma * np.eye(len(T)), np.eye(len(T))[0])
         floor = _EPS ** (2 / 3) * scale
-        if beta[-1] * abs(x[-1]) <= _LANCZOS_TOL * max(abs(theta[i]), floor) * _norm(x):
+        bound = max(_LANCZOS_TOL * max(abs(theta[i]), floor), _EPS * anorm)
+        if beta[-1] * abs(x[-1]) <= bound * _norm(x):
             return float(theta[i])
 
 

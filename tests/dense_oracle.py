@@ -153,14 +153,16 @@ def dense_top(S: np.ndarray, hermitian: bool = False) -> float:
 def eigh_extreme_eig(matvec, v: np.ndarray, dtype, which: str) -> float:
     """``_extreme_eig`` with the last component of the wanted Ritz vector
     read from a full ``eigh`` of the tridiagonal matrix at every test.  The
-    Ritz values come from ``eigvalsh``, as in the library, so the two differ
-    in that component alone."""
-    for alpha, beta, _, exhausted in _lanczos(matvec, v, dtype):
+    Ritz values come from ``eigvalsh`` and the bound has the same rounding
+    floor ``eps * anorm``, as in the library, so the two differ in that
+    component alone."""
+    for alpha, beta, _, anorm, exhausted in _lanczos(matvec, v, dtype):
         T = _tridiagonal(alpha, beta)
         theta, S = np.linalg.eigvalsh(T), np.linalg.eigh(T)[1]
         i = {"LA": -1, "SA": 0, "LM": 0 if abs(theta[0]) >= abs(theta[-1]) else -1}[which]
         floor = _EPS ** (2 / 3) * max(abs(theta[0]), abs(theta[-1]))
-        if exhausted or beta[-1] * abs(S[-1, i]) <= _LANCZOS_TOL * max(abs(theta[i]), floor):
+        bound = max(_LANCZOS_TOL * max(abs(theta[i]), floor), _EPS * anorm)
+        if exhausted or beta[-1] * abs(S[-1, i]) <= bound:
             return float(theta[i])
 
 

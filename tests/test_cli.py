@@ -449,6 +449,42 @@ def test_eigensolver_failure_in_a_top_singular_value_exits_3(capsys, monkeypatch
     _exits_3_on_eigensolver_failure(argv, capsys, monkeypatch)
 
 
+@pytest.mark.parametrize(
+    "argv,runs,matvecs",
+    [
+        ("conjugate --n 2 --q 0.05 --level 4 --terms 20", 60, 3148),
+        ("verify --suite all", 24, 600),
+        ("xi --n 2 --q 0.1 --level 6 --trunc-q 5", 2, 88),
+        ("verify --suite bozejko --n 3 --q 0.1 --level 5 --seed 1", 25, 728),
+    ],
+)
+def test_lanczos_work_of_the_benchmark_commands(argv, runs, matvecs, capsys, monkeypatch):
+    # the doubled-space commands of the benchmark take the Lanczos runs and
+    # matvecs that the solver with a stored, twice reorthogonalized basis
+    # took: the three-term recurrence and its rounding floor stop every run
+    # at the same step (the Bozejko suite's count depends on the seed of
+    # its random trials)
+    import qfock.deformation as deformation
+    import qfock.operators as operators
+
+    inner, seen = operators._lanczos, []
+
+    def lanczos(matvec, v, dtype):
+        seen.append(0)
+
+        def counted(x):
+            seen[-1] += 1
+            return matvec(x)
+
+        return inner(counted, v, dtype)
+
+    monkeypatch.setattr(operators, "_lanczos", lanczos)
+    monkeypatch.setattr(deformation, "_lanczos", lanczos)
+    code, _, _ = run(argv.split(), capsys)
+    assert code == 0
+    assert (len(seen), sum(seen)) == (runs, matvecs)
+
+
 def test_verify_runs_without_scipy():
     # the eigenvalue solver is numpy-only: a real process at d^2 = 961
     # never imports scipy

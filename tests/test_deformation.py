@@ -655,9 +655,8 @@ def test_extreme_eig_small_doubled_spaces(N, q, L, which):
 def test_extreme_eig_free_case_breaks_down_early():
     # at q = 0 the deformation operator is the vacuum projection P; the
     # doubled action V -> P V P has rank one, so the Krylov space of any start
-    # vector is exhausted after two steps.  SA = 0 lies below the floor
-    # 1e-11 * eps**(2/3) of the convergence rule, so only that exhaustion can
-    # end the run
+    # vector is exhausted after two steps, before the convergence rule is
+    # first tested at step 4: that exhaustion ends every run
     from qfock.deformation import _extreme_eig, _start, _sym_action, _xi_spectral_range
 
     ctx = make_context(2, 0.0, 4)
@@ -745,6 +744,43 @@ def test_xi_spectral_range_where_its_lower_end_crosses_zero():
     assert abs(w[0]) < 1e-9
     lo, hi = _xi_spectral_range(ctx)
     assert abs(lo - w[0]) <= 1e-12 * w[-1]
+    assert hi == pytest.approx(w[-1], rel=1e-12, abs=0)
+
+
+def test_xi_spectral_range_stops_at_the_rounding_of_a_matvec(monkeypatch):
+    # where the lower end is ~1e-11, ARPACK's rule with its floor asks for
+    # |beta * s_last| <= 2.3e-21, far below the eps * |A| ~ 1e-15 rounding of
+    # one matvec; the bound stops at that rounding, and the run ends once the
+    # Ritz value has settled there (the floor alone, below that rounding,
+    # takes 424 matvecs over both runs)
+    from qfock import operators
+    from qfock.deformation import _xi_spectral_range
+
+    inner, calls = operators._lanczos, []
+    monkeypatch.setattr(
+        operators, "_lanczos", lambda f, v, t: inner(lambda x: calls.append(None) or f(x), v, t)
+    )
+    ctx = make_context(2, -0.5662783883395606, 4)
+    _, M = _sym_part(ctx, xi_as_hs(ctx))
+    w = np.linalg.eigvalsh(M)
+    lo, hi = _xi_spectral_range(ctx)
+    assert len(calls) < 300
+    assert abs(lo - w[0]) <= 1e-12 * w[-1]
+    assert hi == pytest.approx(w[-1], rel=1e-12, abs=0)
+
+
+def test_xi_spectral_range_keeps_a_rounding_level_zero_at_zero():
+    # at (4, -0.5, 2) the lower end of the action is 0 up to rounding: the
+    # floor of the bound must not let the run stop before the Ritz value
+    # has reached that rounding level
+    from qfock.deformation import _xi_spectral_range
+
+    ctx = make_context(4, -0.5, 2)
+    _, M = _sym_part(ctx, xi_as_hs(ctx))
+    w = np.linalg.eigvalsh(M)
+    assert abs(w[0]) <= 1e-14 * w[-1]
+    lo, hi = _xi_spectral_range(ctx)
+    assert abs(lo) <= 1e-14 * hi
     assert hi == pytest.approx(w[-1], rel=1e-12, abs=0)
 
 
@@ -955,6 +991,38 @@ def test_sym_action_holds_only_its_own_operand(element):
         tracemalloc.stop()
     assert held <= 1.01 * own + 64 * 1024
     assert apply(np.ones(sum(split[a].size * split[b].size for a, b in s0))).any()
+
+
+def test_doubled_norm_holds_no_krylov_basis():
+    # A run of the tail norm Xi - Xi_5 at dim 127, above what the context
+    # holds once its store is built, may hold (in bytes of float64):
+    # - the action's operand WX, per output block of a sector (n_b', n_b * h)
+    #   with h = 64, the level-6 words the tail's rows take: (85**2 + 42**2)
+    #   * 64 floats for sector S0, the larger (4.39 MiB);
+    # - the first GEMM's P, the shape of WX transposed, alive for both output
+    #   blocks within one matvec: as much again;
+    # - a fixed handful of vectors, each at most dim**2 floats: the
+    #   symmetrized coefficients and the start vector (2), the input and the
+    #   output of a matvec (2), the recurrence's last two vectors, its
+    #   residual and one temporary (4), the Lanczos vectors of the current
+    #   stride and of the one the solver last read (8): 16.
+    # A solver that kept its Krylov basis would hold one more sector vector
+    # at every step: 52 of them (3.6 MiB) in the run of sector S0.
+    import tracemalloc
+
+    ctx = make_context(2, 0.1, 6)
+    C = xi_as_hs(ctx) - xi_as_hs(ctx, 5)
+    norm = doubled_op_norm(C, ctx, hermitian=True)
+    bound = 2 * (85**2 + 42**2) * 64 * 8 + 16 * ctx.dim**2 * 8
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        again = doubled_op_norm(C, ctx, hermitian=True)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert again == norm
+    assert peak <= bound
 
 
 def test_lr_bound_one_sided_at_threshold():
