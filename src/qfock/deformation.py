@@ -47,9 +47,10 @@ from .operators import (
     _power,
     _sandwiched_levels,
     _sectors,
-    _stack,
     _tridiagonal,
     c_q,
+    left_wick_stack,
+    right_wick_stack,
 )
 
 __all__ = [
@@ -156,12 +157,9 @@ def lr_apply(C: np.ndarray, V: np.ndarray, ctx: FockContext) -> np.ndarray:
     ``(a (x) b)`` sends ``x (x) y`` to ``ax (x) yb``; with V[i, j] the
     coefficient of (basis i) (x) (basis j) this is
     ``sum_{u,v} C[u,v] . A_u @ V @ B_v^T`` over the left (A) and right (B)
-    word-operator stacks, contracted only over the word operators in the
-    nonzero row range of C (for A) and column range (for B); a full-support
-    C takes exactly the untrimmed stacks.  Each stack is read through
-    :func:`~qfock.operators._stack` cut to the range it serves: a C whose
-    rows (columns) lie on the words of length at most 3 builds only those
-    levels of A (B).  One application is
+    word-operator stacks of all levels, contracted only over the word
+    operators in the nonzero row range of C (for A) and column range (for
+    B); a full-support C takes exactly the untrimmed stacks.  One application is
     ``W_u = sum_v C[u,v] B_v``, one batched matmul ``V @ W_u^T`` and one
     (d, d*m) x (d*m, d) GEMM against ``A_cat[i, u*d + k] = A_u[i, k]``, m the
     number of rows taking part.  Complex C and V enter by parts
@@ -169,7 +167,7 @@ def lr_apply(C: np.ndarray, V: np.ndarray, ctx: FockContext) -> np.ndarray:
     """
     _check_shape(C, ctx)
     d = ctx.dim
-    A, B = _stack(ctx, "L", _support(C)[1]), _stack(ctx, "R", _support(C.T)[1])
+    A, B = left_wick_stack(ctx), right_wick_stack(ctx)
 
     def action(C: np.ndarray) -> np.ndarray:
         lo, hi = _support(C)

@@ -3,12 +3,12 @@
 The derivation domain is the free polynomial algebra on the N field
 operators; a polynomial of degree <= L is represented exactly at truncation
 (its vacuum image walks levels 0..deg only), and every tag below requires
-deg P <= L (:class:`CapacityError` otherwise).  Four derivations share the
+deg P <= L (:class:`CapacityError` otherwise).  Five tags share the
 generator structure "delta on letter j, extended by the Leibniz rule":
 
 * ``FDQ``           — generator value 1 (x) 1 (the free difference quotient);
 * ``Q_COMMUTATOR``  — generator value the deformation operator (equivalently,
-  the commutator with the right-side append operator);
+  the commutator with the right-side append operator), by :func:`_walk`;
 * ``Q_TRUNCATED(Q)``— generator value the level-capped deformation operator;
 * ``Q_SQRT``        — the FDQ output hit on the right by the PSD square root
   of the deformation operator on the doubled space;
@@ -33,9 +33,9 @@ from .deformation import (
     doubled_op_norm,
     hs_inner,
     hs_norm_of,
-    lr_apply,
     multiplier_of,
     xi_as_hs,
+    xi_multiplier,
     _by_parts,
     _star,
     _xi_sqrt_right,
@@ -141,13 +141,15 @@ class NCPoly:
     __rmul__ = __mul__
 
 
+def _require_degree(P: NCPoly, ctx: FockContext) -> None:
+    if P.degree > ctx.L:
+        raise CapacityError(f"polynomial degree {P.degree} exceeds truncation level {ctx.L}")
+
+
 def _coefficients(P: NCPoly, ctx: FockContext) -> list[np.ndarray]:
     """P's monomial coefficients by level: entry n holds the coefficient of
     each length-n word at its index within the level."""
-    if P.degree > ctx.L:
-        raise CapacityError(
-            f"polynomial degree {P.degree} exceeds truncation level {ctx.L}"
-        )
+    _require_degree(P, ctx)
     out = [np.zeros(ctx.N**n, dtype=complex) for n in range(P.degree + 1)]
     for w, c in P.terms.items():
         out[len(w)][ctx.word_index(w)] = c
@@ -185,14 +187,39 @@ def poly_vector(P: NCPoly, ctx: FockContext) -> GradedVector:
     return GradedVector(ctx, v)
 
 
+def _walk(P: NCPoly, j: int, ctx: FockContext, Q: int | None = None) -> np.ndarray:
+    """``W[:, 0] = P(X)`` and, for a letter j >= 1, ``W[:, 1] = sum_w c_w
+    sum_(k: w_k = j) X_(w<k) D X_(w>k)``, D the diagonal of ``xi_multiplier(ctx, Q)``,
+    by the first-letter recursion ``P = c + sum_a X_a P_a``: ``W[:, 1]`` is
+    ``sum_a X_a W_a[:, 1] + D P_j(X)``.  Both parts of ``W_a`` meet the real
+    X_a in one real GEMM, a complex ``W_a`` as its interleaved (re, im) view."""
+    d, parts = ctx.dim, 2 if j else 1
+    D = xi_multiplier(ctx, Q).diagonal()[:, None] if j else None
+    dtype = complex if any(c.imag for c in P.terms.values()) else float
+    diag = np.arange(d)
+
+    def walk(terms: dict[tuple[int, ...], complex]) -> np.ndarray:
+        W, by_first = None, {}
+        for w, c in terms.items():
+            if w:
+                by_first.setdefault(w[0], {})[w[1:]] = c
+        for a, tails in by_first.items():
+            Wa = walk(tails)
+            H = (gaussian(a, ctx) @ Wa.reshape(d, -1).view(float)).view(dtype).reshape(Wa.shape)
+            if a == j:
+                H[:, 1] += D * Wa[:, 0]
+            W = H if W is None else np.add(W, H, out=W)
+            del Wa, H  # only W is held while the next first letter's walk runs
+        W = np.zeros((d, parts, d), dtype) if W is None else W
+        W[diag, 0, diag] += terms.get((), 0.0) if dtype is complex else terms.get((), 0.0).real
+        return W
+
+    return walk(P.terms)
+
+
 def poly_operator(P: NCPoly, ctx: FockContext) -> np.ndarray:
-    M = np.zeros((ctx.dim, ctx.dim), dtype=complex)
-    for w, c in P.terms.items():
-        term = np.eye(ctx.dim)
-        for letter in w:
-            term = term @ gaussian(letter, ctx)
-        M += c * term
-    return M
+    """The operator ``P(X)`` of the compressed field operators (:func:`_walk`)."""
+    return _walk(P, 0, ctx)[:, 0]
 
 
 def poly_right_mult(P: NCPoly, ctx: FockContext) -> np.ndarray:
@@ -249,9 +276,9 @@ def _fdq_coeffs(P: NCPoly, j: int, ctx: FockContext) -> np.ndarray:
     The monomials of level n with letter j at position k + 1 have prefix
     index ``t % N**k`` and suffix index ``t // N**(k + 1)``, so their
     coefficients are a slice of the level's coefficients reshaped to
-    (suffix, letter, prefix).  The one producer of coefficients from
-    polynomials owns their dtype: contiguous float64 when the imaginary part
-    vanishes, complex128 otherwise, so real data stays in real arithmetic.
+    (suffix, letter, prefix).  The coefficients are contiguous float64 when
+    their imaginary part vanishes, complex128 otherwise, so real data stays
+    in real arithmetic.
     """
     N = ctx.N
     C = np.zeros((ctx.dim, ctx.dim), dtype=complex)
@@ -294,15 +321,15 @@ def derive(P: NCPoly, j: int, tag: DerivationTag, ctx: FockContext):
     """
     if not (1 <= j <= ctx.N):
         raise AlphabetError(f"letter {j} outside 1..{ctx.N}")
+    _require_degree(P, ctx)
     if tag.kind == "DOUBLING":
         return _prime(poly_vector(P, ctx), j, _doubled_context(ctx, max(P.degree, 1)))
+    if tag.kind in ("Q_COMMUTATOR", "Q_TRUNCATED"):
+        # T # Xi_Q (cap None: the full truncation) by multiplier_of^-1 of its multiplier
+        Gi, rev = metric(ctx)["Gi"], _rev_perm(ctx)
+        return _by_parts(lambda M: (M @ Gi)[:, rev], _walk(P, j, ctx, tag.Q)[:, 1])
     T = _fdq_coeffs(P, j, ctx)
-    if tag.kind == "FDQ":
-        return T
-    if tag.kind == "Q_SQRT":
-        return _xi_sqrt_right(ctx, T)
-    # Q_COMMUTATOR (cap None, the full truncation) and Q_TRUNCATED
-    return lr_apply(T, xi_as_hs(ctx, tag.Q), ctx)
+    return T if tag.kind == "FDQ" else _xi_sqrt_right(ctx, T)
 
 
 def real_structure(C: np.ndarray, ctx: FockContext) -> np.ndarray:
@@ -482,8 +509,8 @@ def equivalence_check(P: NCPoly, ctx: FockContext, trunc_q: int | None = None) -
     per_k = {}
     for k in range(1, ctx.N + 1):
         T = derive(P, k, FDQ, ctx)
-        S = lr_apply(T, xi, ctx)
-        SQ = lr_apply(T, xiQ, ctx)
+        S = derive(P, k, Q_COMMUTATOR, ctx)
+        SQ = derive(P, k, q_truncated(trunc_q), ctx)
         fdq = hs_norm_of(T, ctx)
         qcomm = hs_norm_of(S, ctx)
         tilde_sq = hs_inner(T, S, ctx).real

@@ -10,9 +10,9 @@ from __future__ import annotations
 import os
 
 DEFAULT_DIM_CAP = 4096
-# the plain word-operator stacks and the sandwiched store of the doubled
-# norms hold dim**3 floats; a fixed limit that neither QFOCK_SIZE_CAP nor a
-# cap override raises
+# the plain word-operator stacks of the Neumann product and the sandwiched
+# store of the doubled norms hold dim**3 floats; a fixed limit that neither
+# QFOCK_SIZE_CAP nor a cap override raises
 DEFAULT_STACK_DIM_CAP = 192
 MAX_PERM_LENGTH = 8
 

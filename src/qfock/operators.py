@@ -191,8 +191,8 @@ def wick_matrix(w: tuple[int, ...], ctx: FockContext) -> np.ndarray:
 def _check_stack_dim(ctx: FockContext) -> None:
     """Raise :class:`CapacityError` above ``DEFAULT_STACK_DIM_CAP``: the one
     guard of the word-operator stores that grow as dim**3, the plain stacks
-    of :func:`_stack` and the sandwiched store of
-    :func:`~qfock.deformation._sym_blocks`."""
+    of :func:`left_wick_stack` and :func:`right_wick_stack` and the
+    sandwiched store of :func:`~qfock.deformation._sym_blocks`."""
     d = ctx.dim
     if d > DEFAULT_STACK_DIM_CAP:
         raise CapacityError(
@@ -202,26 +202,24 @@ def _check_stack_dim(ctx: FockContext) -> None:
         )
 
 
-def _fill_stack(ctx: FockContext, side: str, top: int) -> np.ndarray:
-    """``(words, dim, dim)`` stack of the word operators of levels 0..top in
+def _fill_stack(ctx: FockContext, side: str) -> np.ndarray:
+    """``(dim, dim, dim)`` stack of the word operators of levels 0..L in
     graded basis order, for left (``side`` "L") or right ("R")
     multiplication.
 
     Filled level by level from its own lower entries by :func:`_wick_step`,
     in place: the head of a word is ``X_(w_1) S[tail]`` on the left, the
     bit-identical arithmetic of :func:`wick_matrix`, and ``S[tail] Y_(w_1)``
-    with the right field operator Y on the right, where products compose in
-    reverse.  The words of a level do not depend on ``top``, so a shorter
-    stack is the longer one's first words bit for bit.
+    with the right field operator Y on the right, where products compose in reverse.
     """
     d = ctx.dim
     field = gaussian if side == "L" else right_gaussian
-    S = np.empty((ctx.level_offset(top + 1), d, d))
+    S = np.empty((d, d, d))
     S[0] = np.eye(d)
-    if top:
+    if ctx.L:
         # level 1: the field operators, exactly their products with the unit
         S[1 : ctx.N + 1] = [field(i, ctx) for i in range(1, ctx.N + 1)]
-    for n in range(2, top + 1):
+    for n in range(2, ctx.L + 1):
         for idx in range(ctx.N**n):
             w = ctx.index_word(n, idx)
             X = field(w[0], ctx)
@@ -240,37 +238,14 @@ def left_wick_stack(ctx: FockContext) -> np.ndarray:
     """(dim, dim, dim) array of all word-operator matrices, graded basis
     order; memoized per context (:func:`_fill_stack`)."""
     _check_stack_dim(ctx)
-    return ctx.memo(("stack", "L"), lambda: _fill_stack(ctx, "L", ctx.L))
+    return ctx.memo(("stack", "L"), lambda: _fill_stack(ctx, "L"))
 
 
 def right_wick_stack(ctx: FockContext) -> np.ndarray:
     """(dim, dim, dim) array of the right multiplications by all word
     operators, graded basis order; memoized per context."""
     _check_stack_dim(ctx)
-    return ctx.memo(("stack", "R"), lambda: _fill_stack(ctx, "R", ctx.L))
-
-
-def _stack(ctx: FockContext, side: str, words: int) -> np.ndarray:
-    """The plain stack of left (``side`` "L") or right ("R") word operators,
-    in graded basis order, for a read of the first ``words`` of them.
-
-    Where those words all lie on the levels up to ``_WICK_CACHE_MAX_LEN``,
-    that is the stack of these levels only, memoized under ``("stack", side,
-    _WICK_CACHE_MAX_LEN)``; otherwise it is the full stack of
-    :func:`left_wick_stack` or :func:`right_wick_stack`.  There is no other
-    length.  A full stack already held serves a short request as a view of
-    its first words, the same words bit for bit.  Every plain stack is
-    guarded by :func:`_check_stack_dim`.
-    """
-    top = min(ctx.L, _WICK_CACHE_MAX_LEN)
-    short = ctx.level_offset(top + 1)
-    if top == ctx.L or words > short:
-        return (left_wick_stack if side == "L" else right_wick_stack)(ctx)
-    _check_stack_dim(ctx)
-    full = ctx._memo.get(("stack", side))
-    if full is not None:
-        return full[:short]
-    return ctx.memo(("stack", side, top), lambda: _fill_stack(ctx, side, top))
+    return ctx.memo(("stack", "R"), lambda: _fill_stack(ctx, "R"))
 
 
 # ---- state, norms, inequality harness ---------------------------------------

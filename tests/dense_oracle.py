@@ -18,7 +18,9 @@ word operators, and prefix/suffix vacuum images.
 
 ``dq_star_by_stack`` is the adjoint of the deformed derivation as a
 contraction with the plain left stack, ``sum_u A_u rows[u]``: the reference
-for the library's fold by the last-letter recursion.
+for the library's fold by the last-letter recursion.  ``poly_operator_by_products``
+multiplies the field operators of each monomial out one by one: the
+reference for the library's walk over the first letters.
 
 The letter relabelling of the graded basis serves the symmetry tests.
 
@@ -90,6 +92,18 @@ def dq_star_by_stack(C: np.ndarray, j: int, ctx) -> np.ndarray:
     if np.iscomplexobj(rows):
         return contract(rows.real) + 1j * contract(rows.imag)
     return contract(rows)
+
+
+def poly_operator_by_products(P, ctx) -> np.ndarray:
+    """``P(X)`` as the sum over monomials of their field operators
+    multiplied out left to right."""
+    M = np.zeros((ctx.dim, ctx.dim), dtype=complex)
+    for w, c in P.terms.items():
+        term = np.eye(ctx.dim)
+        for letter in w:
+            term = term @ gaussian(letter, ctx)
+        M += c * term
+    return M
 
 
 def dense_sym_stacks(ctx) -> tuple[np.ndarray, np.ndarray]:

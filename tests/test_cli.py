@@ -94,6 +94,20 @@ def test_verify_number_free_case_exact(capsys):
     assert data["suites"]["number"][0]["value"] < 1e-12
 
 
+def test_verify_derivations_at_dim_255_builds_no_stack(capsys, monkeypatch):
+    # every dim**3 word-operator store passes _check_stack_dim, which raises
+    # (exit 2) above dim 192; the suite asks for none of them
+    from qfock import deformation, operators
+
+    asked, check = [], operators._check_stack_dim
+    for module in (operators, deformation):
+        monkeypatch.setattr(module, "_check_stack_dim", lambda ctx: asked.append(ctx.dim) or check(ctx))
+    code, out, _ = run(["verify", "--suite", "derivations", "--n", "2", "--q", "0.1", "--level", "7"], capsys)
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+    assert not asked
+
+
 def test_verify_unknown_suite(capsys):
     code, _, err = run(["verify", "--suite", "bogus"], capsys)
     assert code == 2

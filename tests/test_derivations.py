@@ -49,6 +49,7 @@ from dense_oracle import (
     dq_star_by_stack,
     leibniz_by_prefix_suffix,
     letter_relabelling,
+    poly_operator_by_products,
     right_mult_by_products,
     wick_expansion,
     wick_poly,
@@ -193,8 +194,10 @@ def test_fdq_leibniz_two_letter():
 
 def test_derive_letter_out_of_range():
     ctx = make_context(2, 0.3, 4)
-    with pytest.raises(AlphabetError):
-        derive(NCPoly.x(1), 3, FDQ, ctx)
+    for tag in (FDQ, Q_COMMUTATOR, Q_SQRT, q_truncated(2), DOUBLING):
+        for j in (0, 3):
+            with pytest.raises(AlphabetError):
+                derive(NCPoly.x(1), j, tag, ctx)
 
 
 def test_leibniz_rule_random():
@@ -680,14 +683,57 @@ def test_fdq_of_conjugate_variable_keeps_oracle_zero_pattern():
             assert np.array_equal(got == 0, leibniz_by_prefix_suffix(ref, k, ctx) == 0), (n, k)
 
 
-def test_derivations_suite_holds_only_the_short_stacks():
-    # every lr_apply of the suite reads the words of length <= 3 at L = 6,
-    # so no plain stack of all 127 words is built; dq_star reads none
+def test_derivations_suite_holds_no_stack():
+    # the commutator tags walk the field operators and dq_star folds by the
+    # last letter, so no derivation of the suite reads a word-operator stack
     from qfock.cli import _suite_derivations
 
     ctx = make_context(2, 0.1, 6)
     checks = _suite_derivations(ctx, np.random.default_rng(7))
     assert all(c["passed"] for c in checks)
-    stacks = {key: v for key, v in ctx._memo.items() if isinstance(key, tuple) and key[0] == "stack"}
-    assert sorted(stacks) == [("stack", "L", 3), ("stack", "R", 3)]
-    assert all(S.shape == (15, 127, 127) for S in stacks.values())
+    assert not _stack_keys(ctx)
+
+
+# ---- the commutator tags and P(X) by one walk over the first letters ---------------
+
+# lr_apply, the oracle of the commutator tags, reads the plain stacks, which
+# are capped at dim 192: N = 3 stops at L = 4 (dim 121)
+WALK_CONFIGS = [
+    (N, q, L) for q in (0.0, 0.3, -0.5) for N, top in ((1, 6), (2, 6), (3, 4)) for L in range(1, top + 1)
+] + [(2, 0.1, 4), (3, -0.2, 3), (2, 0.1, 6), (1, 0.5, 5)]
+
+
+def walk_polys(ctx, seed):
+    """One random complex polynomial of each degree 1..L, each with a
+    monomial of that degree."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for deg in range(1, ctx.L + 1):
+        top = tuple(int(x) for x in rng.integers(1, ctx.N + 1, size=deg))
+        c = complex(rng.standard_normal(), rng.standard_normal())
+        out.append(random_poly(ctx, rng, deg) + NCPoly.from_word(top, c))
+    return out
+
+
+@pytest.mark.parametrize("N, q, L", WALK_CONFIGS)
+def test_q_commutator_tags_match_lr_apply_of_fdq(N, q, L):
+    # T # Xi_Q by the walk against the product in the tensor-square algebra
+    ctx = make_context(N, q, L)
+    for P in walk_polys(ctx, 21):
+        for j in range(1, N + 1):
+            T = derive(P, j, FDQ, ctx)
+            for Q in [Q for Q in (L, L - 2) if Q >= 0]:
+                got = derive(P, j, Q_COMMUTATOR if Q == L else q_truncated(Q), ctx)
+                ref = lr_apply(T, xi_as_hs(ctx, Q), ctx)
+                assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("N, q, L", RELABEL_CONFIGS)
+def test_poly_operator_matches_products_of_field_operators(N, q, L):
+    ctx = make_context(N, q, L)
+    for P in relabel_polys(ctx, 14):
+        real = NCPoly({w: c.real for w, c in P.terms.items()})
+        for R, dtype in ((P, np.complex128), (real, np.float64)):
+            got, ref = poly_operator(R, ctx), poly_operator_by_products(R, ctx)
+            assert got.dtype == dtype
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
