@@ -16,9 +16,10 @@ Simulation uses one independent, counter-derived random stream per path:
 path p draws from the stream of ``numpy.random.default_rng([seed, p])``, so
 reports are reproducible bit for bit from (seed, parameters) and paths are
 trivially parallelizable.  No generator is built: the streams' PCG64 states
-are derived for a block of paths at once, by numpy's SeedSequence hash in
-uint32 arrays, and the live paths of a block step together, one round per
-jump, their streams advanced by PCG64's integer maps in uint64 arrays.
+are derived for a block of paths at once and the live paths of a block step
+together, one round per jump, by the array form of numpy's SeedSequence hash
+and PCG64 step in :mod:`qfock._pcg64`, which the Lanczos starts of the
+doubled-space norms share.
 
 Explosion is never decided: paths that hit the jump budget with time left
 are reported as censored, quantifying evidence, not a verdict.
@@ -33,6 +34,7 @@ from itertools import accumulate
 
 import numpy as np
 
+from ._pcg64 import _pcg64_random, _pcg64_states
 from .errors import (
     AbsorbingStateError,
     CapacityError,
@@ -321,113 +323,7 @@ class SimReport:
         }
 
 
-# numpy's SeedSequence hash (pool of 4 uint32 words) and PCG64's 128-bit LCG;
-# a stream's 128-bit state and increment are (high, low) uint64 word pairs
-_MASK32 = 0xFFFFFFFF
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-# every operand of the uint64 arithmetic is a uint64, so none is promoted to
-# float64; the low multiplier word also as 32-bit limbs, for the carry word
-_M_HI = np.uint64(_PCG_MULT >> 64)
-_M_LO = np.uint64(_PCG_MULT & 0xFFFFFFFFFFFFFFFF)
-_M_LO0, _M_LO1 = np.uint64(_PCG_MULT & _MASK32), np.uint64(_PCG_MULT >> 32 & _MASK32)
-_LOW32 = np.uint64(_MASK32)
-_ONE, _S11, _S32, _S58, _S63, _S64 = (np.uint64(k) for k in (1, 11, 32, 58, 63, 64))
 _SEED_BLOCK = 4096  # paths whose streams are derived and stepped together
-
-
-def _hashmix(value: np.ndarray, h: int, mult: int) -> tuple[np.ndarray, int]:
-    value = value ^ np.uint32(h)
-    h = (h * mult) & _MASK32
-    value = value * np.uint32(h)
-    return value ^ (value >> np.uint32(16)), h
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    r = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-    return r ^ (r >> np.uint32(16))
-
-
-def _int_words(n: int) -> list[int]:
-    """Little-endian uint32 words of n >= 0, as SeedSequence splits an int."""
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
-
-
-def _pcg64_step(s_hi, s_lo, inc_hi, inc_lo):
-    """``state * M + inc`` mod 2**128 on uint64 word arrays; the high word of
-    the low-word product ``s_lo * M_lo`` is summed from 32-bit limbs."""
-    a0, a1 = s_lo & _LOW32, s_lo >> _S32
-    p00, p01, p10 = a0 * _M_LO0, a0 * _M_LO1, a1 * _M_LO0
-    mid = (p00 >> _S32) + (p01 & _LOW32) + (p10 & _LOW32)
-    carry = a1 * _M_LO1 + (p01 >> _S32) + (p10 >> _S32) + (mid >> _S32)
-    lo = s_lo * _M_LO + inc_lo
-    hi = carry + s_hi * _M_LO + s_lo * _M_HI + inc_hi + (lo < inc_lo)
-    return hi, lo
-
-
-def _pcg64_random(streams: np.ndarray) -> np.ndarray:
-    """Next double of each stream of a (4, n) uint64 array of (state high,
-    state low, inc high, inc low) words, whose states advance in place:
-    PCG64's step, its XSL-RR output and numpy's ``(out >> 11) * 2**-53``."""
-    hi, lo = _pcg64_step(*streams)
-    streams[0], streams[1] = hi, lo
-    x, rot = hi ^ lo, hi >> _S58
-    out = (x >> rot) | (x << ((_S64 - rot) & _S63))
-    return (out >> _S11).astype(np.float64) * 2.0**-53
-
-
-def _pcg64_states(seed: int, start: int, stop: int) -> np.ndarray:
-    """The streams of ``PCG64(SeedSequence([seed, p]))`` for p in
-    start..stop-1 (a nonempty range), as the (4, n) uint64 array that :func:`_pcg64_random`
-    steps: the entropy hash, pool mixing and ``generate_state(4, uint64)`` of
-    SeedSequence run in uint32 arrays across the paths, then PCG's
-    ``srandom`` in uint64 ones.  p takes two entropy words from 2**32 on, so
-    that range is hashed separately."""
-    parts = []
-    lo = start
-    while lo < stop:
-        hi = stop if lo > _MASK32 else min(stop, _MASK32 + 1)
-        p = np.arange(lo, hi, dtype=np.uint64)
-        entropy = [np.full(hi - lo, w, dtype=np.uint32) for w in _int_words(seed)]
-        entropy.append((p & _LOW32).astype(np.uint32))
-        if lo > _MASK32:
-            entropy.append((p >> _S32).astype(np.uint32))
-        zero = np.zeros(hi - lo, dtype=np.uint32)
-        h = _INIT_A
-        pool = []
-        for i in range(_POOL_SIZE):
-            v, h = _hashmix(entropy[i] if i < len(entropy) else zero, h, _MULT_A)
-            pool.append(v)
-        for src in range(_POOL_SIZE):
-            for dst in range(_POOL_SIZE):
-                if src != dst:
-                    v, h = _hashmix(pool[src], h, _MULT_A)
-                    pool[dst] = _mix(pool[dst], v)
-        for src in range(_POOL_SIZE, len(entropy)):
-            for dst in range(_POOL_SIZE):
-                v, h = _hashmix(entropy[src], h, _MULT_A)
-                pool[dst] = _mix(pool[dst], v)
-        h = _INIT_B
-        words = []
-        for i in range(8):
-            v, h = _hashmix(pool[i % _POOL_SIZE], h, _MULT_B)
-            words.append(v.astype(np.uint64))
-        # little-endian uint64 pairs: seed = (w0|w1, w2|w3), inc = (w4|w5, w6|w7)
-        s_hi, s_lo, i_hi, i_lo = (words[2 * k] | words[2 * k + 1] << _S32 for k in range(4))
-        # srandom: inc = 2 * initseq + 1; state = 0, step, state += seed, step
-        inc_hi, inc_lo = i_hi << _ONE | i_lo >> _S63, i_lo << _ONE | _ONE
-        s_lo = s_lo + inc_lo
-        s_hi = s_hi + inc_hi + (s_lo < inc_lo)
-        parts.append(np.array([*_pcg64_step(s_hi, s_lo, inc_hi, inc_lo), inc_hi, inc_lo]))
-        lo = hi
-    return np.concatenate(parts, axis=1)
 
 
 class _StateTable:

@@ -30,8 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._pcg64 import _signed_uniforms
 from .errors import (
+    STORE_BYTE_CAP,
     AlphabetError,
+    CapacityError,
     NonConvergenceWarning,
     QRangeError,
     SquareRootUnavailableError,
@@ -39,7 +42,6 @@ from .errors import (
 from .fock import FockContext, _rev_perm, gram, metric
 from .operators import (
     _check_shape,
-    _check_stack_dim,
     _extreme_eig,
     _grades,
     _lanczos,
@@ -162,7 +164,8 @@ def lr_apply(C: np.ndarray, V: np.ndarray, ctx: FockContext) -> np.ndarray:
     B); a full-support C takes exactly the untrimmed stacks.  One application is
     ``W_u = sum_v C[u,v] B_v``, one batched matmul ``V @ W_u^T`` and one
     (d, d*m) x (d*m, d) GEMM against ``A_cat[i, u*d + k] = A_u[i, k]``, m the
-    number of rows taking part.  Complex C and V enter by parts
+    number of rows taking part, a view of the word-second left stack
+    (:func:`~qfock.operators._fill_stack`).  Complex C and V enter by parts
     (:func:`_by_parts`).
     """
     _check_shape(C, ctx)
@@ -229,15 +232,24 @@ def _sym_blocks(ctx: FockContext) -> tuple[np.ndarray, ...]:
     Built by the recursion of :func:`~qfock.operators._sandwiched_levels` in
     these coordinates, level by level straight into that layout: no plain
     stack is made, and besides the store only the levels the recursion holds
-    are alive.  Guarded by :func:`~qfock.operators._check_stack_dim`, as the
-    plain stacks are.
+    are alive.  Its bytes, from the class sizes, are checked against the
+    fixed ``STORE_BYTE_CAP`` before anything is allocated: 60.9 MiB at (N, L)
+    = (2, 7) passes it.
     """
-    _check_stack_dim(ctx)
+    split = _basis_split(ctx)
+    k, n = len(split), [idx.size for idx, _, _ in split]
+    shapes = [(n[y], n[x ^ y], n[x]) for x in range(k) for y in range(k)]
+    nbytes = 8 * sum(math.prod(shape) for shape in shapes)
+    if nbytes > STORE_BYTE_CAP:
+        raise CapacityError(
+            f"sandwiched word-operator store needs {nbytes / 2**20:.1f} MiB at dim "
+            f"{ctx.dim} ({nbytes} > {STORE_BYTE_CAP} bytes); {STORE_BYTE_CAP / 2**20:g} MiB "
+            f"is a fixed limit on that store, which neither QFOCK_SIZE_CAP nor "
+            f"--cap-override raises"
+        )
 
     def build():
-        split = _basis_split(ctx)
-        k, n = len(split), [idx.size for idx, _, _ in split]
-        out = [np.empty((n[y], n[x ^ y], n[x])) for x in range(k) for y in range(k)]
+        out = [np.empty(shape) for shape in shapes]
         # where the next level starts among the words of each class
         start = [0] * k
         for level, blocks in enumerate(_sandwiched_levels(ctx, split, ctx.L)):
@@ -268,12 +280,14 @@ def _scatter(ctx: FockContext, blocks, v: np.ndarray, V: np.ndarray) -> None:
 
 
 def _start(ctx: FockContext, blocks) -> np.ndarray:
-    """The seeded Gaussian start vector of the whole doubled space, restricted
-    to ``blocks``: a constant vector is invariant under letter relabelling
+    """The start vector of the whole doubled space, restricted to ``blocks``:
+    entry ``i * dim + j`` of the (dim, dim) matrix, memoized per context, is
+    the fixed uniform of :func:`~qfock._pcg64._signed_uniforms` in [-1, 1).
+    A constant vector would not do: it is invariant under letter relabelling
     and word reversal, so its Krylov space never leaves that symmetric
     sector and misses extremes that lie outside it."""
     d = ctx.dim
-    return _gather(ctx, blocks, np.random.default_rng(0).standard_normal(d * d).reshape(d, d))
+    return _gather(ctx, blocks, ctx.memo("start", lambda: _signed_uniforms(d * d).reshape(d, d)))
 
 
 def _runs(ctx: FockContext, C: np.ndarray, normal: bool):
@@ -324,11 +338,18 @@ def _sym_action(ctx: FockContext, C: np.ndarray, ins, outs):
     b][j, l]``, built once, here: block (a', b') of the image is ``(WX @
     P)^T``.  Where several inputs reach one output, their P are stacked
     along the rows and their WX along the columns, so it is still one GEMM.
-    The store is never copied: the action holds ``WX`` and nothing else of
-    size dim**3.  Only the words in the nonzero row and column range of the
-    reversed coefficients of the two classes take part.  Complex C and v
-    enter by parts (:func:`_by_parts`): a complex C as the actions of its
-    real and imaginary parts.
+
+    The rows of P go in consecutive ranges of at most ``_IMAGE_CHUNK``
+    bytes (:func:`_image_ranges`), each filled by the first GEMM on the
+    matching rows l of ``V_ab^T`` and met by ``WX[:, range]``, the image
+    summed over the ranges.  A P that fits is one range, the two GEMMs
+    above.  The store is never copied: between matvecs the action holds
+    ``WX`` and nothing else of size dim**3, and a matvec adds at most
+    ``_IMAGE_CHUNK`` bytes of P (one l of one input if that is larger).
+    Only the words in the nonzero row and column range of the reversed
+    coefficients of the two classes take part.  Complex C and v enter by
+    parts (:func:`_by_parts`): a complex C as the actions of its real and
+    imaginary parts.
     """
     if np.iscomplexobj(C):
         re, im = _sym_action(ctx, C.real, ins, outs), _sym_action(ctx, C.imag, ins, outs)
@@ -354,8 +375,10 @@ def _sym_action(ctx: FockContext, C: np.ndarray, ins, outs):
             clo, chi = _support(sub.T)
             cut = WX[:, r0:r1].reshape(n[b2], n[b], hi - lo).transpose(1, 0, 2)
             np.matmul(T[b2 * k + b][:, clo:chi].transpose(0, 2, 1), sub[lo:hi, clo:chi].T, out=cut)
-            lefts.append((o0, o1, (n[a], n[b]), T[a2 * k + a][:, lo:hi].reshape(n[a], -1), r0, r1))
-        terms.append((lefts, WX, n[a2], size, size + n[a2] * n[b2]))
+            lefts.append((o0, o1, (n[a], n[b]), T[a2 * k + a][:, lo:hi].reshape(n[a], -1), hi - lo))
+        ranges = _image_ranges(lefts, max(_IMAGE_CHUNK // (8 * n[a2]), 1))
+        prows = max(c1 - c0 for c0, c1, _ in ranges)
+        terms.append((ranges, prows, WX, n[a2], size, size + n[a2] * n[b2]))
         size += n[a2] * n[b2]
 
     # The order of both GEMMs is measured: medians of one S0 matvec, this
@@ -369,14 +392,50 @@ def _sym_action(ctx: FockContext, C: np.ndarray, ins, outs):
     # from dim 31 to 127.
     def apply(v: np.ndarray) -> np.ndarray:
         out = np.empty(size)
-        for lefts, WX, rows, s0, s1 in terms:
-            P = np.empty((WX.shape[1], rows))
-            for o0, o1, shape, Tl, r0, r1 in lefts:
-                np.matmul(v[o0:o1].reshape(shape).T, Tl, out=P[r0:r1].reshape(shape[1], -1))
-            out[s0:s1].reshape(rows, -1)[...] = (WX @ P).T
+        for ranges, prows, WX, rows, s0, s1 in terms:
+            P = np.empty((prows, rows))
+            image = None
+            for c0, c1, pieces in ranges:
+                for o0, o1, shape, Tl, l0, l1, p0, p1 in pieces:
+                    Vt = v[o0:o1].reshape(shape).T[l0:l1]
+                    np.matmul(Vt, Tl, out=P[p0:p1].reshape(l1 - l0, -1))
+                part = WX[:, c0:c1] @ P[: c1 - c0]
+                if image is None:
+                    image = part
+                else:
+                    image += part
+            out[s0:s1].reshape(rows, -1)[...] = image.T
         return out
 
     return lambda v: _by_parts(apply, v)
+
+
+# The bytes of P that one matvec of _sym_action fills before meeting WX: at
+# dim 255 the image of Xi would otherwise hold a P as large as its operand
+# (39 MB for one output block).  Every P below dim 192 fits in one range.
+_IMAGE_CHUNK = 8 * 2**20
+
+
+def _image_ranges(lefts, cap: int):
+    """The rows of P in consecutive ranges ``(c0, c1, pieces)`` of at most
+    ``cap`` rows, or of the h rows of one l where those alone exceed it.  The
+    inputs ``lefts`` hold their h words per row l of ``V_ab^T`` as
+    consecutive rows of P; a piece ``(o0, o1, shape, Tl, l0, l1, p0, p1)``
+    is the rows l0..l1-1 of one input, at rows p0..p1-1 of its range.  A P
+    of at most ``cap`` rows is one range of whole inputs."""
+    ranges, pieces, c0, used = [], [], 0, 0
+    for o0, o1, shape, Tl, h in lefts:
+        l0 = 0
+        while l0 < shape[1]:
+            if used and used + h > cap:
+                ranges.append((c0, c0 + used, pieces))
+                pieces, c0, used = [], c0 + used, 0
+            l1 = min(shape[1], l0 + max((cap - used) // h, 1))
+            pieces.append((o0, o1, shape, Tl, l0, l1, used, used + (l1 - l0) * h))
+            used += (l1 - l0) * h
+            l0 = l1
+    ranges.append((c0, c0 + used, pieces))
+    return ranges
 
 
 # the square root of the deformation action: unavailable below this least
@@ -395,6 +454,8 @@ def _sym_extremes(ctx: FockContext, C: np.ndarray, which: tuple[str, ...]) -> li
     for blocks, _ in _runs(ctx, Cs, normal=False):
         sym, v = _sym_action(ctx, Cs, blocks, blocks), _start(ctx, blocks)
         out.append([_extreme_eig(sym, v, Cs.dtype, w) for w in which])
+        # release this run's operand before the next run builds its own
+        del sym
     return out
 
 
@@ -444,6 +505,8 @@ def doubled_op_norm(C: np.ndarray, ctx: FockContext, hermitian: bool = False) ->
     for blocks, image in _runs(ctx, C, normal=True):
         fwd, adj = _sym_action(ctx, C, blocks, image), _sym_action(ctx, star, image, blocks)
         tops.append(_extreme_eig(lambda v: adj(fwd(v)), _start(ctx, blocks), C.dtype, "LA"))
+        # release this run's operands before the next run builds its own
+        del fwd, adj
     return math.sqrt(max(max(tops), 0.0))
 
 
@@ -488,8 +551,9 @@ def _xi_sqrt_right(ctx: FockContext, C: np.ndarray) -> np.ndarray:
     B = (m["Gh"] @ C @ m["Gh"]).T[:, rev]
     Y = np.zeros_like(B)
     for blocks, _ in _runs(ctx, Xs, normal=False):
-        sym = _sym_action(ctx, Xs, blocks, blocks)
-        _scatter(ctx, blocks, _lanczos_sqrt(sym, _gather(ctx, blocks, B)), Y)
+        # the action lives for its own run only
+        root = _lanczos_sqrt(_sym_action(ctx, Xs, blocks, blocks), _gather(ctx, blocks, B))
+        _scatter(ctx, blocks, root, Y)
     return m["Gih"] @ Y[:, rev].T @ m["Gih"]
 
 

@@ -10,10 +10,15 @@ from __future__ import annotations
 import os
 
 DEFAULT_DIM_CAP = 4096
-# the plain word-operator stacks of the Neumann product and the sandwiched
-# store of the doubled norms hold dim**3 floats; a fixed limit that neither
-# QFOCK_SIZE_CAP nor a cap override raises
+# Two fixed limits on the word-operator stores, which neither QFOCK_SIZE_CAP
+# nor a cap override raises.  The plain stacks of the Neumann product hold
+# dim**3 floats each and are capped by dim.  The sandwiched store of the
+# doubled-space norms keeps only its nonzero level-parity blocks and is
+# capped by its own bytes, computed from the class sizes before it is
+# built: 60.9 MiB at (N, L) = (2, 7) passes, 528 MiB at (2, 8) and 161 MiB
+# at (3, 5) do not.
 DEFAULT_STACK_DIM_CAP = 192
+STORE_BYTE_CAP = 64 * 2**20
 MAX_PERM_LENGTH = 8
 
 

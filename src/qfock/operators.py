@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._pcg64 import _signed_uniforms
 from .errors import (
     DEFAULT_STACK_DIM_CAP,
     AlphabetError,
@@ -189,10 +190,11 @@ def wick_matrix(w: tuple[int, ...], ctx: FockContext) -> np.ndarray:
 
 
 def _check_stack_dim(ctx: FockContext) -> None:
-    """Raise :class:`CapacityError` above ``DEFAULT_STACK_DIM_CAP``: the one
-    guard of the word-operator stores that grow as dim**3, the plain stacks
-    of :func:`left_wick_stack` and :func:`right_wick_stack` and the
-    sandwiched store of :func:`~qfock.deformation._sym_blocks`."""
+    """Raise :class:`CapacityError` above ``DEFAULT_STACK_DIM_CAP``: the
+    guard of the plain stacks of :func:`left_wick_stack` and
+    :func:`right_wick_stack`, dim**3 floats each.  The sandwiched store of
+    :func:`~qfock.deformation._sym_blocks` has its own limit, on its bytes
+    (``STORE_BYTE_CAP``)."""
     d = ctx.dim
     if d > DEFAULT_STACK_DIM_CAP:
         raise CapacityError(
@@ -211,10 +213,13 @@ def _fill_stack(ctx: FockContext, side: str) -> np.ndarray:
     in place: the head of a word is ``X_(w_1) S[tail]`` on the left, the
     bit-identical arithmetic of :func:`wick_matrix`, and ``S[tail] Y_(w_1)``
     with the right field operator Y on the right, where products compose in reverse.
+    The left stack is stored word-second, ``(i, u, k)``, and returned as its
+    ``(u, i, k)`` view, so that the words of a range side by side,
+    ``S[lo:hi].transpose(1, 0, 2).reshape(dim, -1)``, are a view as well.
     """
     d = ctx.dim
     field = gaussian if side == "L" else right_gaussian
-    S = np.empty((d, d, d))
+    S = np.empty((d, d, d)) if side == "R" else np.empty((d, d, d)).transpose(1, 0, 2)
     S[0] = np.eye(d)
     if ctx.L:
         # level 1: the field operators, exactly their products with the unit
@@ -425,14 +430,15 @@ def _top_singular(S: np.ndarray) -> float:
     """Largest singular value of S: the square root of the top eigenvalue of
     the smaller of ``S S^H`` and ``S^H S``.  With at most
     ``_GRAM_MAX_SIDE`` rows or columns, that Gram matrix is formed and the
-    top of its ``eigvalsh`` taken; above, :func:`_extreme_eig` finds it from
-    a seeded Gaussian start on the matvecs ``v -> S (S^H v)`` (or ``S^H (S
-    v)``), and the Gram matrix is never formed."""
+    top of its ``eigvalsh`` taken; above, :func:`_extreme_eig` finds it on
+    the matvecs ``v -> S (S^H v)`` (or ``S^H (S v)``), from the fixed
+    uniforms of :func:`~qfock._pcg64._signed_uniforms` as the doubled-space
+    norms start, and the Gram matrix is never formed."""
     if min(S.shape) <= _GRAM_MAX_SIDE:
         gram = S @ S.conj().T if S.shape[0] <= S.shape[1] else S.conj().T @ S
         return math.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0))
     H, wide = S.conj().T, S.shape[0] <= S.shape[1]
-    start = np.random.default_rng(0).standard_normal(min(S.shape))
+    start = _signed_uniforms(min(S.shape))
     top = _extreme_eig(lambda v: S @ (H @ v) if wide else H @ (S @ v), start, S.dtype, "LA")
     return math.sqrt(max(top, 0.0))
 

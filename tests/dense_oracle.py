@@ -16,6 +16,8 @@ doubled context's dense matrices out of the tests), products of right field
 operators, the mirror formula word by word, the three-term recursion of the
 word operators, and prefix/suffix vacuum images.
 
+``lr_apply_by_copy`` is the library's left action with a contiguous copy
+of the left stack's words where the library reads a view of them.
 ``dq_star_by_stack`` is the adjoint of the deformed derivation as a
 contraction with the plain left stack, ``sum_u A_u rows[u]``: the reference
 for the library's fold by the last-letter recursion.  ``poly_operator_by_products``
@@ -65,6 +67,18 @@ from qfock.operators import (
 from qfock.symgroup import Permutation, cycle_perm, mn_matrix, perm_action
 
 
+# Dense oracles that several tests ask for at one configuration, built once
+# per test session: keyed by (N, q, L) and, where the input is not the
+# configuration alone, by its bytes.
+_CACHE: dict = {}
+
+
+def _cached(key, build):
+    if key not in _CACHE:
+        _CACHE[key] = build()
+    return _CACHE[key]
+
+
 def dense_action(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Matrix of ``V -> sum_{u,v} C[u,v] . A_u @ V @ B_v^T``."""
     d = A.shape[1]
@@ -77,6 +91,26 @@ def lr_action(C: np.ndarray, ctx) -> np.ndarray:
     """Matrix of the left action of the tensor-square element with
     coefficients C."""
     return dense_action(left_wick_stack(ctx), right_wick_stack(ctx), C)
+
+
+def lr_apply_by_copy(C: np.ndarray, V: np.ndarray, ctx) -> np.ndarray:
+    """``lr_apply(C, V, ctx)`` by the same contraction, with the words of
+    the left stack taken side by side as a contiguous copy, ``A_cat[i, u*d
+    + k] = A_u[i, k]``, where the library reads a view."""
+    d = ctx.dim
+    A, B = left_wick_stack(ctx), right_wick_stack(ctx)
+
+    def by_parts(f, X):
+        return f(X.real) + 1j * f(X.imag) if np.iscomplexobj(X) else f(X)
+
+    def action(C):
+        rows, cols = np.flatnonzero(np.any(C, axis=1)), np.flatnonzero(np.any(C, axis=0))
+        lo, hi, clo, chi = rows[0], rows[-1] + 1, cols[0], cols[-1] + 1
+        Wt = np.tensordot(C[lo:hi, clo:chi], B[clo:chi], axes=(1, 0)).transpose(0, 2, 1)
+        A_cat = A[lo:hi].transpose(1, 0, 2).copy().reshape(d, -1)
+        return by_parts(lambda V: A_cat @ np.matmul(V[None, :, :], Wt).reshape(-1, d), V)
+
+    return by_parts(action, C)
 
 
 def dq_star_by_stack(C: np.ndarray, j: int, ctx) -> np.ndarray:
@@ -109,9 +143,16 @@ def poly_operator_by_products(P, ctx) -> np.ndarray:
 def dense_sym_stacks(ctx) -> tuple[np.ndarray, np.ndarray]:
     """The left and right word-operator stacks in metric-orthonormal
     coordinates, ``G**(1/2) S G**(-1/2)``, sandwiched whole: no word
-    reversal and no parity blocks."""
-    m = metric(ctx)
-    return tuple(m["Gh"] @ S @ m["Gih"] for S in (left_wick_stack(ctx), right_wick_stack(ctx)))
+    reversal and no parity blocks.  Cached per configuration, read-only."""
+
+    def build():
+        m = metric(ctx)
+        stacks = tuple(m["Gh"] @ S @ m["Gih"] for S in (left_wick_stack(ctx), right_wick_stack(ctx)))
+        for S in stacks:
+            S.setflags(write=False)
+        return stacks
+
+    return _cached(("sym_stacks", ctx.N, ctx.q, ctx.L), build)
 
 
 def dense_sym_action(ctx, C: np.ndarray, which: str = "left") -> np.ndarray:
@@ -307,10 +348,16 @@ def dense_fdq_top(v: GradedVector, k: int) -> float:
     """Top singular value of the dense doubled-space action of d_k P, where
     P is the polynomial with vacuum image v: the recursion's expansion, the
     prefix/suffix Leibniz loop and a full decomposition, none of them the
-    library's change of basis or its Lanczos norm."""
+    library's change of basis or its Lanczos norm.  Cached per
+    configuration, k and the bytes of v: the conjugate-variable tests ask
+    for the same tops."""
     ctx = v.ctx
-    C = leibniz_by_prefix_suffix(wick_expansion(v), k, ctx)
-    return dense_top(dense_sym_action(ctx, C if C.imag.any() else C.real))
+
+    def build():
+        C = leibniz_by_prefix_suffix(wick_expansion(v), k, ctx)
+        return dense_top(dense_sym_action(ctx, C if C.imag.any() else C.real))
+
+    return _cached(("fdq_top", ctx.N, ctx.q, ctx.L, k, v.data.dtype.str, v.data.tobytes()), build)
 
 
 def inversions(p: Permutation) -> int:

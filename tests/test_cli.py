@@ -95,13 +95,14 @@ def test_verify_number_free_case_exact(capsys):
 
 
 def test_verify_derivations_at_dim_255_builds_no_stack(capsys, monkeypatch):
-    # every dim**3 word-operator store passes _check_stack_dim, which raises
-    # (exit 2) above dim 192; the suite asks for none of them
+    # the plain stacks pass _check_stack_dim, which raises (exit 2) above dim
+    # 192, and the sandwiched store is built by _sym_blocks; the suite asks
+    # for none of them
     from qfock import deformation, operators
 
-    asked, check = [], operators._check_stack_dim
-    for module in (operators, deformation):
-        monkeypatch.setattr(module, "_check_stack_dim", lambda ctx: asked.append(ctx.dim) or check(ctx))
+    asked, check, blocks = [], operators._check_stack_dim, deformation._sym_blocks
+    monkeypatch.setattr(operators, "_check_stack_dim", lambda ctx: asked.append(ctx.dim) or check(ctx))
+    monkeypatch.setattr(deformation, "_sym_blocks", lambda ctx: asked.append(ctx.dim) or blocks(ctx))
     code, out, _ = run(["verify", "--suite", "derivations", "--n", "2", "--q", "0.1", "--level", "7"], capsys)
     assert code == 0
     assert json.loads(out)["passed"] is True
@@ -466,18 +467,16 @@ def test_eigensolver_failure_in_a_top_singular_value_exits_3(capsys, monkeypatch
 @pytest.mark.parametrize(
     "argv,runs,matvecs",
     [
-        ("conjugate --n 2 --q 0.05 --level 4 --terms 20", 60, 3148),
-        ("verify --suite all", 24, 600),
-        ("xi --n 2 --q 0.1 --level 6 --trunc-q 5", 2, 88),
-        ("verify --suite bozejko --n 3 --q 0.1 --level 5 --seed 1", 25, 728),
+        ("conjugate --n 2 --q 0.05 --level 4 --terms 20", 60, 3152),
+        ("verify --suite all", 24, 604),
+        ("xi --n 2 --q 0.1 --level 6 --trunc-q 5", 2, 84),
+        ("verify --suite bozejko --n 3 --q 0.1 --level 5 --seed 1", 25, 712),
     ],
 )
 def test_lanczos_work_of_the_benchmark_commands(argv, runs, matvecs, capsys, monkeypatch):
-    # the doubled-space commands of the benchmark take the Lanczos runs and
-    # matvecs that the solver with a stored, twice reorthogonalized basis
-    # took: the three-term recurrence and its rounding floor stop every run
-    # at the same step (the Bozejko suite's count depends on the seed of
-    # its random trials)
+    # the Lanczos runs and matvecs of the doubled-space commands of the
+    # benchmark, from the fixed PCG64 uniform starts (the Bozejko suite's
+    # count depends on the seed of its random trials)
     import qfock.deformation as deformation
     import qfock.operators as operators
 
@@ -513,6 +512,28 @@ def test_verify_runs_without_scipy():
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv", ["xi --level 4", "conjugate --level 3 --terms 3", "gram --level 4"]
+)
+def test_commands_leave_numpy_random_unloaded(argv):
+    # the Lanczos starts are PCG64 uniforms drawn without numpy.random; only
+    # verify's seeded inputs load it
+    code = (
+        "import runpy, sys\n"
+        f"sys.argv = ['qfock', *{argv.split()!r}]\n"
+        "try:\n"
+        "    runpy.run_module('qfock', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-W", "ignore", "-c", code], capture_output=True, text=True, env=_src_env()
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"
@@ -564,14 +585,36 @@ def test_conjugate_names_minimum_level(capsys):
     assert "command 'conjugate' needs truncation level >= 1, got 0" in err
 
 
+@pytest.mark.filterwarnings("ignore::qfock.errors.NonConvergenceWarning")
 @pytest.mark.parametrize("extra", [[], ["--cap-override", "100000"]])
 def test_stack_cap_is_a_fixed_limit(capsys, monkeypatch, extra):
+    # two fixed limits: the bytes of the sandwiched store stop xi at dim 511
+    # (528 MiB), the dimension of the plain stacks stops conjugate at dim 255
     monkeypatch.setenv("QFOCK_SIZE_CAP", "100000")
-    argv = ["xi", "--n", "2", "--q", "0.1", "--level", "7", "--trunc-q", "6", *extra]
+    argv = ["xi", "--n", "2", "--q", "0.1", "--level", "8", "--trunc-q", "6", *extra]
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert "store needs 528.1 MiB at dim 511 (553732168 > 67108864 bytes); 64 MiB is a fixed limit" in err
+    assert "neither QFOCK_SIZE_CAP nor --cap-override raises" in err
+    argv = ["conjugate", "--n", "2", "--q", "0.1", "--level", "7", "--terms", "3", *extra]
     code, out, err = run(argv, capsys)
     assert code == 2 and out == ""
     assert "(dim 255 > 192); 192 is a fixed limit on the dim^3 stack" in err
     assert "neither QFOCK_SIZE_CAP nor --cap-override raises" in err
+
+
+def test_store_byte_cap_stops_xi(capsys, monkeypatch):
+    # with the cap one byte below the store at (2, 6), xi exits 2 before
+    # the store is allocated
+    from qfock import deformation
+    from qfock.deformation import _basis_split
+
+    n = [idx.size for idx, _, _ in _basis_split(make_context(2, 0.1, 6))]
+    nbytes = 8 * sum(n[y] * n[x ^ y] * n[x] for x in range(2) for y in range(2))
+    monkeypatch.setattr(deformation, "STORE_BYTE_CAP", nbytes - 1)
+    code, out, err = run(["xi", "--n", "2", "--q", "0.1", "--level", "6", "--trunc-q", "5"], capsys)
+    assert code == 2 and out == ""
+    assert f"store needs {nbytes / 2**20:.1f} MiB at dim 127 ({nbytes} > {nbytes - 1} bytes)" in err
 
 
 @pytest.mark.parametrize(

@@ -32,6 +32,7 @@ from dense_oracle import (
     hs_norm,
     letter_relabelling,
     lr_action,
+    lr_apply_by_copy,
 )
 
 
@@ -735,7 +736,7 @@ def test_extreme_eig_stops_where_a_full_eigh_test_stops(which):
 def test_xi_spectral_range_where_its_lower_end_crosses_zero():
     # near q = -0.5662783883 at (N, L) = (2, 4) the smallest eigenvalue of
     # the action is ~1e-11, so the eps * anorm floor, the rounding of one
-    # matvec, sets the bound: the two runs take 276 Lanczos matvecs in all
+    # matvec, sets the bound: the two runs take 268 Lanczos matvecs in all
     from qfock.deformation import _xi_spectral_range
 
     ctx = make_context(2, -0.5662783883395606, 4)
@@ -894,13 +895,87 @@ def test_tail_norm_builds_no_plain_stack():
     assert not [key for key in ctx._memo if isinstance(key, tuple) and key[0] == "stack"]
 
 
-def test_sandwiched_store_keeps_the_stack_cap():
+@pytest.mark.parametrize(
+    "N,L,message",
+    [
+        pytest.param(2, 8, r"528\.1 MiB at dim 511 \(553732168 > ", id="2-8"),
+        pytest.param(3, 5, r"161\.0 MiB at dim 364 \(168799904 > ", id="3-5"),
+    ],
+)
+def test_sandwiched_store_has_a_fixed_byte_cap(N, L, message):
+    # the store's bytes, from the class sizes, are checked before anything
+    # is allocated; 60.9 MiB at (2, 7) pass the 64 MiB cap
     from qfock.errors import CapacityError
 
-    ctx = make_context(2, 0.1, 7)
-    with pytest.raises(CapacityError, match=r"\(dim 255 > 192\); 192 is a fixed limit"):
-        doubled_op_norm(xi_as_hs(ctx) - xi_as_hs(ctx, 6), ctx, hermitian=True)
+    ctx = make_context(N, 0.1, L)
+    with pytest.raises(CapacityError, match=message + r"67108864 bytes\); 64 MiB is a fixed limit"):
+        doubled_op_norm(xi_as_hs(ctx) - xi_as_hs(ctx, L - 1), ctx, hermitian=True)
     assert "sym_blocks" not in ctx._memo
+
+
+@pytest.mark.parametrize("N,q,L", [(2, 0.1, 4), (2, 0.1, 5)])
+def test_lanczos_start_is_fixed_pcg64_uniforms(N, q, L):
+    # entry p of the doubled space's start is 2 u_p - 1, u_p the first double
+    # of PCG64(SeedSequence([0, p])); every run starts from its restriction
+    from qfock._pcg64 import _signed_uniforms
+    from qfock.deformation import _basis_split, _gather, _start
+    from qfock.operators import _sectors
+
+    ctx = make_context(N, q, L)
+    d = ctx.dim
+    U = np.array([2 * np.random.default_rng([0, p]).random() - 1 for p in range(d * d)])
+    assert np.array_equal(_signed_uniforms(d * d), U)
+    sectors = _sectors(len(_basis_split(ctx)))
+    for blocks in [*sectors, [b for s in sectors for b in s]]:
+        assert np.array_equal(_start(ctx, blocks), _gather(ctx, blocks, U.reshape(d, d)))
+
+
+@pytest.mark.parametrize("N,q,L", [(2, 0.1, 6), (3, -0.2, 4)])
+def test_chunked_image_matches_one_range(N, q, L, monkeypatch):
+    # with the rows of P in at least 3 ranges per output block, every norm
+    # stays within 1e-13 relative of the one-range values
+    from qfock import deformation
+
+    ctx = make_context(N, q, L)
+    rng = np.random.default_rng(3)
+    cut = ctx.level_offset(3)
+    C = np.zeros((ctx.dim, ctx.dim))
+    C[:cut, :cut] = rng.standard_normal((cut, cut))
+    Cc = C + 1j * np.where(C != 0, rng.standard_normal(C.shape), 0)
+
+    def norms():
+        return [doubled_op_norm(X, ctx, hermitian=h) for X in (C, Cc) for h in (False, True)]
+
+    whole = norms()
+    inner, counts = deformation._image_ranges, []
+    monkeypatch.setattr(deformation, "_IMAGE_CHUNK", 2**16)
+    monkeypatch.setattr(
+        deformation, "_image_ranges", lambda lefts, cap: counts.append(len(r := inner(lefts, cap))) or r
+    )
+    for got, expected in zip(norms(), whole):
+        assert got == pytest.approx(expected, rel=1e-13, abs=0)
+    assert min(counts) >= 3
+
+
+@pytest.mark.parametrize("N,q,L", [(2, 0.05, 4), (2, 0.1, 5), (2, 0.1, 6)])
+def test_lr_apply_reads_the_left_stack_in_place(N, q, L):
+    # the words of the left stack side by side are a view of its
+    # word-second store: bit for bit the contraction with their copy
+    from qfock.operators import left_wick_stack
+
+    ctx = make_context(N, q, L)
+    d = ctx.dim
+    assert np.shares_memory(left_wick_stack(ctx)[3:9].transpose(1, 0, 2).reshape(d, -1), left_wick_stack(ctx))
+    rng = np.random.default_rng(11)
+    delta, term = xi_as_hs(ctx) - unit_hs(ctx), unit_hs(ctx)
+    for _ in range(3):
+        expected = lr_apply_by_copy(delta, term, ctx)
+        term = lr_apply(delta, term, ctx)
+        assert np.array_equal(term, expected)
+    C = np.zeros((d, d), dtype=complex)
+    C[2:9, 1:7] = rng.standard_normal((7, 6)) + 1j * rng.standard_normal((7, 6))
+    V = rng.standard_normal((d, d))
+    assert np.array_equal(lr_apply(C, V, ctx), lr_apply_by_copy(C, V, ctx))
 
 
 def test_sector_norms_hold_half_a_sandwiched_stack():
