@@ -537,7 +537,8 @@ def load_cocycle_spec(source) -> CocycleSpec:
 
     Integer-group elements are integers, free-group elements strings over
     a..z with capitals as inverses.  Errors carry the offending field; JSON
-    syntax errors carry line/column.
+    syntax errors carry line/column, a file that is not UTF-8 the offset
+    of its first bad byte.
     """
     if isinstance(source, dict):
         data = source
@@ -549,6 +550,10 @@ def load_cocycle_spec(source) -> CocycleSpec:
             raise CocycleSpecError(
                 f"{source}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
                 f"{exc.msg}"
+            ) from exc
+        except UnicodeDecodeError as exc:
+            raise CocycleSpecError(
+                f"{source}: not UTF-8 text (byte {exc.object[exc.start]:#04x} at offset {exc.start})"
             ) from exc
     try:
         gdata = data["group"]

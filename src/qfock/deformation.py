@@ -32,12 +32,11 @@ import numpy as np
 
 from ._pcg64 import _signed_uniforms
 from .errors import (
-    STORE_BYTE_CAP,
     AlphabetError,
-    CapacityError,
     NonConvergenceWarning,
     QRangeError,
     SquareRootUnavailableError,
+    check_store_bytes,
 )
 from .fock import FockContext, _rev_perm, gram, metric
 from .operators import (
@@ -233,20 +232,16 @@ def _sym_blocks(ctx: FockContext) -> tuple[np.ndarray, ...]:
     these coordinates, level by level straight into that layout: no plain
     stack is made, and besides the store only the levels the recursion holds
     are alive.  Its bytes, from the class sizes, are checked against the
-    fixed ``STORE_BYTE_CAP`` before anything is allocated: 60.9 MiB at (N, L)
-    = (2, 7) passes it.
+    fixed limit of every word-operator store
+    (:func:`~qfock.errors.check_store_bytes`) before anything is allocated:
+    60.9 MiB at (N, L) = (2, 7) pass it.
     """
     split = _basis_split(ctx)
     k, n = len(split), [idx.size for idx, _, _ in split]
     shapes = [(n[y], n[x ^ y], n[x]) for x in range(k) for y in range(k)]
-    nbytes = 8 * sum(math.prod(shape) for shape in shapes)
-    if nbytes > STORE_BYTE_CAP:
-        raise CapacityError(
-            f"sandwiched word-operator store needs {nbytes / 2**20:.1f} MiB at dim "
-            f"{ctx.dim} ({nbytes} > {STORE_BYTE_CAP} bytes); {STORE_BYTE_CAP / 2**20:g} MiB "
-            f"is a fixed limit on that store, which neither QFOCK_SIZE_CAP nor "
-            f"--cap-override raises"
-        )
+    check_store_bytes(
+        "sandwiched word-operator store", 8 * sum(math.prod(shape) for shape in shapes), ctx.dim
+    )
 
     def build():
         out = [np.empty(shape) for shape in shapes]
@@ -329,26 +324,24 @@ def _sym_action(ctx: FockContext, C: np.ndarray, ins, outs):
     its singular values and spectrum.
 
     Block (a, b) of V reaches block (a', b') through the words u of class
-    ``a ^ a'`` and v of class ``b ^ b'`` alone, in two GEMMs.  The first
-    reads the store: ``P = V_ab^T @ T[:, lo:hi, :]`` with ``T`` the stored
-    block ``Ah_u[a', a]`` (:func:`_sym_blocks`), whose word range reshapes
-    to ``(d_a, words * d_a')`` as a view, so ``P[l*h + u, i] = (Ah_u
-    V_ab)[i, l]`` over the h words u taking part.  The second meets the
-    element's own operand ``WX[j, l*h + u] = sum_v C[u, rev v] Ah_v[b',
-    b][j, l]``, built once, here: block (a', b') of the image is ``(WX @
-    P)^T``.  Where several inputs reach one output, their P are stacked
-    along the rows and their WX along the columns, so it is still one GEMM.
+    ``a ^ a'`` and v of class ``b ^ b'`` alone, in two GEMMs, and the
+    action is one loop over the (input, output) pairs whose sub-block of
+    the reversed coefficients is nonzero; only the words in its nonzero row
+    and column range take part.  The first GEMM reads the store: ``P =
+    V_ab^T @ T[:, lo:hi, :]`` with ``T`` the stored block ``Ah_u[a', a]``
+    (:func:`_sym_blocks`), whose word range reshapes to ``(d_a, words *
+    d_a')`` as a view, so ``P[l*h + u, i] = (Ah_u V_ab)[i, l]`` over the h
+    words u taking part.  The second meets the pair's own operand ``WX[j,
+    l*h + u] = sum_v C[u, rev v] Ah_v[b', b][j, l]``, built once, here:
+    ``(WX @ P)^T`` is added into block (a', b') of the image.
 
-    The rows of P go in consecutive ranges of at most ``_IMAGE_CHUNK``
-    bytes (:func:`_image_ranges`), each filled by the first GEMM on the
-    matching rows l of ``V_ab^T`` and met by ``WX[:, range]``, the image
-    summed over the ranges.  A P that fits is one range, the two GEMMs
-    above.  The store is never copied: between matvecs the action holds
-    ``WX`` and nothing else of size dim**3, and a matvec adds at most
-    ``_IMAGE_CHUNK`` bytes of P (one l of one input if that is larger).
-    Only the words in the nonzero row and column range of the reversed
-    coefficients of the two classes take part.  Complex C and v enter by
-    parts (:func:`_by_parts`): a complex C as the actions of its real and
+    The l run in consecutive ranges of at most ``_IMAGE_CHUNK`` bytes of P
+    (one l if that alone is larger), the two GEMMs once per range, every P
+    in one buffer per matvec.  The store is never copied: between matvecs
+    the action holds its operands ``WX`` and nothing else of size dim**3,
+    and a matvec adds that buffer, at most ``_IMAGE_CHUNK`` bytes (one l of
+    one pair if that is larger).  Complex C and v enter by parts
+    (:func:`_by_parts`): a complex C as the actions of its real and
     imaginary parts.
     """
     if np.iscomplexobj(C):
@@ -358,28 +351,29 @@ def _sym_action(ctx: FockContext, C: np.ndarray, ins, outs):
     T = _sym_blocks(ctx)
     k, n = len(split), [idx.size for idx, _, _ in split]
     C = C[:, _rev_perm(ctx)]
-    offsets = np.cumsum([0] + [n[a] * n[b] for a, b in ins]).tolist()
-    terms, size = [], 0
-    for a2, b2 in outs:
-        reach = []
-        for o0, o1, (a, b) in zip(offsets, offsets[1:], ins):
+    in_at = np.cumsum([0] + [n[a] * n[b] for a, b in ins]).tolist()
+    out_at = np.cumsum([0] + [n[a] * n[b] for a, b in outs]).tolist()
+    pairs, psize = [], 0
+    for s0, s1, (a2, b2) in zip(out_at, out_at[1:], outs):
+        for o0, o1, (a, b) in zip(in_at, in_at[1:], ins):
             sub = C[np.ix_(split[a ^ a2][0], split[b ^ b2][0])]
-            lo, hi = _support(sub)
-            if lo != hi:
-                reach.append((o0, o1, a, b, lo, hi, sub))
-        bounds = np.cumsum([0] + [n[b] * (hi - lo) for _, _, _, b, lo, hi, _ in reach]).tolist()
-        # the element's own operand, the only dim**3 array the action holds
-        WX = np.empty((n[b2], bounds[-1]))
-        lefts = []
-        for r0, r1, (o0, o1, a, b, lo, hi, sub) in zip(bounds, bounds[1:], reach):
-            clo, chi = _support(sub.T)
-            cut = WX[:, r0:r1].reshape(n[b2], n[b], hi - lo).transpose(1, 0, 2)
+            (lo, hi), (clo, chi) = _support(sub), _support(sub.T)
+            if lo == hi:
+                continue
+            # the pair's own operand, the only dim**3 array the action holds
+            h = hi - lo
+            WX = np.empty((n[b2], n[b] * h))
+            cut = WX.reshape(n[b2], n[b], h).transpose(1, 0, 2)
             np.matmul(T[b2 * k + b][:, clo:chi].transpose(0, 2, 1), sub[lo:hi, clo:chi].T, out=cut)
-            lefts.append((o0, o1, (n[a], n[b]), T[a2 * k + a][:, lo:hi].reshape(n[a], -1), hi - lo))
-        ranges = _image_ranges(lefts, max(_IMAGE_CHUNK // (8 * n[a2]), 1))
-        prows = max(c1 - c0 for c0, c1, _ in ranges)
-        terms.append((ranges, prows, WX, n[a2], size, size + n[a2] * n[b2]))
-        size += n[a2] * n[b2]
+            # the l in ranges of at most _IMAGE_CHUNK bytes of P, each met
+            # by its columns of WX
+            step = max(_IMAGE_CHUNK // (8 * n[a2] * h), 1)
+            psize = max(psize, min(step, n[b]) * h * n[a2])
+            ranges = [
+                (l0, min(l0 + step, n[b]), WX[:, l0 * h : (l0 + step) * h]) for l0 in range(0, n[b], step)
+            ]
+            Tl = T[a2 * k + a][:, lo:hi].reshape(n[a], -1)
+            pairs.append((slice(o0, o1), (n[a], n[b]), Tl, slice(s0, s1), n[a2], ranges))
 
     # The order of both GEMMs is measured: medians of one S0 matvec, this
     # order against the next best, interleaved in one process (2 cores,
@@ -391,51 +385,23 @@ def _sym_action(ctx: FockContext, C: np.ndarray, ins, outs):
     # Xi at dim 127 7.5 vs 12.0 ms, 1.6x at every size.  One order holds
     # from dim 31 to 127.
     def apply(v: np.ndarray) -> np.ndarray:
-        out = np.empty(size)
-        for ranges, prows, WX, rows, s0, s1 in terms:
-            P = np.empty((prows, rows))
-            image = None
-            for c0, c1, pieces in ranges:
-                for o0, o1, shape, Tl, l0, l1, p0, p1 in pieces:
-                    Vt = v[o0:o1].reshape(shape).T[l0:l1]
-                    np.matmul(Vt, Tl, out=P[p0:p1].reshape(l1 - l0, -1))
-                part = WX[:, c0:c1] @ P[: c1 - c0]
-                if image is None:
-                    image = part
-                else:
-                    image += part
-            out[s0:s1].reshape(rows, -1)[...] = image.T
+        # one buffer for the P of every range of every pair
+        out, buf = np.zeros(out_at[-1]), np.empty(psize)
+        for src, shape, Tl, dst, rows, ranges in pairs:
+            Vt, image = v[src].reshape(shape).T, out[dst].reshape(rows, -1).T
+            for l0, l1, W in ranges:
+                P = buf[: (l1 - l0) * Tl.shape[1]]
+                np.matmul(Vt[l0:l1], Tl, out=P.reshape(l1 - l0, -1))
+                image += W @ P.reshape(-1, rows)
         return out
 
     return lambda v: _by_parts(apply, v)
 
 
 # The bytes of P that one matvec of _sym_action fills before meeting WX: at
-# dim 255 the image of Xi would otherwise hold a P as large as its operand
-# (39 MB for one output block).  Every P below dim 192 fits in one range.
+# dim 255 the image of Xi would otherwise hold a P as large as a pair's
+# operand (19.7 MB).  Every P below dim 192 fits in one range.
 _IMAGE_CHUNK = 8 * 2**20
-
-
-def _image_ranges(lefts, cap: int):
-    """The rows of P in consecutive ranges ``(c0, c1, pieces)`` of at most
-    ``cap`` rows, or of the h rows of one l where those alone exceed it.  The
-    inputs ``lefts`` hold their h words per row l of ``V_ab^T`` as
-    consecutive rows of P; a piece ``(o0, o1, shape, Tl, l0, l1, p0, p1)``
-    is the rows l0..l1-1 of one input, at rows p0..p1-1 of its range.  A P
-    of at most ``cap`` rows is one range of whole inputs."""
-    ranges, pieces, c0, used = [], [], 0, 0
-    for o0, o1, shape, Tl, h in lefts:
-        l0 = 0
-        while l0 < shape[1]:
-            if used and used + h > cap:
-                ranges.append((c0, c0 + used, pieces))
-                pieces, c0, used = [], c0 + used, 0
-            l1 = min(shape[1], l0 + max((cap - used) // h, 1))
-            pieces.append((o0, o1, shape, Tl, l0, l1, used, used + (l1 - l0) * h))
-            used += (l1 - l0) * h
-            l0 = l1
-    ranges.append((c0, c0 + used, pieces))
-    return ranges
 
 
 # the square root of the deformation action: unavailable below this least

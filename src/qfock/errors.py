@@ -3,21 +3,22 @@
 Every guard that rejects a request names the offending quantity so that a
 failed run can be diagnosed from the message alone.  The global matrix
 dimension cap can be overridden with the ``QFOCK_SIZE_CAP`` environment
-variable or per call via ``cap_override`` arguments.
+variable or per call via ``cap_override`` arguments; the word-operator
+stores have one fixed byte limit (:func:`check_store_bytes`) that neither
+raises.
 """
 from __future__ import annotations
 
 import os
 
 DEFAULT_DIM_CAP = 4096
-# Two fixed limits on the word-operator stores, which neither QFOCK_SIZE_CAP
-# nor a cap override raises.  The plain stacks of the Neumann product hold
-# dim**3 floats each and are capped by dim.  The sandwiched store of the
-# doubled-space norms keeps only its nonzero level-parity blocks and is
-# capped by its own bytes, computed from the class sizes before it is
-# built: 60.9 MiB at (N, L) = (2, 7) passes, 528 MiB at (2, 8) and 161 MiB
-# at (3, 5) do not.
-DEFAULT_STACK_DIM_CAP = 192
+# One fixed limit on the bytes of every word-operator store, which neither
+# QFOCK_SIZE_CAP nor a cap override raises, checked before the store is
+# built.  The plain stacks of the Neumann product hold dim**3 floats each:
+# dim 127 passes, dim 255 (126.5 MiB) does not.  The sandwiched store of
+# the doubled-space norms keeps only its nonzero level-parity blocks:
+# 60.9 MiB at (N, L) = (2, 7) passes, 528 MiB at (2, 8) and 161 MiB at
+# (3, 5) do not.
 STORE_BYTE_CAP = 64 * 2**20
 MAX_PERM_LENGTH = 8
 
@@ -84,13 +85,18 @@ class NonConvergenceWarning(UserWarning):
 
 
 def dim_cap(override: int | None = None) -> int:
-    """Current matrix-dimension cap (env var beats default, argument beats env)."""
+    """Current matrix-dimension cap (env var beats default, argument beats
+    env).  A ``QFOCK_SIZE_CAP`` that is no integer is bad input:
+    :class:`CapacityError` naming it."""
     if override is not None:
         return int(override)
     env = os.environ.get("QFOCK_SIZE_CAP")
-    if env is not None:
+    if env is None:
+        return DEFAULT_DIM_CAP
+    try:
         return int(env)
-    return DEFAULT_DIM_CAP
+    except ValueError:
+        raise CapacityError(f"QFOCK_SIZE_CAP must be an integer, got {env!r}") from None
 
 
 def check_dim(dim: int, what: str, override: int | None = None) -> None:
@@ -101,3 +107,14 @@ def check_dim(dim: int, what: str, override: int | None = None) -> None:
             f"raise QFOCK_SIZE_CAP or pass a cap override to proceed"
         )
 
+
+def check_store_bytes(what: str, nbytes: int, dim: int) -> None:
+    """Raise :class:`CapacityError` when a word-operator store of ``nbytes``
+    bytes at dimension ``dim`` exceeds the fixed ``STORE_BYTE_CAP``."""
+    if nbytes > STORE_BYTE_CAP:
+        raise CapacityError(
+            f"{what} needs {nbytes / 2**20:.1f} MiB at dim {dim} ({nbytes} > "
+            f"{STORE_BYTE_CAP} bytes); {STORE_BYTE_CAP / 2**20:g} MiB is a fixed limit "
+            f"on every word-operator store, which neither QFOCK_SIZE_CAP nor "
+            f"--cap-override raises"
+        )

@@ -31,13 +31,12 @@ import numpy as np
 
 from ._pcg64 import _signed_uniforms
 from .errors import (
-    DEFAULT_STACK_DIM_CAP,
     AlphabetError,
-    CapacityError,
     EigensolverError,
     HomogeneityError,
     QRangeError,
     check_dim,
+    check_store_bytes,
 )
 from .fock import FockContext, GradedVector, _rev_perm, metric, norm_q
 
@@ -189,21 +188,6 @@ def wick_matrix(w: tuple[int, ...], ctx: FockContext) -> np.ndarray:
     return ctx.memo(("L", w), build) if len(w) <= _WICK_CACHE_MAX_LEN else build()
 
 
-def _check_stack_dim(ctx: FockContext) -> None:
-    """Raise :class:`CapacityError` above ``DEFAULT_STACK_DIM_CAP``: the
-    guard of the plain stacks of :func:`left_wick_stack` and
-    :func:`right_wick_stack`, dim**3 floats each.  The sandwiched store of
-    :func:`~qfock.deformation._sym_blocks` has its own limit, on its bytes
-    (``STORE_BYTE_CAP``)."""
-    d = ctx.dim
-    if d > DEFAULT_STACK_DIM_CAP:
-        raise CapacityError(
-            f"dense word-operator stack needs {d}^3 floats (dim {d} > "
-            f"{DEFAULT_STACK_DIM_CAP}); {DEFAULT_STACK_DIM_CAP} is a fixed limit "
-            f"on the dim^3 stack, which neither QFOCK_SIZE_CAP nor --cap-override raises"
-        )
-
-
 def _fill_stack(ctx: FockContext, side: str) -> np.ndarray:
     """``(dim, dim, dim)`` stack of the word operators of levels 0..L in
     graded basis order, for left (``side`` "L") or right ("R")
@@ -241,15 +225,18 @@ def _fill_stack(ctx: FockContext, side: str) -> np.ndarray:
 
 def left_wick_stack(ctx: FockContext) -> np.ndarray:
     """(dim, dim, dim) array of all word-operator matrices, graded basis
-    order; memoized per context (:func:`_fill_stack`)."""
-    _check_stack_dim(ctx)
+    order; memoized per context (:func:`_fill_stack`).  Its ``8 * dim**3``
+    bytes are checked against the fixed store limit
+    (:func:`~qfock.errors.check_store_bytes`) before it is built."""
+    check_store_bytes("dense word-operator stack", 8 * ctx.dim**3, ctx.dim)
     return ctx.memo(("stack", "L"), lambda: _fill_stack(ctx, "L"))
 
 
 def right_wick_stack(ctx: FockContext) -> np.ndarray:
     """(dim, dim, dim) array of the right multiplications by all word
-    operators, graded basis order; memoized per context."""
-    _check_stack_dim(ctx)
+    operators, graded basis order; memoized per context, under the same
+    byte limit as :func:`left_wick_stack`."""
+    check_store_bytes("dense word-operator stack", 8 * ctx.dim**3, ctx.dim)
     return ctx.memo(("stack", "R"), lambda: _fill_stack(ctx, "R"))
 
 

@@ -95,18 +95,15 @@ def test_verify_number_free_case_exact(capsys):
 
 
 def test_verify_derivations_at_dim_255_builds_no_stack(capsys, monkeypatch):
-    # the plain stacks pass _check_stack_dim, which raises (exit 2) above dim
-    # 192, and the sandwiched store is built by _sym_blocks; the suite asks
-    # for none of them
-    from qfock import deformation, operators
+    # every word-operator store is checked against errors.STORE_BYTE_CAP
+    # before it is built; with the cap at 0 bytes any store would exit 2,
+    # and the suite asks for none of them
+    from qfock import errors
 
-    asked, check, blocks = [], operators._check_stack_dim, deformation._sym_blocks
-    monkeypatch.setattr(operators, "_check_stack_dim", lambda ctx: asked.append(ctx.dim) or check(ctx))
-    monkeypatch.setattr(deformation, "_sym_blocks", lambda ctx: asked.append(ctx.dim) or blocks(ctx))
+    monkeypatch.setattr(errors, "STORE_BYTE_CAP", 0)
     code, out, _ = run(["verify", "--suite", "derivations", "--n", "2", "--q", "0.1", "--level", "7"], capsys)
     assert code == 0
     assert json.loads(out)["passed"] is True
-    assert not asked
 
 
 def test_verify_unknown_suite(capsys):
@@ -588,8 +585,9 @@ def test_conjugate_names_minimum_level(capsys):
 @pytest.mark.filterwarnings("ignore::qfock.errors.NonConvergenceWarning")
 @pytest.mark.parametrize("extra", [[], ["--cap-override", "100000"]])
 def test_stack_cap_is_a_fixed_limit(capsys, monkeypatch, extra):
-    # two fixed limits: the bytes of the sandwiched store stop xi at dim 511
-    # (528 MiB), the dimension of the plain stacks stops conjugate at dim 255
+    # one fixed byte limit on every word-operator store: the sandwiched
+    # store stops xi at dim 511 (528 MiB), the plain stacks stop conjugate
+    # at dim 255 (126.5 MiB)
     monkeypatch.setenv("QFOCK_SIZE_CAP", "100000")
     argv = ["xi", "--n", "2", "--q", "0.1", "--level", "8", "--trunc-q", "6", *extra]
     code, out, err = run(argv, capsys)
@@ -599,22 +597,41 @@ def test_stack_cap_is_a_fixed_limit(capsys, monkeypatch, extra):
     argv = ["conjugate", "--n", "2", "--q", "0.1", "--level", "7", "--terms", "3", *extra]
     code, out, err = run(argv, capsys)
     assert code == 2 and out == ""
-    assert "(dim 255 > 192); 192 is a fixed limit on the dim^3 stack" in err
+    assert "stack needs 126.5 MiB at dim 255 (132651000 > 67108864 bytes); 64 MiB is a fixed limit" in err
     assert "neither QFOCK_SIZE_CAP nor --cap-override raises" in err
 
 
 def test_store_byte_cap_stops_xi(capsys, monkeypatch):
-    # with the cap one byte below the store at (2, 6), xi exits 2 before
-    # the store is allocated
-    from qfock import deformation
+    # with the cap one byte below the sandwiched store at (2, 6), xi exits 2
+    # before the store is allocated
+    from qfock import errors
     from qfock.deformation import _basis_split
 
     n = [idx.size for idx, _, _ in _basis_split(make_context(2, 0.1, 6))]
     nbytes = 8 * sum(n[y] * n[x ^ y] * n[x] for x in range(2) for y in range(2))
-    monkeypatch.setattr(deformation, "STORE_BYTE_CAP", nbytes - 1)
+    monkeypatch.setattr(errors, "STORE_BYTE_CAP", nbytes - 1)
     code, out, err = run(["xi", "--n", "2", "--q", "0.1", "--level", "6", "--trunc-q", "5"], capsys)
     assert code == 2 and out == ""
     assert f"store needs {nbytes / 2**20:.1f} MiB at dim 127 ({nbytes} > {nbytes - 1} bytes)" in err
+
+
+def test_store_byte_cap_stops_the_plain_stacks(capsys, monkeypatch):
+    # with the cap one byte below 8 dim**3 at (2, 5), the sandwiched store
+    # (963144 bytes) passes and conjugate exits 2 at its first plain stack
+    from qfock import errors
+
+    nbytes = 8 * 63**3
+    monkeypatch.setattr(errors, "STORE_BYTE_CAP", nbytes - 1)
+    code, out, err = run(["conjugate", "--n", "2", "--q", "0.05", "--level", "5", "--terms", "3"], capsys)
+    assert code == 2 and out == ""
+    assert f"dense word-operator stack needs 1.9 MiB at dim 63 ({nbytes} > {nbytes - 1} bytes)" in err
+
+
+def test_malformed_size_cap_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("QFOCK_SIZE_CAP", "abc")
+    code, out, err = run(["gram", "--level", "2"], capsys)
+    assert code == 2 and out == ""
+    assert "QFOCK_SIZE_CAP must be an integer, got 'abc'" in err
 
 
 @pytest.mark.parametrize(

@@ -410,6 +410,14 @@ def test_load_cocycle_spec_bad_json(tmp_path):
         load_cocycle_spec(str(path))
 
 
+def test_load_cocycle_spec_not_utf8(tmp_path):
+    # a spec file that does not decode is a spec error naming the file
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(CocycleSpecError, match=r"bad\.json: not UTF-8 text \(byte 0xff at offset 0\)"):
+        load_cocycle_spec(str(path))
+
+
 def test_load_cocycle_spec_missing_fields():
     with pytest.raises(CocycleSpecError, match="group.kind"):
         load_cocycle_spec({"cocycles": []})

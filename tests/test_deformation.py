@@ -930,10 +930,27 @@ def test_lanczos_start_is_fixed_pcg64_uniforms(N, q, L):
         assert np.array_equal(_start(ctx, blocks), _gather(ctx, blocks, U.reshape(d, d)))
 
 
+def _reaching_pairs(ctx, C, blocks):
+    # (output, input, h) for each pair of doubled-space blocks whose
+    # sub-block of the reversed coefficients is nonzero, h the number of
+    # rows in its nonzero row range
+    from qfock.deformation import _basis_split, _rev_perm
+
+    split = [idx for idx, _, _ in _basis_split(ctx)]
+    Crev = C[:, _rev_perm(ctx)]
+    out = []
+    for a2, b2 in blocks:
+        for a, b in blocks:
+            rows = np.flatnonzero(Crev[np.ix_(split[a ^ a2], split[b ^ b2])].any(axis=1))
+            if rows.size:
+                out.append(((a2, b2), (a, b), int(rows[-1] + 1 - rows[0])))
+    return out
+
+
 @pytest.mark.parametrize("N,q,L", [(2, 0.1, 6), (3, -0.2, 4)])
 def test_chunked_image_matches_one_range(N, q, L, monkeypatch):
-    # with the rows of P in at least 3 ranges per output block, every norm
-    # stays within 1e-13 relative of the one-range values
+    # with the l of at least one (input, output) pair in 3 or more ranges,
+    # every norm stays within 1e-13 relative of the one-range values
     from qfock import deformation
 
     ctx = make_context(N, q, L)
@@ -947,14 +964,42 @@ def test_chunked_image_matches_one_range(N, q, L, monkeypatch):
         return [doubled_op_norm(X, ctx, hermitian=h) for X in (C, Cc) for h in (False, True)]
 
     whole = norms()
-    inner, counts = deformation._image_ranges, []
-    monkeypatch.setattr(deformation, "_IMAGE_CHUNK", 2**16)
-    monkeypatch.setattr(
-        deformation, "_image_ranges", lambda lefts, cap: counts.append(len(r := inner(lefts, cap))) or r
-    )
+    chunk = 2**16
+    n = [idx.size for idx, _, _ in deformation._basis_split(ctx)]
+    pairs = _reaching_pairs(ctx, C, _whole(ctx))
+    # each pair runs its l, n_b of them, in ranges of at most `chunk` bytes
+    # of P, whose rows l * h + u each hold n_a' floats
+    assert max(-(-n[b] // max(chunk // (8 * n[a2] * h), 1)) for (a2, _), (_, b), h in pairs) >= 3
+    monkeypatch.setattr(deformation, "_IMAGE_CHUNK", chunk)
     for got, expected in zip(norms(), whole):
         assert got == pytest.approx(expected, rel=1e-13, abs=0)
-    assert min(counts) >= 3
+
+
+@pytest.mark.filterwarnings("ignore::qfock.errors.NonConvergenceWarning")
+def test_sector_action_where_two_inputs_reach_each_output():
+    # on both sector runs of Xi # U_6 - 1 at dim 63 every output block is
+    # reached by both inputs of its sector; the action, with the words of
+    # its second leg reversed, is the dense oracle's between V P and its
+    # image times P
+    from qfock.deformation import _gather, _rev_perm, _runs, _scatter, _start, _sym_action
+
+    ctx = make_context(2, 0.1, 5)
+    d, rev = ctx.dim, _rev_perm(ctx)
+    *_, (_, _, U) = neumann_series(ctx, 6)
+    H = lr_apply(xi_as_hs(ctx), U, ctx)
+    H[0, 0] -= 1.0
+    D = dense_sym_action(ctx, H)
+    runs = _runs(ctx, H, normal=False)
+    assert len(runs) == 2
+    for blocks, image in runs:
+        assert blocks == image
+        reach = _reaching_pairs(ctx, H, blocks)
+        assert sorted(o for o, _, _ in reach) == sorted(2 * blocks)
+        V = np.zeros((d, d))
+        _scatter(ctx, blocks, _start(ctx, blocks), V)
+        expected = (D @ V[:, rev].reshape(-1)).reshape(d, d)[:, rev]
+        got = _sym_action(ctx, H, blocks, blocks)(_gather(ctx, blocks, V))
+        assert np.abs(got - _gather(ctx, blocks, expected)).max() <= 1e-12 * np.abs(expected).max()
 
 
 @pytest.mark.parametrize("N,q,L", [(2, 0.05, 4), (2, 0.1, 5), (2, 0.1, 6)])

@@ -88,6 +88,13 @@ def test_make_context_capacity(monkeypatch):
         make_context(2, 0.1, 6)
 
 
+def test_malformed_size_cap_is_bad_input(monkeypatch):
+    # a QFOCK_SIZE_CAP that is no integer is named in a CapacityError
+    monkeypatch.setenv("QFOCK_SIZE_CAP", "abc")
+    with pytest.raises(CapacityError, match="QFOCK_SIZE_CAP must be an integer, got 'abc'"):
+        make_context(2, 0.1, 2)
+
+
 def test_cap_override_reaches_level_gram(monkeypatch):
     # the context's override beats the environment cap in the S_n sum too
     monkeypatch.setenv("QFOCK_SIZE_CAP", "5")
